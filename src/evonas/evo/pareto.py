@@ -3,11 +3,22 @@
 Objective 0 (accuracy) is maximized and internally negated so that domination
 is uniformly "weakly better in all objectives, strictly better in one" under
 minimization.
+
+Fronts are found by sort-and-sweep, for one or two objectives (Kung, Luccio &
+Preparata, JACM 22(4), 1975; Jensen, IEEE TEVC 7(5), 2003). Members are taken
+in lexicographic order of their objective vectors, so every member that can
+dominate one comes before it. The last vector added to a front has that
+front's smallest second objective, and the front dominates the member exactly
+when that vector has second objective <= the member's and differs from it.
+Equal vectors therefore share a front. Domination by a front is monotone in
+the front's rank, so a binary search over the fronts built so far finds the
+member's front: O(N log N) for N members, against O(N^2) for pairwise
+comparison. One objective is swept with a constant second objective.
 """
 
 from __future__ import annotations
 
-from ..errors import EvaluationOrderError
+from ..errors import ConfigError, EvaluationOrderError
 from .individual import Individual, Population
 
 _INF = float("inf")
@@ -19,36 +30,36 @@ def _objective_vector(m: Individual, n_obj: int) -> tuple[float, ...]:
     return (-m.fitness[0],) + tuple(m.fitness[1:n_obj])
 
 
-def dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-
 def nondominated_sort(members: list[Individual], n_obj: int = 2) -> list[list[Individual]]:
-    """Partition ``members`` into fronts F1, F2, ... of decreasing quality."""
+    """Partition ``members`` into fronts F1, F2, ... of decreasing quality.
+
+    Each front lists its members in input order. Only one or two objectives
+    are supported; any other ``n_obj`` raises ``ConfigError``.
+    """
+    if n_obj not in (1, 2):
+        raise ConfigError(f"non-dominated sorting supports 1 or 2 objectives, not {n_obj}")
     vectors = [_objective_vector(m, n_obj) for m in members]
-    n = len(members)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(vectors[i], vectors[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(vectors[j], vectors[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: list[list[Individual]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    while current:
-        fronts.append([members[i] for i in current])
-        nxt: list[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
-    return fronts
+    if n_obj == 1:
+        vectors = [(v[0], 0.0) for v in vectors]
+    fronts: list[list[int]] = []
+    lasts: list[tuple[float, ...]] = []  # the vector most recently added to each front
+    for i in sorted(range(len(members)), key=vectors.__getitem__):
+        v = vectors[i]
+        lo, hi = 0, len(fronts)
+        while lo < hi:  # first front whose last vector does not dominate v
+            mid = (lo + hi) // 2
+            last = lasts[mid]
+            if last[1] <= v[1] and last != v:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(fronts):
+            fronts.append([i])
+            lasts.append(v)
+        else:
+            fronts[lo].append(i)
+            lasts[lo] = v
+    return [[members[i] for i in sorted(front)] for front in fronts]
 
 
 def crowding_distance(front: list[Individual], n_obj: int = 2) -> dict[str, float]:
@@ -56,22 +67,19 @@ def crowding_distance(front: list[Individual], n_obj: int = 2) -> dict[str, floa
     dist = {m.name: 0.0 for m in front}
     if len(front) <= 2:
         return {name: _INF for name in dist}
+    vectors = [_objective_vector(m, n_obj) for m in front]
     for k in range(n_obj):
-        ordered = sorted(front, key=lambda m: (_objective_vector(m, n_obj)[k], m.name))
-        lo = _objective_vector(ordered[0], n_obj)[k]
-        hi = _objective_vector(ordered[-1], n_obj)[k]
-        dist[ordered[0].name] = _INF
-        dist[ordered[-1].name] = _INF
-        span = hi - lo
+        ordered = sorted(range(len(front)), key=lambda i: (vectors[i][k], front[i].name))
+        values = [vectors[i][k] for i in ordered]
+        names = [front[i].name for i in ordered]
+        dist[names[0]] = _INF
+        dist[names[-1]] = _INF
+        span = values[-1] - values[0]
         if span == 0.0:
             continue
         for i in range(1, len(ordered) - 1):
-            gap = (
-                _objective_vector(ordered[i + 1], n_obj)[k]
-                - _objective_vector(ordered[i - 1], n_obj)[k]
-            )
-            if dist[ordered[i].name] != _INF:
-                dist[ordered[i].name] += gap / span
+            if dist[names[i]] != _INF:
+                dist[names[i]] += (values[i + 1] - values[i - 1]) / span
     return dist
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 from .bus import FitnessRecord, Listener, LogRecord, ProcessRecord, RecordBus
 from .errors import ConfigError, DecodeError, EvoNasError, JobFailed, LookupMiss
 from .jobs import JobResult, JobSpec
-from .slots import SlotStatus, SlotStore
+from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
 
@@ -147,9 +147,7 @@ class SimulatedFarm:
         while self._queue:
             grant = self.store.acquire(self._queue[0][0].name)
             if grant is None:
-                if not any(
-                    s.status in (SlotStatus.IDLE, SlotStatus.BUSY) for s in self.store.snapshot()
-                ):
+                if not self.store.has_live():
                     # every slot is lost or quarantined: nothing can run anymore
                     while self._queue:
                         job, tries = self._queue.pop(0)

@@ -2,14 +2,16 @@
 
 Acquire/release are atomic transitions under a single lock, so the store can
 be hammered by concurrent dispatch tasks without double-granting. Acquisition
-is deterministic: the lowest (node, slot) idle pair wins. The store optionally
-persists itself to a JSON state file on every transition.
+is deterministic: the lowest (node, slot) idle pair wins. The slot table is kept
+in (node, slot) order, so a scan of it visits slots lowest first. The store
+optionally persists itself to a JSON state file on every transition.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -47,12 +49,13 @@ class WorkerDescriptor:
 
 class SlotStore:
     def __init__(self, slots: Iterable[tuple[str, int]], state_path: Path | str | None = None):
-        self._slots: dict[tuple[str, int], SlotState] = {}
+        table: dict[tuple[str, int], SlotState] = {}
         for node, slot_id in slots:
             key = (node, slot_id)
-            if key in self._slots:
+            if key in table:
                 raise InvariantViolation(f"duplicate slot {key}")
-            self._slots[key] = SlotState(node, slot_id)
+            table[key] = SlotState(node, slot_id)
+        self._slots = dict(sorted(table.items()))  # keys never change after this
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self.state_path = Path(state_path) if state_path else None
@@ -77,37 +80,34 @@ class SlotStore:
         except OSError as exc:
             raise PersistError(f"cannot persist slot state: {exc}") from exc
 
+    def _claim_locked(self, job_name: str | None) -> tuple[str, int] | None:
+        for key, state in self._slots.items():
+            if state.status is SlotStatus.IDLE:
+                state.status = SlotStatus.BUSY
+                state.job_name = job_name
+                self._persist_locked()
+                return key
+        return None
+
+    def _live_locked(self) -> bool:
+        return any(s.status in (SlotStatus.IDLE, SlotStatus.BUSY) for s in self._slots.values())
+
     def acquire(self, job_name: str | None = None) -> tuple[str, int] | None:
         """Atomically claim the lowest idle (node, slot), or None when all are busy."""
         with self._lock:
-            for key in sorted(self._slots):
-                state = self._slots[key]
-                if state.status is SlotStatus.IDLE:
-                    state.status = SlotStatus.BUSY
-                    state.job_name = job_name
-                    self._persist_locked()
-                    return key
-            return None
+            return self._claim_locked(job_name)
 
     def acquire_wait(self, job_name: str | None = None, timeout: float | None = None) -> tuple[str, int] | None:
         """Block until a slot can be claimed; None only on timeout or no live slots."""
         deadline = None
         with self._idle:
             while True:
-                for key in sorted(self._slots):
-                    state = self._slots[key]
-                    if state.status is SlotStatus.IDLE:
-                        state.status = SlotStatus.BUSY
-                        state.job_name = job_name
-                        self._persist_locked()
-                        return key
-                if not any(
-                    s.status in (SlotStatus.IDLE, SlotStatus.BUSY) for s in self._slots.values()
-                ):
+                key = self._claim_locked(job_name)
+                if key is not None:
+                    return key
+                if not self._live_locked():
                     return None  # every slot lost or quarantined; waiting is hopeless
                 if timeout is not None:
-                    import time
-
                     if deadline is None:
                         deadline = time.monotonic() + timeout
                     remaining = deadline - time.monotonic()
@@ -181,7 +181,7 @@ class SlotStore:
         with self._lock:
             return [
                 SlotState(s.node, s.slot_id, s.status, s.job_name, s.last_poll)
-                for _, s in sorted(self._slots.items())
+                for s in self._slots.values()
             ]
 
     def counts(self) -> dict[SlotStatus, int]:
@@ -191,9 +191,10 @@ class SlotStore:
                 out[state.status] += 1
             return out
 
-    def has_idle(self) -> bool:
+    def has_live(self) -> bool:
+        """True while some slot is idle or busy, i.e. not every slot is lost or quarantined."""
         with self._lock:
-            return any(s.status is SlotStatus.IDLE for s in self._slots.values())
+            return self._live_locked()
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from evonas.arch.spaces import FixedBinarySpace
-from evonas.errors import EvaluationOrderError
+from evonas.errors import ConfigError, EvaluationOrderError
 from evonas.evo import Population, crowding_distance, crowding_select, make_individual, nondominated_sort
 from evonas.evo.individual import individual_name
 
@@ -63,17 +63,36 @@ def test_missing_objective_raises():
         nondominated_sort(pop.members)
 
 
-def test_fronts_partition_and_order_against_oracle():
+def oracle_cases():
     rng = random.Random(50)
     for _ in range(50):
-        points = [(round(rng.random(), 4), rng.randrange(1, 10**7)) for _ in range(50)]
+        yield [(round(rng.random(), 4), rng.randrange(1, 10**7)) for _ in range(50)]
+    # tie-heavy pools: cache hits and carried-over survivors repeat values and vectors
+    rng = random.Random(51)
+    for case in range(48):
+        n = 200 if case % 4 == 0 else rng.randrange(2, 121)
+        accs = [round(rng.random(), 4) for _ in range(rng.randrange(2, 6))]
+        params = [rng.randrange(1, 10**7) for _ in range(rng.randrange(2, 6))]
+        kind = case % 3
+        if kind == 0:  # accuracy drawn from 2-5 values
+            points = [(rng.choice(accs), rng.randrange(1, 10**7)) for _ in range(n)]
+        elif kind == 1:  # params drawn from 2-5 values
+            points = [(round(rng.random(), 4), rng.choice(params)) for _ in range(n)]
+        else:  # exact duplicate vectors
+            base = [(round(rng.random(), 2), rng.randrange(1, 50)) for _ in range(rng.randrange(1, 20))]
+            points = [rng.choice(base) for _ in range(n)]
+        yield points
+
+
+def test_fronts_partition_and_order_against_oracle():
+    for points in oracle_cases():
         pop = mo_pop(points)
         fronts = nondominated_sort(pop.members)
         flat = [m.name for f in fronts for m in f]
         assert sorted(flat) == sorted(m.name for m in pop.members)  # a partition
         index = {individual_name(0, i): i for i in range(len(points))}
-        got = [sorted(index[m.name] for m in f) for f in fronts]
-        assert got == oracle_fronts(points)
+        got = [[index[m.name] for m in f] for f in fronts]
+        assert got == oracle_fronts(points)  # each front in input order
         # no member of F_i is dominated by any member of F_j, j >= i
         for i, front in enumerate(fronts):
             later = [m for f in fronts[i:] for m in f]
@@ -85,6 +104,27 @@ def test_fronts_partition_and_order_against_oracle():
                         and (other.fitness[0] > m.fitness[0] or other.fitness[1] < m.fitness[1])
                     )
                     assert not dominated
+
+
+def test_single_objective_fronts_are_accuracy_levels():
+    rng = random.Random(52)
+    points = [(rng.choice((0.2, 0.5, 0.7, 0.9)), rng.randrange(1, 100)) for _ in range(60)]
+    pop = mo_pop(points)
+    for m in pop.members[::2]:
+        m.fitness = m.fitness[:1]  # one objective needs accuracy only
+    fronts = nondominated_sort(pop.members, n_obj=1)
+    index = {individual_name(0, i): i for i in range(len(points))}
+    got = [[index[m.name] for m in f] for f in fronts]
+    levels = sorted({acc for acc, _ in points}, reverse=True)
+    assert got == [[i for i, (acc, _) in enumerate(points) if acc == level] for level in levels]
+
+
+def test_three_objectives_rejected():
+    pop = mo_pop([(0.9, 1.0), (0.8, 2.0)])
+    for m in pop.members:
+        m.fitness = m.fitness + (1.0,)
+    with pytest.raises(ConfigError):
+        nondominated_sort(pop.members, n_obj=3)
 
 
 def test_crowding_boundary_gets_infinity():

@@ -57,6 +57,29 @@ def test_quarantine_and_clear():
     assert store.acquire("mine") == ("n1", 0)
 
 
+def test_has_live_false_once_every_slot_lost_or_quarantined():
+    store = SlotStore([("n1", 0), ("n2", 0), ("n2", 1)])
+    store.acquire("a")
+    store.acquire("b")
+    store.acquire("c")
+    assert store.has_live()  # busy slots are live
+    store.mark_lost("n1")
+    store.quarantine("n2", 0)
+    assert store.has_live()
+    store.quarantine("n2", 1)
+    assert not store.has_live()
+    store.clear_quarantine("n2", 1)
+    assert store.has_live()
+
+
+def test_slots_scan_in_key_order_whatever_the_input_order():
+    store = SlotStore([("n2", 1), ("n1", 1), ("n2", 0), ("n1", 0)])
+    assert [(s.node, s.slot_id) for s in store.snapshot()] == [
+        ("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1),
+    ]
+    assert [store.acquire("j") for _ in range(4)] == [("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1)]
+
+
 def test_state_file_persists_transitions(tmp_path):
     path = tmp_path / "slots.json"
     store = SlotStore([("n1", 0), ("n1", 1)], state_path=path)
