@@ -18,7 +18,7 @@ from .evaluator import Evaluator
 from .jobs import JobResult, JobSpec
 from .remote import TcpTransport, WorkerAgent, poll_workers
 from .runner import Runner, load_latest_population, save_population
-from .simfarm import SimulatedFarm, simulate_farm
+from .simfarm import SimulatedFarm
 from .slots import SlotStore, WorkerDescriptor
 
 __version__ = "0.1.0"
@@ -56,5 +56,4 @@ __all__ = [
     "parse_configs",
     "poll_workers",
     "save_population",
-    "simulate_farm",
 ]

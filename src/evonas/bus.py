@@ -19,7 +19,7 @@ import threading
 import uuid
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -70,10 +70,7 @@ _KINDS = {"log": LogRecord, "fitness": FitnessRecord}
 def _with_id(record):
     if record.record_id:
         return record
-    cls = type(record)
-    data = asdict(record)
-    data["record_id"] = _new_record_id()
-    return cls(**data)
+    return replace(record, record_id=_new_record_id())
 
 
 class RecordBus(ABC):

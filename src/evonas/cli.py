@@ -148,7 +148,6 @@ def cmd_simulate(args) -> int:
             duration=args.duration,
             dispatch_overhead=args.overhead,
             faults=faults,
-            seed=args.seed,
         )
         jobs = []
         for i in range(args.jobs):

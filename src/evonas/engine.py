@@ -36,6 +36,7 @@ _RETRYABLE = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
 
 class ExecutionEngine(Protocol):
     stats: EngineStats
+    store: SlotStore
 
     def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]: ...
 

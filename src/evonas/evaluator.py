@@ -52,6 +52,11 @@ class Evaluator:
         self.objectives = objectives
         self._params_cache: dict[str, int] = {}
 
+    @property
+    def width(self) -> int:
+        """How many jobs the engine runs at once: the slots of its store."""
+        return len(self.engine.store)
+
     def params_of(self, member: Individual) -> int:
         cached = self._params_cache.get(member.identifier)
         if cached is None:

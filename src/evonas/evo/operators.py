@@ -82,23 +82,33 @@ def aging_step(
     rng: random.Random,
     make_child: Callable[[Individual], Individual],
     evaluate: Callable[[list[Individual]], None],
+    width: int = 1,
 ) -> Population:
-    """One steady-state step: mutate the best of a random sample, retire the oldest.
+    """``width`` steady-state steps whose children are evaluated together.
 
-    The population is a queue ordered by insertion; the head (index 0) is
-    removed regardless of its fitness, and the evaluated child is appended to
-    the tail. Population size is unchanged.
+    The population is a queue ordered by insertion. Each step mutates the best
+    of its own random sample of the queue as it stands before the batch; all
+    children go to one ``evaluate`` call. Then, in child order, each step
+    removes the head (index 0) regardless of its fitness and appends its child
+    to the tail. Population size is unchanged. With ``width`` 1 this is one
+    classic aging step, and the RNG draws come in the same order.
     """
     if sample_size < 1 or sample_size > len(pop):
         raise ConfigError(f"sample size {sample_size} invalid for population of {len(pop)}")
+    if width < 1:
+        raise ConfigError(f"aging batch width must be >= 1, got {width}")
     pop.require_evaluated()
-    sample = rng.sample(pop.members, sample_size)
-    parent = sample[0]
-    for contender in sample[1:]:
-        if contender.fitness0 > parent.fitness0:
-            parent = contender
-    child = make_child(parent)
-    evaluate([child])
-    if child.fitness is None:
-        raise EvaluationOrderError(f"child {child.name} came back unevaluated")
-    return Population(generation=pop.generation, members=pop.members[1:] + [child])
+    children = []
+    for _ in range(width):
+        sample = rng.sample(pop.members, sample_size)
+        parent = sample[0]
+        for contender in sample[1:]:
+            if contender.fitness0 > parent.fitness0:
+                parent = contender
+        children.append(make_child(parent))
+    evaluate(children)
+    for child in children:
+        if child.fitness is None:
+            raise EvaluationOrderError(f"child {child.name} came back unevaluated")
+    # each child retires one head, so the first ``width`` entries of the queue go
+    return Population(generation=pop.generation, members=(pop.members + children)[width:])

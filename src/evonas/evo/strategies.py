@@ -6,13 +6,25 @@ Four strategies are registered:
                        fixed-binary encoding,
 * ``variable_ga``   -- the same loop over the variable-length block encoding,
 * ``aging_evolution`` -- steady-state tournament evolution that always retires
-                       the oldest member (cell-graph encoding),
+                       the oldest member (cell-graph encoding); its steps run
+                       in batches of ``width`` children, one ``evaluate`` call
+                       per batch,
 * ``nsga2``         -- two-objective (accuracy up, parameters down) selection
                        by non-dominated sorting and crowding distance.
 
 A strategy produces exactly ``pop_size`` new evaluations per ``advance`` call,
 so a full run of ``max_gen`` generations (the initial population counts as the
 first) costs ``pop_size * max_gen`` evaluations when every job misses the cache.
+
+``advance`` takes the number of jobs the engine can run at once as ``width``.
+The generational strategies evaluate a whole generation in one call and ignore
+it. Aging evolution draws ``width`` parents from the queue as it stands, then
+evaluates their children together and applies their retire-head /
+append-tail steps in child order, so ``width`` slots stay busy instead of
+one; a generation is ``ceil(pop_size / width)`` such batches, the last one
+short. Children of one batch cannot see each other, so the trajectory depends
+on ``width`` (``width`` 1 is the classic one-child-at-a-time loop) and a run
+must keep its width to stay reproducible.
 """
 
 from __future__ import annotations
@@ -62,6 +74,8 @@ class SearchStrategy(ABC):
 
     key: ClassVar[str]
     objectives: ClassVar[int] = 1
+    #: whether ``advance``'s trajectory depends on its ``width`` argument
+    uses_width: ClassVar[bool] = False
 
     def __init__(self, cfg: StrategyConfig, space: EncodingSpace):
         self.cfg = cfg
@@ -75,8 +89,13 @@ class SearchStrategy(ABC):
         return Population(generation=0, members=members)
 
     @abstractmethod
-    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
-        """Produce the next generation from an evaluated population."""
+    def advance(
+        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
+    ) -> Population:
+        """Produce the next generation from an evaluated population.
+
+        ``width`` is how many jobs the engine runs at once.
+        """
 
 
 class GenerationalGA(SearchStrategy):
@@ -84,7 +103,9 @@ class GenerationalGA(SearchStrategy):
 
     key = "elitist_ga"
 
-    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
+    def advance(
+        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
+    ) -> Population:
         cfg = self.cfg
         gen = pop.generation + 1
         children: list[Individual] = []
@@ -109,11 +130,18 @@ class VariableGA(GenerationalGA):
 
 
 class AgingEvolution(SearchStrategy):
-    """Steady-state aging evolution; one generation = ``pop_size`` aging steps."""
+    """Steady-state aging evolution; one generation = ``pop_size`` aging steps.
+
+    The steps run in batches of ``width``: one ``aging_step`` call, and so one
+    ``evaluate`` call, per batch.
+    """
 
     key = "aging_evolution"
+    uses_width = True
 
-    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
+    def advance(
+        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
+    ) -> Population:
         cfg = self.cfg
         if cfg.sample_size > cfg.pop_size:
             raise ConfigError("sample_size cannot exceed pop_size")
@@ -128,8 +156,11 @@ class AgingEvolution(SearchStrategy):
             return child
 
         current = pop
-        for _ in range(cfg.pop_size):
-            current = aging_step(current, cfg.sample_size, rng, make_child, evaluate)
+        done = 0
+        while done < cfg.pop_size:
+            batch = min(width, cfg.pop_size - done)
+            current = aging_step(current, cfg.sample_size, rng, make_child, evaluate, batch)
+            done += batch
         return Population(generation=gen, members=current.members)
 
 
@@ -139,7 +170,9 @@ class ParetoGA(SearchStrategy):
     key = "nsga2"
     objectives = 2
 
-    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
+    def advance(
+        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
+    ) -> Population:
         cfg = self.cfg
         gen = pop.generation + 1
         children: list[Individual] = []

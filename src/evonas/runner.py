@@ -2,7 +2,8 @@
 
 All run state lives in the run directory:
 
-* ``run_state.txt``   -- ``is_running`` flag plus the run's labels,
+* ``run_state.txt``   -- ``is_running`` flag, the run's labels, the last
+  persisted generation and ``width``, the engine's slot count,
 * ``begin_<t>.txt``   -- one population log per generation, written atomically
   after every member of that generation has fitness; one record per line::
 
@@ -15,6 +16,13 @@ its RNG from ``H(master_seed, t)``, so a resumed run regenerates exactly the
 offspring the uninterrupted run would have -- the cache makes re-evaluation of
 anything already trained free, and subsequent population logs come out
 byte-identical.
+
+Each ``advance`` gets the engine's slot count as ``width``. Aging evolution
+evaluates its children in batches of that many, so its trajectory depends on
+it: a restart of an aging run with a slot count other than the recorded
+``width`` raises ``RestartError`` before anything is written, instead of
+silently forking the run. A ``run_state.txt`` without a ``width`` line was
+written by one-child-at-a-time aging and reads as ``width=1``.
 
 ``max_gen`` counts generations including the initial one: a full run evaluates
 ``pop_size * max_gen`` candidates when nothing hits the cache.
@@ -55,6 +63,7 @@ class RunState:
     algorithm: str = ""
     strategy: str = ""
     generation: int = 0
+    width: int = 1
 
     @staticmethod
     def load(run_dir: Path) -> "RunState":
@@ -72,6 +81,8 @@ class RunState:
                 state.strategy = value
             elif key == "generation":
                 state.generation = int(value)
+            elif key == "width":
+                state.width = int(value)
         return state
 
     def save(self, run_dir: Path) -> None:
@@ -81,6 +92,7 @@ class RunState:
             f"algorithm={self.algorithm}\n"
             f"strategy={self.strategy}\n"
             f"generation={self.generation}\n"
+            f"width={self.width}\n"
         )
         tmp = path.with_suffix(".tmp")
         try:
@@ -194,23 +206,31 @@ class Runner:
         self.master_seed = master_seed
         self.on_save = on_save  # test hook, called after each persisted generation
 
+    def _state(self, is_running: int, t: int) -> RunState:
+        return RunState(is_running, self.label, self.strategy.cfg.strategy, t, self.evaluator.width)
+
     def _save(self, t: int, pop: Population) -> None:
         save_population(self.run_dir, t, pop)
-        state = RunState(1, self.label, self.strategy.cfg.strategy, t)
-        state.save(self.run_dir)
+        self._state(1, t).save(self.run_dir)
         if self.on_save is not None:
             self.on_save(t)
 
     def run(self) -> Individual:
         cfg = self.strategy.cfg
+        width = self.evaluator.width
         state = RunState.load(self.run_dir)
         if state.is_running == 0:
             logger.info("fresh start in %s (strategy %s)", self.run_dir, cfg.strategy)
             pop = self.strategy.initial_population(derive_rng(self.master_seed, "init"))
             t = 0
-            state = RunState(1, self.label, cfg.strategy, 0)
-            state.save(self.run_dir)
+            self._state(1, 0).save(self.run_dir)
         else:
+            if self.strategy.uses_width and state.width != width:
+                raise RestartError(
+                    f"{self.run_dir} ran {cfg.strategy} in batches of {state.width}; resuming "
+                    f"on {width} slot(s) would fork its trajectory, resume it on {state.width}"
+                )
+
             def augment(member: Individual) -> tuple[float, ...]:
                 return (float(self.evaluator.params_of(member)),)
 
@@ -224,7 +244,7 @@ class Runner:
 
         while t + 1 < cfg.max_gen:
             rng = derive_rng(self.master_seed, t)
-            pop = self.strategy.advance(pop, self.evaluator.evaluate_population, rng)
+            pop = self.strategy.advance(pop, self.evaluator.evaluate_population, rng, width)
             if pop.generation != t + 1:
                 raise EvaluationOrderError(
                     f"strategy advanced generation {t} to {pop.generation}, expected {t + 1}"
@@ -233,6 +253,6 @@ class Runner:
             self._save(t, pop)
 
         best = pop.best()
-        RunState(0, self.label, cfg.strategy, t).save(self.run_dir)
+        self._state(0, t).save(self.run_dir)
         logger.info("run complete: best %s fitness %.4f", best.name, best.fitness0)
         return best

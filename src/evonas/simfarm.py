@@ -97,7 +97,6 @@ class SimulatedFarm:
         dispatch_overhead: float = 0.0,
         faults: Iterable[Mapping | FaultEvent] = (),
         retry_budget: int = 1,
-        seed: int = 0,
     ):
         if not workers:
             raise ConfigError("farm needs at least one worker")
@@ -111,7 +110,6 @@ class SimulatedFarm:
         self.duration = duration
         self.dispatch_overhead = dispatch_overhead
         self.retry_budget = retry_budget
-        self.seed = seed
         self.stats = EngineStats()
         self.trace: list[TraceEvent] = []
         self.last_makespan = 0.0
@@ -122,6 +120,11 @@ class SimulatedFarm:
         self._inflight: dict[int, _Attempt] = {}
         self._consumed: dict[str, float] = {}
         self._results: dict[str, JobResult] = {}
+        self._unresolved: set[str] = set()  # names the current run_jobs call waits for
+        # upper bound on the idle slots of the store, which only this farm
+        # changes: a release adds one, a grant takes one, a refused acquire
+        # proves there are none
+        self._maybe_idle = len(self.store)
         for fault in parse_fault_script(faults):
             heapq.heappush(self._events, (fault.at, next(self._seq), "fault", fault))
 
@@ -143,22 +146,38 @@ class SimulatedFarm:
     def _emit_log(self, job: JobSpec):
         return lambda line: self.bus.publish(LogRecord(job_name=job.name, line=line))
 
+    def _resolve(self, result: JobResult) -> None:
+        self._results[result.name] = result
+        self._unresolved.discard(result.name)
+
+    def _release(self, node: str, slot: int) -> None:
+        self.store.release(node, slot)
+        self._maybe_idle += 1
+
     def _fill(self) -> None:
-        while self._queue:
+        """Place queued jobs on the lowest idle slots.
+
+        No acquire is tried while no slot can be idle and a job is in flight:
+        it would be refused, and that job's completion fills again. With
+        nothing in flight a refused acquire is what finds that no slot is live.
+        """
+        while self._queue and (self._maybe_idle or not self._inflight):
             grant = self.store.acquire(self._queue[0][0].name)
             if grant is None:
+                self._maybe_idle = 0
                 if not self.store.has_live():
                     # every slot is lost or quarantined: nothing can run anymore
                     while self._queue:
                         job, tries = self._queue.pop(0)
                         self._terminal_fail(job, "no live worker slots remain")
                 return
+            self._maybe_idle = max(self._maybe_idle - 1, 0)
             node, slot = grant
             job, tries = self._queue.pop(0)
             try:
                 value, backend_dur = self.backend.evaluate(job, self._emit_log(job), slot_id=slot)
             except (JobFailed, LookupMiss, DecodeError) as exc:
-                self.store.release(node, slot)
+                self._release(node, slot)
                 self._retry_or_fail(job, tries, str(exc))
                 continue
             duration = self._job_duration(job, backend_dur)
@@ -187,7 +206,7 @@ class SimulatedFarm:
         self.bus.publish(
             FitnessRecord(job_name=job.name, identifier=job.identifier, value=0.0, duration_s=consumed)
         )
-        self._results[job.name] = JobResult(job.name, job.identifier, 0.0, consumed, ok=False, error=reason)
+        self._resolve(JobResult(job.name, job.identifier, 0.0, consumed, ok=False, error=reason))
         self.stats.failures += 1
         self.stats.jobs += 1
         self.trace.append(TraceEvent(self._now, "fail", job.name))
@@ -203,10 +222,10 @@ class SimulatedFarm:
         self.bus.publish(
             FitnessRecord(job_name=job.name, identifier=job.identifier, value=value, duration_s=total)
         )
-        self._results[job.name] = JobResult(job.name, job.identifier, value, total, ok=True)
+        self._resolve(JobResult(job.name, job.identifier, value, total, ok=True))
         self.stats.jobs += 1
         self.trace.append(TraceEvent(self._now, "finish", job.name, attempt.node, attempt.slot))
-        self.store.release(attempt.node, attempt.slot)
+        self._release(attempt.node, attempt.slot)
         self._fill()
 
     def _handle_fault(self, fault: FaultEvent) -> None:
@@ -239,9 +258,12 @@ class SimulatedFarm:
         """Submit, run to completion in virtual time, and return per-name results."""
         start = self._now
         names = [job.name for job in jobs]
+        self._unresolved = set(names)
+        # one submit per job, not one fill for the whole batch: a job that
+        # fails at placement is retried before the jobs submitted after it
         for job in jobs:
             self.submit(job)
-        while any(name not in self._results for name in names):
+        while self._unresolved:
             if not self.step():
                 raise EvoNasError("farm stalled with unresolved jobs and no pending events")
         self.listener.drain()
@@ -254,44 +276,18 @@ class SimulatedFarm:
             if attempt.node == node and attempt.pid == pid:
                 del self._inflight[token]
                 self.bus.process_ended(node, pid, attempt.job.name)
-                self.store.release(attempt.node, attempt.slot)
+                self._release(attempt.node, attempt.slot)
                 self.trace.append(TraceEvent(self._now, "kill", attempt.job.name, node, attempt.slot))
-                self._results[attempt.job.name] = JobResult(
-                    attempt.job.name, attempt.job.identifier, 0.0, 0.0, ok=False, error="killed"
+                self._resolve(
+                    JobResult(attempt.job.name, attempt.job.identifier, 0.0, 0.0, ok=False, error="killed")
                 )
 
     def cancel_queued(self) -> int:
         """Drop every queued-but-unplaced job (run interruption)."""
         dropped = len(self._queue)
         for job, _ in self._queue:
-            self._results.setdefault(
-                job.name, JobResult(job.name, job.identifier, 0.0, 0.0, ok=False, error="killed")
-            )
+            if job.name not in self._results:
+                self._resolve(JobResult(job.name, job.identifier, 0.0, 0.0, ok=False, error="killed"))
         self._queue.clear()
         return dropped
 
-
-def simulate_farm(
-    workers: Mapping[str, int],
-    backend,
-    bus: RecordBus,
-    listener: Listener,
-    *,
-    duration: float | Callable[[JobSpec], float] | None = None,
-    dispatch_overhead: float = 0.0,
-    faults: Iterable[Mapping | FaultEvent] = (),
-    retry_budget: int = 1,
-    seed: int = 0,
-) -> SimulatedFarm:
-    """Build a validated simulated farm (ConfigError on malformed specs)."""
-    return SimulatedFarm(
-        workers,
-        backend,
-        bus,
-        listener,
-        duration=duration,
-        dispatch_overhead=dispatch_overhead,
-        faults=faults,
-        retry_budget=retry_budget,
-        seed=seed,
-    )

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from evonas.bus import (
     ProcessRecord,
     RESULT_FILE,
     RUN_LOG_FILE,
+    _with_id,
     kill_all,
 )
 from evonas.cache import ResultCache
@@ -164,3 +166,17 @@ def test_bus_empty_at_quiescence(tmp_path, bus):
     listener.drain()
     assert bus.pending() == 0
     assert bus.live_processes() == []
+
+
+def test_record_id_stamp_keeps_every_field():
+    for record in (
+        fit_record(3, value=71.25),
+        LogRecord(job_name="j", line="epoch 2 acc 40.0"),
+        ProcessRecord(node="n1", pid=4242, job_name="j", started_at=12.5),
+    ):
+        stamped = _with_id(record)
+        assert type(stamped) is type(record)
+        assert len(stamped.record_id) == 32 and int(stamped.record_id, 16) >= 0
+        assert dataclasses.replace(stamped, record_id="") == record
+        assert _with_id(stamped) is stamped  # an id, once set, is kept
+    assert _with_id(fit_record(1)).record_id != _with_id(fit_record(1)).record_id

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from evonas.arch.spaces import FixedBinarySpace
 from evonas.errors import CorruptLogError, EvaluationOrderError, RestartError
 from evonas.evo import Population, make_individual
 from evonas.evo.individual import individual_name
+from evonas.evo.strategies import AgingEvolution
 from evonas.runner import (
     RunState,
     format_record,
@@ -320,3 +322,126 @@ def test_aging_run_restart_equivalence(make_harness):
     crash_after(crashed, n_saves=2)
     crashed.build()[0].run()
     assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+
+
+# ------------------------------------------------------- batched aging
+
+def _one_child_aging_step(pop, sample_size, rng, make_child, evaluate):
+    """Aging step as it ran before batching: one child per evaluate call."""
+    sample = rng.sample(pop.members, sample_size)
+    parent = sample[0]
+    for contender in sample[1:]:
+        if contender.fitness0 > parent.fitness0:
+            parent = contender
+    child = make_child(parent)
+    evaluate([child])
+    return Population(generation=pop.generation, members=pop.members[1:] + [child])
+
+
+class OneChildAging(AgingEvolution):
+    """Oracle: pop_size one-child aging steps per generation, whatever the width."""
+
+    def advance(self, pop, evaluate, rng, width=1):
+        gen = pop.generation + 1
+        counter = itertools.count()
+
+        def make_child(parent):
+            g = self.space.mutate(parent.genotype, 1.0, rng)
+            return make_individual(individual_name(gen, next(counter)), g, age=gen)
+
+        current = pop
+        for _ in range(self.cfg.pop_size):
+            current = _one_child_aging_step(current, self.cfg.sample_size, rng, make_child, evaluate)
+        return Population(generation=gen, members=current.members)
+
+
+def aging_harness(make_harness, name, slots, **kwargs):
+    return make_harness(
+        name=name, strategy="aging_evolution", pop_size=10, max_gen=5, seed=64, sample_size=3,
+        slots=slots, **kwargs,
+    )
+
+
+def run_files(run_dir):
+    return {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+
+
+def test_one_slot_aging_run_matches_the_one_child_oracle(make_harness):
+    batched = aging_harness(make_harness, "k1", slots=1)
+    batched.build()[0].run()
+    oracle = aging_harness(make_harness, "k1_oracle", slots=1)
+    runner, _ = oracle.build()
+    runner.strategy = OneChildAging(runner.strategy.cfg, runner.strategy.space)
+    runner.run()
+    assert len(list_generations(batched.run_dir)) == 5
+    assert read_all_logs(batched.run_dir) == read_all_logs(oracle.run_dir)
+    assert RunState.load(batched.run_dir).width == 1
+
+
+def test_four_slot_aging_run_restart_equivalence(make_harness):
+    twin = aging_harness(make_harness, "k4_twin", slots=4)
+    twin.build()[0].run()
+    crashed = aging_harness(make_harness, "k4_crash", slots=4)
+    crash_after(crashed, n_saves=2)
+    assert list_generations(crashed.run_dir) == [0, 1]
+    assert RunState.load(crashed.run_dir).width == 4
+    crashed.build()[0].run()
+    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+    one_slot = aging_harness(make_harness, "k4_vs_k1", slots=1)
+    one_slot.build()[0].run()
+    assert read_all_logs(crashed.run_dir) != read_all_logs(one_slot.run_dir)  # the width matters
+
+
+def test_aging_resume_with_another_slot_count_is_refused_before_writing(make_harness):
+    crashed = aging_harness(make_harness, "k_change", slots=4)
+    crash_after(crashed, n_saves=2)
+    before = run_files(crashed.run_dir)
+    crashed.slots = 2
+    with pytest.raises(RestartError, match="batches of 4"):
+        crashed.build()[0].run()
+    assert run_files(crashed.run_dir) == before
+
+
+def test_generational_resume_with_another_slot_count_is_allowed(make_harness):
+    twin = make_harness(name="ga_twin", pop_size=4, max_gen=4, seed=65, slots=4)
+    twin.build()[0].run()
+    crashed = make_harness(name="ga_change", pop_size=4, max_gen=4, seed=65, slots=4)
+    crash_after(crashed, n_saves=2)
+    crashed.slots = 2
+    crashed.build()[0].run()
+    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+    assert RunState.load(crashed.run_dir).width == 2
+
+
+def test_run_state_without_width_line_resumes_as_one_slot(make_harness):
+    twin = aging_harness(make_harness, "legacy_twin", slots=1)
+    twin.build()[0].run()
+    crashed = aging_harness(make_harness, "legacy", slots=1)
+    crash_after(crashed, n_saves=2)
+    state_path = crashed.run_dir / "run_state.txt"
+    lines = state_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    state_path.write_text("".join(line for line in lines if not line.startswith("width=")), encoding="utf-8")
+    assert RunState.load(crashed.run_dir).width == 1
+    crashed.slots = 4
+    with pytest.raises(RestartError):
+        crashed.build()[0].run()
+    crashed.slots = 1
+    crashed.build()[0].run()
+    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+
+
+def test_four_slot_aging_generation_of_ten_is_three_evaluate_calls(make_harness):
+    harness = make_harness(
+        name="k4_calls", strategy="aging_evolution", pop_size=10, max_gen=2, seed=66, sample_size=3, slots=4
+    )
+    runner, _ = harness.build()
+    sizes = []
+    evaluate = runner.evaluator.evaluate_population
+
+    def recording(members):
+        sizes.append(len(members))
+        evaluate(members)
+
+    runner.evaluator.evaluate_population = recording
+    runner.run()
+    assert sizes == [10, 4, 4, 2]  # the initial population, then ceil(10 / 4) batches

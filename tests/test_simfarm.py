@@ -6,7 +6,7 @@ from evonas.backends import SurrogateBackend
 from evonas.bus import InProcessBus, Listener, kill_all
 from evonas.errors import ConfigError
 from evonas.jobs import JobSpec
-from evonas.simfarm import SimulatedFarm, parse_fault_script, simulate_farm
+from evonas.simfarm import SimulatedFarm, parse_fault_script
 from evonas.slots import SlotStatus
 
 import random
@@ -81,8 +81,8 @@ def test_results_and_stats(tmp_path):
 
 
 def test_same_seed_identical_event_traces(tmp_path):
-    farm_a, _, _ = make_farm(tmp_path / "a", {"w": 3}, duration=2.0, seed=5)
-    farm_b, _, _ = make_farm(tmp_path / "b", {"w": 3}, duration=2.0, seed=5)
+    farm_a, _, _ = make_farm(tmp_path / "a", {"w": 3}, duration=2.0)
+    farm_b, _, _ = make_farm(tmp_path / "b", {"w": 3}, duration=2.0)
     farm_a.run_jobs(make_jobs(7))
     farm_b.run_jobs(make_jobs(7))
     assert farm_a.trace == farm_b.trace
@@ -205,7 +205,7 @@ def test_farm_requires_workers(tmp_path):
     bus = InProcessBus()
     listener = Listener(bus, tmp_path, cache=None)
     with pytest.raises(ConfigError):
-        simulate_farm({}, SurrogateBackend(), bus, listener)
+        SimulatedFarm({}, SurrogateBackend(), bus, listener)
 
 
 def test_gpu_days_accounting_matches_durations(tmp_path):
