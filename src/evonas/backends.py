@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import csv
 import math
+import queue
 import random
 import shlex
 import subprocess
 import tempfile
+import threading
 import time
 import json
 from dataclasses import dataclass, field
@@ -210,12 +212,24 @@ class CommandBackend:
             if self.on_spawn is not None:
                 self.on_spawn(proc.pid)
             assert proc.stdout is not None
+            # a reader thread feeds stdout lines to this one, so the deadline
+            # holds even while the trainer prints nothing
+            lines: queue.SimpleQueue[str | None] = queue.SimpleQueue()
+            threading.Thread(target=_pump_lines, args=(proc.stdout, lines), daemon=True).start()
+            deadline = started + self.timeout_s
+
+            def timed_out() -> JobFailed:
+                return JobFailed(f"trainer timed out after {self.timeout_s}s", "\n".join(tail[-20:]))
+
             try:
-                for line in proc.stdout:
+                while True:
+                    try:
+                        line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+                    except queue.Empty:
+                        raise timed_out() from None
+                    if line is None:
+                        break
                     line = line.rstrip("\n")
-                    if time.monotonic() - started > self.timeout_s:
-                        proc.kill()
-                        raise JobFailed(f"trainer timed out after {self.timeout_s}s", "\n".join(tail[-20:]))
                     if line.startswith("FITNESS="):
                         try:
                             fitness = float(line.split("=", 1)[1])
@@ -225,15 +239,27 @@ class CommandBackend:
                     tail.append(line)
                     if emit_log is not None:
                         emit_log(line)
-                code = proc.wait(timeout=self.timeout_s)
+                try:
+                    code = proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    raise timed_out() from None
             finally:
                 if proc.poll() is None:
                     proc.kill()
+                    proc.wait()
             if code != 0:
                 raise JobFailed(f"trainer exited with status {code}", "\n".join(tail[-20:]))
             if fitness is None:
                 raise JobFailed("trainer produced no FITNESS line", "\n".join(tail[-20:]))
         return _quantize(fitness), time.monotonic() - started
+
+
+def _pump_lines(stream, lines: queue.SimpleQueue) -> None:
+    """Copy a trainer's output lines into ``lines``, then None at EOF."""
+    with stream:
+        for line in stream:
+            lines.put(line)
+    lines.put(None)
 
 
 BACKEND_KINDS = ("surrogate", "lookup", "command")

@@ -264,6 +264,8 @@ class Listener:
         for fh in self._files.values():
             fh.close()
         self._files.clear()
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "Listener":
         return self

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import TextIO
 
 from .errors import ConfigError, InvariantViolation, PersistError
 
@@ -26,6 +27,7 @@ class ResultCache:
         self.path = Path(path)
         self.settings_digest = settings_digest
         self._entries: dict[str, float] = {}
+        self._fh: TextIO | None = None  # append handle, opened on the first insert
         if self.path.exists():
             self._load()
         else:
@@ -69,13 +71,20 @@ class ResultCache:
             return False
         quantized = float(f"{value:.2f}")
         try:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(f"{identifier} = {quantized:.2f}\n")
-                fh.flush()
+            if self._fh is None:
+                self._fh = self.path.open("a", encoding="utf-8")
+            self._fh.write(f"{identifier} = {quantized:.2f}\n")
+            self._fh.flush()
         except OSError as exc:
             raise PersistError(f"cannot append to cache file {self.path}: {exc}") from exc
         self._entries[identifier] = quantized
         return True
+
+    def close(self) -> None:
+        """Close the append handle; a later insert opens it again."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -67,7 +67,9 @@ def build_engine(
         worker_map = _parse_workers(workers)
         store = SlotStore((node, i) for node, n in sorted(worker_map.items()) for i in range(n))
         transport = TcpTransport()
-        return ThreadedEngine(store, bus, listener, remote_runner(transport), terminator=transport.kill)
+        return ThreadedEngine(
+            store, bus, listener, remote_runner(transport), terminator=transport.kill, on_close=transport.close
+        )
     backend = build_backend(backend_cfg.kind, settings)
     if backend_cfg.kind == "command":
         store = SlotStore(("local", i) for i in range(local_slots))
@@ -102,6 +104,9 @@ def cmd_run(args) -> int:
         count = kill_all(bus, getattr(engine, "terminate", lambda node, pid: None))
         print(f"interrupted: sent {count} termination command(s); run resumes from {run_dir}", file=sys.stderr)
         return 130
+    finally:
+        engine.close()
+        listener.close()
     stats = engine.stats
     print(f"run {global_cfg.name}: best {best.name} fitness {100 * best.fitness0:.2f}")
     print(f"  identifier {best.identifier}")

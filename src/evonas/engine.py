@@ -7,6 +7,12 @@ budget resolve with the fitness-0.00 convention. The record bus collects
 process/log/fitness records from all threads; the listener drains once after
 the batch completes, so the cache and result files are written by exactly one
 consumer.
+
+Each engine owns one dispatch pool of at most one thread per slot, shared by
+all its batches: no thread starts before the first job, and a thread that has
+waited ``DISPATCH_IDLE_S`` for work exits, so an engine dropped without
+``close()`` keeps no thread for long. ``close()`` ends the pool and closes the
+slot runner's idle worker connections.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
+import queue
 import signal
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Protocol
 
 from .backends import CommandBackend
@@ -33,12 +41,17 @@ SlotRunner = Callable[[JobSpec, str, int, RecordBus], tuple[float, float]]
 
 _RETRYABLE = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
 
+#: Seconds an idle dispatch thread waits for the next job before it exits.
+DISPATCH_IDLE_S = 1.0
+
 
 class ExecutionEngine(Protocol):
     stats: EngineStats
     store: SlotStore
 
     def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]: ...
+
+    def close(self) -> None: ...
 
 
 def local_runner(backend) -> SlotRunner:
@@ -87,6 +100,65 @@ def local_terminator(node: str, pid: int) -> None:
         pass
 
 
+class DispatchPool:
+    """Up to ``size`` threads that run submitted calls, started as calls arrive."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._threads: list[threading.Thread] = []
+        self._closed = False
+
+    def submit(self, fn: Callable, arg) -> Future:
+        future: Future = Future()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("dispatch pool is closed")
+            self._tasks.put((future, fn, arg))
+            if len(self._threads) < self.size:
+                thread = threading.Thread(target=self._work, name=f"dispatch_{len(self._threads)}")
+                self._threads.append(thread)
+                thread.start()
+        return future
+
+    def _work(self) -> None:
+        while True:
+            try:
+                task = self._tasks.get(timeout=DISPATCH_IDLE_S)
+            except queue.Empty:
+                with self._lock:  # submit() queues under this lock: no call is left behind
+                    if self._tasks.empty():
+                        self._threads.remove(threading.current_thread())
+                        return
+                continue
+            if task is None:  # close()
+                return
+            future, fn, arg = task
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(arg))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+    def close(self) -> None:
+        """Cancel queued calls, let running ones finish, and end every thread."""
+        with self._lock:
+            self._closed = True
+            while True:
+                try:
+                    task = self._tasks.get_nowait()
+                except queue.Empty:
+                    break
+                if task is not None:
+                    task[0].cancel()
+            threads, self._threads = self._threads, []
+            for _ in threads:
+                self._tasks.put(None)
+        for thread in threads:
+            thread.join()
+
+
 class ThreadedEngine:
     def __init__(
         self,
@@ -97,6 +169,7 @@ class ThreadedEngine:
         retry_budget: int = 1,
         acquire_timeout: float | None = 120.0,
         terminator: Callable[[str, int], None] | None = None,
+        on_close: Callable[[], None] | None = None,
     ):
         self.store = store
         self.bus = bus
@@ -105,7 +178,9 @@ class ThreadedEngine:
         self.retry_budget = retry_budget
         self.acquire_timeout = acquire_timeout
         self.terminator = terminator
+        self.on_close = on_close
         self.stats = EngineStats()
+        self._pool = DispatchPool(max(1, len(store)))
 
     def terminate(self, node: str, pid: int) -> None:
         if self.terminator is not None:
@@ -148,9 +223,20 @@ class ThreadedEngine:
         if not jobs:
             return {}
         results: dict[str, JobResult] = {}
-        workers = min(len(jobs), max(1, len(self.store)))
-        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="dispatch") as pool:
-            for result in pool.map(self._execute, jobs):
+        futures = [self._pool.submit(self._execute, job) for job in jobs]
+        try:
+            for future in futures:
+                result = future.result()
                 results[result.name] = result
+        except BaseException:
+            for future in futures:  # an interrupt must not start the jobs still queued
+                future.cancel()
+            raise
         self.listener.drain()
         return results
+
+    def close(self) -> None:
+        """End the dispatch pool, then release what the slot runner holds (idle connections)."""
+        self._pool.close()
+        if self.on_close is not None:
+            self.on_close()

@@ -33,13 +33,15 @@ def birth_generation(name: str) -> int:
 class Individual:
     name: str
     genotype: Genotype
-    identifier: str
+    identifier: str = ""  # derived from the genotype when not given; verified when given
     fitness: tuple[float, ...] | None = None
     age: int = 0  # birth generation
 
     def __post_init__(self) -> None:
         expected = identifier(self.genotype)
-        if self.identifier != expected:
+        if not self.identifier:
+            self.identifier = expected
+        elif self.identifier != expected:
             raise InvariantViolation(
                 f"identifier of {self.name} does not match its genotype"
             )
@@ -63,7 +65,7 @@ class Individual:
 
 
 def make_individual(name: str, genotype: Genotype, age: int = 0) -> Individual:
-    return Individual(name=name, genotype=genotype, identifier=identifier(genotype), age=age)
+    return Individual(name=name, genotype=genotype, age=age)
 
 
 @dataclass

@@ -4,9 +4,18 @@ Messages are length-delimited JSON over a TCP byte stream: a 4-byte big-endian
 length prefix followed by a UTF-8 JSON object. The center sends one ``job``
 message per dispatch (the job fields plus the assigned ``slot``); the worker
 answers with a stream of ``process_start``, ``log``, one ``fitness``
-(``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) and a
-final ``process_end``. ``poll`` and ``kill`` messages support slot
-reconciliation and run interruption.
+(``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or one
+``error``, and always a final ``process_end``, which ends the job's stream.
+``poll`` and ``kill`` messages support slot reconciliation and run
+interruption.
+
+A job connection outlives its job: the worker serves messages on it until
+EOF, and the center keeps it idle after a clean ``process_end`` and sends the
+next job for that worker over it, so a busy slot holds one connection rather
+than one per job. ``poll``, ``kill`` and ``shutdown`` use a connection of
+their own each, so a kill never waits behind a running job. Both ends set
+``TCP_NODELAY``: on a reused connection Nagle's algorithm would hold the small
+reply frames back until the peer's delayed ACK arrives.
 
 The worker agent CLI is ``evonas worker --listen <addr> --slots <n> --backend
 <kind>``.
@@ -17,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import select
 import signal
 import socket
 import struct
@@ -79,13 +89,22 @@ class WorkerAgent:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._server: socket.socket | None = None
+        self._conns: set[socket.socket] = set()
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
     def stop(self) -> None:
-        self._stop.set()
+        """Stop accepting, and end every open connection so its handler thread exits."""
+        with self._lock:
+            self._stop.set()
+            conns = list(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def serve_forever(self, ready: threading.Event | None = None) -> None:
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
@@ -106,26 +125,34 @@ class WorkerAgent:
                 threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            try:
-                msg = recv_msg(conn)
-            except (WorkerLostError, json.JSONDecodeError, OSError):
+        """Serve one connection's messages in order until EOF."""
+        with self._lock:
+            if self._stop.is_set():
+                conn.close()
                 return
-            if msg is None:
-                return
-            kind = msg.get("type")
-            if kind == "job":
-                self._run_job(conn, msg)
-            elif kind == "poll":
-                with self._lock:
-                    slots = {str(i): self._busy.get(i) for i in range(self.slots)}
-                send_msg(conn, {"type": "status", "node": self.address, "pid": os.getpid(), "slots": slots})
-            elif kind == "kill":
-                self._kill(int(msg.get("pid", -1)))
-                send_msg(conn, {"type": "ok"})
-            elif kind == "shutdown":
-                send_msg(conn, {"type": "ok"})
-                self.stop()
+            self._conns.add(conn)
+        try:
+            with conn:
+                _no_delay(conn)
+                while (msg := recv_msg(conn)) is not None:
+                    kind = msg.get("type")
+                    if kind == "job":
+                        self._run_job(conn, msg)
+                    elif kind == "poll":
+                        with self._lock:
+                            slots = {str(i): self._busy.get(i) for i in range(self.slots)}
+                        send_msg(conn, {"type": "status", "node": self.address, "pid": os.getpid(), "slots": slots})
+                    elif kind == "kill":
+                        self._kill(int(msg.get("pid", -1)))
+                        send_msg(conn, {"type": "ok"})
+                    elif kind == "shutdown":
+                        send_msg(conn, {"type": "ok"})
+                        self.stop()
+        except (WorkerLostError, json.JSONDecodeError, OSError):
+            pass
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
 
     def _kill(self, pid: int) -> None:
         if pid <= 0 or pid == os.getpid():
@@ -140,6 +167,7 @@ class WorkerAgent:
         slot = int(msg.get("slot", 0))
         if job.backend not in self.backends:
             send_msg(conn, {"type": "error", "message": f"backend {job.backend!r} not supported here"})
+            send_msg(conn, {"type": "process_end", "node": self.address, "pid": os.getpid(), "job": job.name})
             return
         with self._lock:
             self._busy[slot] = job.name
@@ -185,12 +213,38 @@ class WorkerAgent:
                 self._busy.pop(slot, None)
 
 
+class _ClosedBeforeReply(WorkerLostError):
+    """The worker closed a job connection before sending any frame for the job."""
+
+
+def _no_delay(sock: socket.socket) -> None:
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """True when an idle connection is readable: the peer closed it (or broke the protocol)."""
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return True
+    return bool(readable)
+
+
 @dataclass
 class TcpTransport:
-    """Center-side client for worker agents."""
+    """Center-side client for worker agents.
+
+    Job connections are pooled per node: ``run_job`` takes an idle one (or
+    connects), holds it for the job, and puts it back only after the job's
+    stream ended cleanly with ``process_end``; any error closes it instead.
+    A job whose reused connection closes before any reply is sent once more
+    on a new connection, within the same attempt.
+    """
 
     connect_timeout: float = 5.0
     io_timeout: float = 600.0
+    _idle: dict[str, list[socket.socket]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def _connect(self, node: str) -> socket.socket:
         host, _, port = node.rpartition(":")
@@ -199,51 +253,109 @@ class TcpTransport:
         except OSError as exc:
             raise WorkerLostError(f"cannot reach worker {node}: {exc}") from exc
         sock.settimeout(self.io_timeout)
+        _no_delay(sock)
         return sock
+
+    def _checkout(self, node: str) -> tuple[socket.socket, bool]:
+        """An idle connection to ``node`` that the worker has not closed, else a new one;
+        and whether it was reused."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(node)
+                sock = idle.pop() if idle else None
+            if sock is None:
+                return self._connect(node), False
+            if not _closed_by_peer(sock):
+                return sock, True
+            sock.close()
+
+    def _checkin(self, node: str, sock: socket.socket) -> None:
+        with self._lock:
+            self._idle.setdefault(node, []).append(sock)
+
+    def close(self) -> None:
+        """Close every idle job connection; connections in use close when their job ends."""
+        with self._lock:
+            idle = [sock for socks in self._idle.values() for sock in socks]
+            self._idle.clear()
+        for sock in idle:
+            sock.close()
 
     def run_job(self, job: JobSpec, node: str, slot: int, bus: RecordBus) -> tuple[float, float]:
         """Dispatch one job to a worker, republishing its streamed records."""
-        result: tuple[float, float] | None = None
-        procs: list[tuple[str, int]] = []
+        sock, reused = self._checkout(node)
         try:
-            with self._connect(node) as sock:
-                send_msg(sock, {**job.to_message(), "slot": slot})
-                while True:
-                    msg = recv_msg(sock)
-                    if msg is None:
-                        break
-                    kind = msg.get("type")
-                    if kind == "process_start":
-                        procs.append((msg["node"], int(msg["pid"])))
-                        bus.process_started(
-                            ProcessRecord(
-                                node=msg["node"], pid=int(msg["pid"]), job_name=job.name, started_at=time.time()
-                            )
+            return self._exchange(sock, job, node, slot, bus)
+        except _ClosedBeforeReply:
+            if not reused:
+                raise
+        # The worker closed the pooled connection as it was taken, too late for
+        # the liveness check to see it (a worker older than connection reuse
+        # closes after every job). No frame came back, so the worker had not
+        # taken the job up: send it once more, on a new connection.
+        return self._exchange(self._connect(node), job, node, slot, bus)
+
+    def _exchange(
+        self, sock: socket.socket, job: JobSpec, node: str, slot: int, bus: RecordBus
+    ) -> tuple[float, float]:
+        """Send one job over ``sock`` and read its stream through ``process_end``."""
+        result: tuple[float, float] | None = None
+        error: JobFailed | None = None
+        procs: list[tuple[str, int]] = []
+        replied = False
+        try:
+            send_msg(sock, {**job.to_message(), "slot": slot})
+            while True:
+                msg = recv_msg(sock)
+                if msg is None:
+                    if error is not None:  # a worker that closes after its error frame
+                        raise error
+                    if not replied:
+                        raise _ClosedBeforeReply(f"worker {node} closed the connection before replying")
+                    raise WorkerLostError(f"worker {node} closed the connection before process_end")
+                replied = True
+                kind = msg.get("type")
+                if kind == "process_start":
+                    procs.append((msg["node"], int(msg["pid"])))
+                    bus.process_started(
+                        ProcessRecord(
+                            node=msg["node"], pid=int(msg["pid"]), job_name=job.name, started_at=time.time()
                         )
-                    elif kind == "log":
-                        bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
-                    elif kind == "fitness":
-                        result = (float(msg["value"]), float(msg["duration_s"]))
-                        bus.publish(
-                            FitnessRecord(
-                                job_name=job.name,
-                                identifier=msg["identifier"],
-                                value=float(msg["value"]),
-                                duration_s=float(msg["duration_s"]),
-                            )
+                    )
+                elif kind == "log":
+                    bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
+                elif kind == "fitness":
+                    result = (float(msg["value"]), float(msg["duration_s"]))
+                    bus.publish(
+                        FitnessRecord(
+                            job_name=job.name,
+                            identifier=msg["identifier"],
+                            value=float(msg["value"]),
+                            duration_s=float(msg["duration_s"]),
                         )
-                    elif kind == "process_end":
-                        bus.process_ended(msg["node"], int(msg["pid"]), job.name)
-                        procs = [p for p in procs if p != (msg["node"], int(msg["pid"]))]
-                    elif kind == "error":
-                        raise JobFailed(msg.get("message", "worker error"), msg.get("log_tail", ""))
+                    )
+                elif kind == "process_end":
+                    bus.process_ended(msg["node"], int(msg["pid"]), job.name)
+                    procs = [p for p in procs if p != (msg["node"], int(msg["pid"]))]
+                    break
+                elif kind == "error":
+                    error = JobFailed(msg.get("message", "worker error"), msg.get("log_tail", ""))
         except (OSError, json.JSONDecodeError) as exc:
+            sock.close()
+            if isinstance(exc, ConnectionError) and not replied:
+                raise _ClosedBeforeReply(f"worker {node} closed the connection before replying: {exc}") from exc
             raise WorkerLostError(f"lost worker {node} mid-job: {exc}") from exc
+        except BaseException:  # the stream is out of step: never reuse the connection
+            sock.close()
+            raise
         finally:
             for proc_node, pid in procs:  # connection died before process_end arrived
                 bus.process_ended(proc_node, pid, job.name)
+        self._checkin(node, sock)
+        if error is not None:
+            raise error
         if result is None:
-            raise WorkerLostError(f"worker {node} closed the stream without a fitness record")
+            raise WorkerLostError(f"worker {node} ended job {job.name} without a fitness record")
         return result
 
     def poll(self, node: str) -> dict[int, str | None]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .arch import canonical_text, identifier as genotype_identifier, parse_canonical
+from .arch import canonical_text, parse_canonical
 from .errors import CorruptLogError, EvaluationOrderError, PersistError, RestartError
 from .evaluator import Evaluator
 from .evo.individual import Individual, Population, birth_generation
@@ -143,13 +143,13 @@ def parse_record(line: str) -> Individual:
     if m is None:
         raise CorruptLogError(f"malformed population record: {line!r}")
     name, enc, stored_id, fit = m.groups()
-    genotype = parse_canonical(enc)
-    actual = genotype_identifier(genotype)
-    if actual != stored_id:
+    member = Individual(name=name, genotype=parse_canonical(enc))
+    if member.identifier != stored_id:
         raise CorruptLogError(
-            f"identifier mismatch for {name}: log says {stored_id[:12]}.., encoding hashes to {actual[:12]}.."
+            f"identifier mismatch for {name}: log says {stored_id[:12]}.., "
+            f"encoding hashes to {member.identifier[:12]}.."
         )
-    member = Individual(name=name, genotype=genotype, identifier=actual, age=birth_generation(name))
+    member.age = birth_generation(name)
     if fit != "NA":
         member.assign_fitness((float(fit) / 100.0,))
     return member

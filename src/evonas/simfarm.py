@@ -270,6 +270,9 @@ class SimulatedFarm:
         self.last_makespan = self._now - start
         return {name: self._results[name] for name in names}
 
+    def close(self) -> None:
+        """Nothing to release: the farm holds no threads or connections."""
+
     def terminate(self, node: str, pid: int) -> None:
         """Kill the attempt owning (node, pid): slot released, no requeue."""
         for token, attempt in list(self._inflight.items()):

@@ -161,16 +161,6 @@ class SlotStore:
                 self._persist_locked()
                 self._idle.notify_all()
 
-    def restore(self, node: str) -> None:
-        """Bring a node's lost/quarantined slots back to idle (e.g. after a successful poll)."""
-        with self._idle:
-            for state in self._slots.values():
-                if state.node == node and state.status in (SlotStatus.LOST, SlotStatus.QUARANTINED):
-                    state.status = SlotStatus.IDLE
-                    state.job_name = None
-            self._persist_locked()
-            self._idle.notify_all()
-
     def touch(self, node: str, when: float) -> None:
         with self._lock:
             for state in self._slots.values():

@@ -196,6 +196,27 @@ def test_command_missing_fitness_line_fails(tmp_path):
         backend.evaluate(job_for(vb_genotype()))
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        # silent until after the deadline, then a valid result
+        "import time; time.sleep(3); print('FITNESS=50.00')",
+        # one line, then hung
+        "import time; print('epoch 1', flush=True); time.sleep(10); print('FITNESS=50.00')",
+    ],
+    ids=["silent", "hung"],
+)
+def test_command_timeout_is_a_wall_clock_deadline(tmp_path, body):
+    import time
+
+    backend = script_backend(tmp_path, body)
+    backend.timeout_s = 1.0
+    started = time.monotonic()
+    with pytest.raises(JobFailed, match="timed out"):
+        backend.evaluate(job_for(vb_genotype()))
+    assert time.monotonic() - started < 2.0
+
+
 def test_command_streams_epoch_lines_as_logs(tmp_path):
     backend = script_backend(
         tmp_path,

@@ -99,3 +99,32 @@ def test_every_line_parses_back(tmp_path):
     assert len(reloaded) == len(expected)
     for ident, value in expected.items():
         assert reloaded.lookup(ident) == pytest.approx(value)
+
+
+def test_inserts_share_one_append_handle_and_reload_after_close(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    path = tmp_path / "cache.txt"
+    cache = ResultCache(path, DIGEST)
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    rng = random.Random(3)
+    expected = {rand_id(rng): round(rng.uniform(0, 100), 2) for _ in range(50)}
+    for ident, value in expected.items():
+        assert cache.insert(ident, value)
+    assert opened == [path]
+    # every entry is on disk before close: each one is flushed as it is written
+    assert len(path.read_text().splitlines()) == 1 + len(expected)
+    cache.close()
+    monkeypatch.undo()
+    reloaded = ResultCache(path, DIGEST)
+    assert {ident: reloaded.lookup(ident) for ident in expected} == expected
+    assert reloaded.insert("d" * 56, 12.34)  # a reloaded cache appends as before
+    reloaded.close()
+    assert path.read_text().splitlines()[-1] == f"{'d' * 56} = 12.34"

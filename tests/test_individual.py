@@ -71,3 +71,39 @@ def test_na_fitness_record_loads_as_unevaluated():
     back = parse_record(line)
     assert back.fitness is None
     assert back.identifier == identifier(m.genotype)
+
+
+def count_identifier_calls(monkeypatch):
+    """Count genotype hashes: the hash function is replaced at every evonas module binding."""
+    import sys
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return identifier(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "evonas":
+            for attr, value in list(vars(module).items()):
+                if value is identifier:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_make_individual_hashes_its_genotype_once(monkeypatch):
+    genotypes = [sample(seed) for seed in range(5)]
+    calls = count_identifier_calls(monkeypatch)
+    members = [make_individual(f"indi_gen00_no{i:02d}", g) for i, g in enumerate(genotypes)]
+    assert len(calls) == len(members)
+    assert [m.identifier for m in members] == [identifier(g) for g in genotypes]
+
+
+def test_parse_record_hashes_its_genotype_once(monkeypatch):
+    from evonas.runner import format_record
+
+    lines = [format_record(make_individual(f"indi_gen00_no{i:02d}", sample(i))) for i in range(5)]
+    calls = count_identifier_calls(monkeypatch)
+    members = [parse_record(line) for line in lines]
+    assert len(calls) == len(members)
+    assert [format_record(m) for m in members] == lines

@@ -1,6 +1,7 @@
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from evonas.bus import InProcessBus, Listener
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed, WorkerLostError
 from evonas.jobs import JobSpec
-from evonas.remote import TcpTransport, WorkerAgent, remote_runner
+from evonas.remote import TcpTransport, WorkerAgent, recv_msg, remote_runner
 from evonas.slots import SlotStore
 
 
@@ -185,3 +186,243 @@ def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path):
     assert [p.pid for p in bus.started] == [reported_pid]
     assert reported_pid != os.getpid()
     assert bus.live_processes() == []
+
+
+def record_connections(agent):
+    """Replace the agent's connection handler with one that records each handler thread."""
+    handlers = []
+    handle = agent._handle
+
+    def recording(conn):
+        handlers.append(threading.current_thread())
+        handle(conn)
+
+    agent._handle = recording
+    return handlers
+
+
+def start_worker(port=0):
+    agent = WorkerAgent("127.0.0.1", port, slots=2, backends=("surrogate", "command"))
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    return agent, thread
+
+
+def remote_engine(node, tmp_path, slots=1, transport=None):
+    transport = transport or TcpTransport()
+    store = SlotStore([(node, i) for i in range(slots)])
+    bus = InProcessBus()
+    listener = Listener(bus, tmp_path, cache=None)
+    return ThreadedEngine(
+        store, bus, listener, remote_runner(transport), terminator=transport.kill, on_close=transport.close
+    )
+
+
+def test_sequential_jobs_on_one_slot_share_one_connection(worker, tmp_path):
+    handlers = record_connections(worker)
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path)
+    for i in range(10):
+        (result,) = engine.run_jobs([job(name=f"indi_gen{i:02d}_no00")]).values()
+        assert result.ok
+    engine.close()
+    engine.listener.close()
+    assert len(handlers) == 1
+    assert engine.stats.attempts == 10
+
+
+def test_connection_closed_by_worker_while_idle_is_replaced_without_a_retry(tmp_path):
+    agent, thread = start_worker()
+    node = f"127.0.0.1:{agent.port}"
+    engine = remote_engine(node, tmp_path)
+    try:
+        (first,) = engine.run_jobs([job(name="indi_gen00_no00")]).values()
+        agent.stop()  # closes the connection the center keeps idle
+        thread.join(5.0)
+        agent, thread = start_worker(agent.port)  # the worker comes back on the same port
+        (second,) = engine.run_jobs([job(name="indi_gen01_no00")]).values()
+    finally:
+        engine.close()
+        engine.listener.close()
+        agent.stop()
+        thread.join(5.0)
+    assert first.ok and second.ok
+    assert engine.stats.attempts == 2
+    assert engine.stats.failures == 0
+
+
+class OneJobPerConnectionWorker(WorkerAgent):
+    """Serves one message per connection and then closes it, as workers did before connection reuse."""
+
+    def _handle(self, conn):
+        with conn:
+            msg = recv_msg(conn)
+            if msg is not None and msg.get("type") == "job":
+                self._run_job(conn, msg)
+
+
+def test_worker_that_closes_after_every_job_costs_no_retry(tmp_path):
+    agent = OneJobPerConnectionWorker("127.0.0.1", 0, slots=2)
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    engine = remote_engine(f"127.0.0.1:{agent.port}", tmp_path, slots=2)
+    try:
+        for t in range(15):
+            results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(4)])
+            assert all(r.ok for r in results.values())
+    finally:
+        engine.close()
+        engine.listener.close()
+        agent.stop()
+        thread.join(5.0)
+    assert engine.stats.attempts == 60  # a connection closed as it was reused is resent, not retried
+
+
+def test_unsupported_backend_ends_its_stream_and_keeps_the_connection(worker):
+    handlers = record_connections(worker)
+    transport = TcpTransport()
+    node = f"127.0.0.1:{worker.port}"
+    bus = InProcessBus()
+    with pytest.raises(JobFailed, match="not supported"):
+        transport.run_job(job(backend="lookup", settings={"table": "x.csv"}), node, 0, bus)
+    value, _ = transport.run_job(job(), node, 0, bus)
+    transport.close()
+    assert value == SurrogateBackend().evaluate(job())[0]
+    assert len(handlers) == 1
+
+
+def test_stop_ends_every_handler_thread(worker, tmp_path):
+    handlers = record_connections(worker)
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path, slots=2)
+    engine.run_jobs([job(name=f"indi_gen00_no{i:02d}") for i in range(4)])
+    assert handlers and all(t.is_alive() for t in handlers)  # idle, waiting for the next job
+    worker.stop()
+    deadline = time.monotonic() + 1.0
+    for handler in handlers:
+        handler.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in handlers)
+    engine.close()
+    engine.listener.close()
+
+
+def test_engine_reuses_its_dispatch_threads_and_close_releases_everything(worker, tmp_path):
+    transport = TcpTransport()
+    opened = []
+    connect = transport._connect
+
+    def recording_connect(node):
+        sock = connect(node)
+        opened.append(sock)
+        return sock
+
+    transport._connect = recording_connect
+    before = set(threading.enumerate())
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path, slots=2, transport=transport)
+    assert set(threading.enumerate()) == before  # no thread before the first job
+    engine.run_jobs([job(name=f"indi_gen00_no{i:02d}") for i in range(4)])
+    dispatch = set(threading.enumerate()) - before - {t for t in threading.enumerate() if t.daemon}
+    engine.run_jobs([job(name=f"indi_gen01_no{i:02d}") for i in range(4)])
+    assert dispatch and dispatch <= set(threading.enumerate())  # the second batch ran on the same threads
+    assert 1 <= len(opened) <= 2  # one connection per busy slot, not one per job
+    engine.close()
+    engine.listener.close()
+    assert not any(t.is_alive() for t in dispatch)
+    assert all(sock.fileno() == -1 for sock in opened)
+
+
+def test_idle_dispatch_threads_exit_and_later_batches_still_run(tmp_path, monkeypatch):
+    import evonas.engine as engine_module
+
+    monkeypatch.setattr(engine_module, "DISPATCH_IDLE_S", 0.05)
+    store = SlotStore([("local", 0), ("local", 1)])
+    bus = InProcessBus()
+    engine = ThreadedEngine(store, bus, Listener(bus, tmp_path, cache=None), local_runner(SurrogateBackend()))
+    for t in range(3):
+        results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(3)])
+        assert all(r.ok for r in results.values())
+        deadline = time.monotonic() + 5.0
+        while engine._pool._threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert engine._pool._threads == []
+    engine.close()
+    engine.listener.close()
+
+
+def test_no_live_process_record_after_any_job(worker):
+    template = (
+        f"{sys.executable} -m evonas.toy_trainer --payload {{payload_path}} "
+        f"--settings {{settings_path}} --seed {{seed}} --slot {{slot_id}}"
+    )
+    transport = TcpTransport()
+    node = f"127.0.0.1:{worker.port}"
+    bus = InProcessBus()
+    for the_job in (
+        job(),
+        job(backend="command", settings={"command": template}, epochs=2),
+        job(backend="command", settings={"command": f"{sys.executable} -c 'import sys; sys.exit(3)'"}),
+        job(backend="lookup", settings={"table": "x.csv"}),
+        job(),
+    ):
+        try:
+            transport.run_job(the_job, node, 0, bus)
+        except JobFailed:
+            pass
+        assert bus.live_processes() == []
+    transport.close()
+
+
+def test_dispatch_pool_runs_every_call_while_threads_retire(monkeypatch):
+    """Calls submitted just as idle threads time out and exit are never left queued."""
+    import random
+
+    import evonas.engine as engine_module
+
+    monkeypatch.setattr(engine_module, "DISPATCH_IDLE_S", 0.001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    rng = random.Random(7)
+    pools = [engine_module.DispatchPool(size) for size in (1, 2, 3)]
+    try:
+        for wave in range(600):
+            pool = pools[wave % len(pools)]
+            futures = [pool.submit(lambda x: x * x, i) for i in range(rng.randrange(1, 5))]
+            assert [f.result(timeout=5.0) for f in futures] == [i * i for i in range(len(futures))]
+            time.sleep(rng.uniform(0.0, 0.003))
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            pool.close()
+    assert all(pool._threads == [] for pool in pools)
+
+
+def test_call_submitted_as_the_last_idle_thread_gives_up_still_runs(monkeypatch):
+    import queue
+
+    import evonas.engine as engine_module
+
+    monkeypatch.setattr(engine_module, "DISPATCH_IDLE_S", 0.01)
+    pool = engine_module.DispatchPool(1)
+    late: list = []  # a submit to make after the thread's wait timed out, before it retires
+    late_futures: list = []
+
+    class LateSubmitQueue(queue.SimpleQueue):
+        def get(self, block=True, timeout=None):
+            try:
+                return super().get(block, timeout)
+            except queue.Empty:
+                if late:
+                    late.pop()()
+                raise
+
+    pool._tasks = LateSubmitQueue()
+    assert pool.submit(abs, -1).result(timeout=5.0) == 1
+    late.append(lambda: late_futures.append(pool.submit(abs, -2)))
+    deadline = time.monotonic() + 5.0
+    while not late_futures and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert late_futures[0].result(timeout=5.0) == 2  # the one thread saw the call and stayed
+    pool.close()
+    assert pool._threads == []
