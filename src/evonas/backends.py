@@ -30,9 +30,9 @@ import time
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
-from .arch import Conv, decode, flop_count, param_count, parse_canonical
+from .arch import Conv, Genotype, decode, flop_count, param_count, parse_canonical
 from .arch.ir import ArchIR
 from .datasets import dataset_spec
 from .errors import ConfigError, JobFailed, LookupMiss
@@ -51,17 +51,25 @@ def _quantize(value: float) -> float:
     return round(min(max(value, 0.0), 100.0), 2)
 
 
-def decode_job(job: JobSpec) -> ArchIR:
-    """Decode a job's genotype payload using the decode parameters it carries."""
-    genotype = parse_canonical(job.payload)
-    shape, classes = dataset_spec(job.settings.get("dataset", "cifar10"))
+#: Settings keys, besides the dataset, that change how a genotype decodes.
+DECODE_KEYS = ("stage_channels", "cell_channels")
+
+
+def decode_from_settings(genotype: Genotype, settings: Mapping[str, str]) -> ArchIR:
+    """Decode a genotype under a run's settings: its dataset and its ``DECODE_KEYS``."""
+    shape, classes = dataset_spec(settings.get("dataset", "cifar10"))
     stage_channels = None
-    if job.settings.get("stage_channels"):
-        stage_channels = tuple(int(c) for c in job.settings["stage_channels"].split(","))
-    cell_channels = int(job.settings.get("cell_channels", 32))
+    if settings.get("stage_channels"):
+        stage_channels = tuple(int(c) for c in settings["stage_channels"].split(","))
+    cell_channels = int(settings.get("cell_channels", 32))
     return decode(
         genotype, shape, classes, stage_channels=stage_channels, cell_channels=cell_channels
     )
+
+
+def decode_job(job: JobSpec) -> ArchIR:
+    """Decode a job's genotype payload using the decode parameters it carries."""
+    return decode_from_settings(parse_canonical(job.payload), job.settings)
 
 
 def architecture_asymptote(identifier: str, ir: ArchIR) -> float:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import report as report_mod
-from .backends import build_backend
+from .backends import DECODE_KEYS, build_backend
 from .bus import InProcessBus, Listener, kill_all
 from .cache import ResultCache
 from .config import (
@@ -86,7 +86,16 @@ def cmd_run(args) -> int:
     settings = settings_map(train, backend_cfg, strategy.space.decode_settings())
     run_dir = Path(args.run_root) / global_cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / SETTINGS_FILE).write_text(canonical_settings_text(settings), encoding="utf-8")
+    settings_path = run_dir / SETTINGS_FILE
+    settings_text = canonical_settings_text(settings)
+    if not settings_path.exists():
+        settings_path.write_text(settings_text, encoding="utf-8")
+    elif settings_path.read_text(encoding="utf-8") != settings_text:
+        # checked before anything is written: the run keeps the settings it started with
+        raise ConfigError(
+            f"{settings_path} holds other settings than the given configs; "
+            "refusing to resume this run under changed settings"
+        )
 
     cache = None if args.no_cache else ResultCache(run_dir / "cache.txt", settings_digest(settings))
     bus = InProcessBus()
@@ -185,7 +194,7 @@ def cmd_retrain(args) -> int:
     run_dir = Path(args.run_dir)
     # decode parameters ride along from the original run's snapshot
     original = report_mod.read_settings(run_dir)
-    decode_params = {k: v for k, v in original.items() if k in ("stage_channels", "cell_channels")}
+    decode_params = {k: v for k, v in original.items() if k in DECODE_KEYS}
     settings = settings_map(train, backend_cfg, decode_params)
     bus = InProcessBus()
     listener = Listener(bus, run_dir, cache=None)

@@ -28,7 +28,7 @@ from concurrent.futures import Future
 from typing import Callable, Protocol
 
 from .backends import CommandBackend
-from .bus import FitnessRecord, Listener, LogRecord, ProcessRecord, RecordBus
+from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord
 from .errors import DecodeError, JobFailed, LookupMiss, WorkerLostError
 from .jobs import JobResult, JobSpec
 from .simfarm import EngineStats
@@ -37,7 +37,7 @@ from .slots import SlotStore
 logger = logging.getLogger(__name__)
 
 #: Runs one job on one slot, publishing its records; returns (value, duration).
-SlotRunner = Callable[[JobSpec, str, int, RecordBus], tuple[float, float]]
+SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
 _RETRYABLE = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
 
@@ -62,7 +62,7 @@ def local_runner(backend) -> SlotRunner:
     backend is copied per job, so concurrent slots share no mutable state.
     """
 
-    def run(job: JobSpec, node: str, slot: int, bus: RecordBus) -> tuple[float, float]:
+    def run(job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
         pid_box = {"pid": os.getpid()}
 
         def announce(pid: int) -> None:
@@ -163,7 +163,7 @@ class ThreadedEngine:
     def __init__(
         self,
         store: SlotStore,
-        bus: RecordBus,
+        bus: InProcessBus,
         listener: Listener,
         runner: SlotRunner,
         retry_budget: int = 1,

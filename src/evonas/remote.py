@@ -32,10 +32,10 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backends import CommandBackend, build_backend
-from .bus import FitnessRecord, LogRecord, ProcessRecord, RecordBus
+from .bus import FitnessRecord, InProcessBus, LogRecord, ProcessRecord
 from .errors import JobFailed, WorkerLostError
 from .jobs import JobSpec
 from .slots import SlotStore, SlotStatus, WorkerDescriptor
@@ -131,13 +131,16 @@ class WorkerAgent:
                 conn.close()
                 return
             self._conns.add(conn)
+        # one backend per (kind, settings) for as long as the connection lives,
+        # so a lookup table is read once per connection, not once per job
+        backends: dict[tuple, object] = {}
         try:
             with conn:
                 _no_delay(conn)
                 while (msg := recv_msg(conn)) is not None:
                     kind = msg.get("type")
                     if kind == "job":
-                        self._run_job(conn, msg)
+                        self._run_job(conn, msg, backends)
                     elif kind == "poll":
                         with self._lock:
                             slots = {str(i): self._busy.get(i) for i in range(self.slots)}
@@ -162,7 +165,7 @@ class WorkerAgent:
         except (ProcessLookupError, PermissionError):
             pass
 
-    def _run_job(self, conn: socket.socket, msg: dict) -> None:
+    def _run_job(self, conn: socket.socket, msg: dict, backends: dict[tuple, object]) -> None:
         job = JobSpec.from_message(msg)
         slot = int(msg.get("slot", 0))
         if job.backend not in self.backends:
@@ -178,9 +181,12 @@ class WorkerAgent:
             send_msg(conn, {"type": "process_start", "node": self.address, "pid": pid, "job": job.name})
 
         try:
-            backend = build_backend(job.backend, job.settings)
+            key = (job.backend, tuple(sorted(job.settings.items())))
+            backend = backends.get(key)
+            if backend is None:
+                backend = backends[key] = build_backend(job.backend, job.settings)
             if isinstance(backend, CommandBackend):
-                backend.on_spawn = announce
+                backend = replace(backend, on_spawn=announce)
             else:
                 announce(os.getpid())
             value, duration = backend.evaluate(
@@ -281,7 +287,7 @@ class TcpTransport:
         for sock in idle:
             sock.close()
 
-    def run_job(self, job: JobSpec, node: str, slot: int, bus: RecordBus) -> tuple[float, float]:
+    def run_job(self, job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
         """Dispatch one job to a worker, republishing its streamed records."""
         sock, reused = self._checkout(node)
         try:
@@ -296,7 +302,7 @@ class TcpTransport:
         return self._exchange(self._connect(node), job, node, slot, bus)
 
     def _exchange(
-        self, sock: socket.socket, job: JobSpec, node: str, slot: int, bus: RecordBus
+        self, sock: socket.socket, job: JobSpec, node: str, slot: int, bus: InProcessBus
     ) -> tuple[float, float]:
         """Send one job over ``sock`` and read its stream through ``process_end``."""
         result: tuple[float, float] | None = None
@@ -385,7 +391,7 @@ class TcpTransport:
 
 
 def remote_runner(transport: TcpTransport):
-    def run(job: JobSpec, node: str, slot: int, bus: RecordBus) -> tuple[float, float]:
+    def run(job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
         return transport.run_job(job, node, slot, bus)
 
     return run

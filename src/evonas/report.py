@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .arch import flop_count, param_count
-from .arch.ir import decode
+from .backends import decode_from_settings
 from .bus import DURATIONS_FILE
-from .datasets import dataset_spec
 from .errors import ReportError
 from .evaluator import job_seed
 from .evo.individual import Individual
@@ -88,18 +87,7 @@ def run_digest(run_dir: Path) -> str:
 def _decode_best(run_dir: Path) -> tuple[Individual, int, int]:
     t, pop = load_latest_population(run_dir)
     best = pop.best()
-    settings = read_settings(run_dir)
-    shape, classes = dataset_spec(settings.get("dataset", "cifar10"))
-    stage_channels = None
-    if settings.get("stage_channels"):
-        stage_channels = tuple(int(c) for c in settings["stage_channels"].split(","))
-    ir = decode(
-        best.genotype,
-        shape,
-        classes,
-        stage_channels=stage_channels,
-        cell_channels=int(settings.get("cell_channels", 32)),
-    )
+    ir = decode_from_settings(best.genotype, read_settings(run_dir))
     return best, param_count(ir), flop_count(ir)
 
 

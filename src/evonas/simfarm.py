@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .bus import FitnessRecord, Listener, LogRecord, ProcessRecord, RecordBus
+from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord
 from .errors import ConfigError, DecodeError, EvoNasError, JobFailed, LookupMiss
 from .jobs import JobResult, JobSpec
 from .slots import SlotStore
@@ -90,7 +90,7 @@ class SimulatedFarm:
         self,
         workers: Mapping[str, int],
         backend,
-        bus: RecordBus,
+        bus: InProcessBus,
         listener: Listener,
         *,
         duration: float | Callable[[JobSpec], float] | None = None,

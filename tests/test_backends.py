@@ -1,17 +1,21 @@
 import math
+import random
 import sys
 import textwrap
 
 import pytest
 
 from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier
+from evonas.arch.spaces import CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.backends import (
     CommandBackend,
     LookupBackend,
     SurrogateBackend,
     architecture_asymptote,
     build_backend,
+    decode_from_settings,
 )
+from evonas.datasets import dataset_spec
 from evonas.errors import ConfigError, JobFailed, LookupMiss
 from evonas.jobs import JobSpec
 
@@ -96,6 +100,21 @@ def test_settings_override_instance_defaults():
     a, _ = by_field.evaluate(job_for(g, epochs=50))
     b, _ = by_setting.evaluate(job_for(g, epochs=50, settings={"tau": "10.0"}))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "space",
+    [FixedBinarySpace(stage_channels=(24, 48)), VariableBlocksSpace(), CellGraphSpace(cell_channels=20)],
+    ids=type,
+)
+def test_settings_decode_agrees_with_the_space_decode(space):
+    """Workers and reports decode from settings; the evaluator decodes through the space."""
+    settings = {"dataset": "cifar10", **space.decode_settings()}
+    shape, classes = dataset_spec("cifar10")
+    rng = random.Random(5)
+    for _ in range(10):
+        g = space.sample(rng)
+        assert decode_from_settings(g, settings) == space.decode(g, shape, classes)
 
 
 # ----------------------------------------------------------------- lookup

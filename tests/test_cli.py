@@ -57,6 +57,33 @@ def test_run_verb_completes_and_resumes(tmp_path, capsys):
     assert (tmp_path / "runs" / "demo" / "begin_2.txt").read_bytes() == before
 
 
+def run_files(run_dir):
+    return {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+
+
+def test_run_leaves_exactly_the_documented_run_files(tmp_path):
+    """The files of README's "Run directory layout", and nothing else."""
+    g, t = write_configs(tmp_path)
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs") == 0
+    assert set(run_files(tmp_path / "runs" / "demo")) == {
+        "run_state.txt", "settings.txt", "begin_0.txt", "begin_1.txt", "begin_2.txt",
+        "cache.txt", "results.txt", "durations.txt",
+    }
+
+
+@pytest.mark.parametrize("no_cache", [False, True])
+def test_resume_under_changed_settings_is_refused_before_writing(tmp_path, capsys, no_cache):
+    flags = ["--no-cache"] if no_cache else []
+    g, t = write_configs(tmp_path, epochs=50)
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs", *flags) == 0
+    before = run_files(tmp_path / "runs" / "demo")
+    g, t = write_configs(tmp_path, epochs=25)
+    code = run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs", *flags)
+    assert code == 2
+    assert "changed settings" in capsys.readouterr().err
+    assert run_files(tmp_path / "runs" / "demo") == before  # settings.txt included
+
+
 def test_run_verb_config_error_is_reported(tmp_path, capsys):
     g, t = write_configs(tmp_path)
     g.write_text(g.read_text().replace("elitist_ga", "nonsense"), encoding="utf-8")

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier
-from evonas.backends import SurrogateBackend
+from evonas.backends import LookupBackend, SurrogateBackend
 from evonas.bus import InProcessBus, Listener
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed, WorkerLostError
@@ -70,7 +70,6 @@ def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path):
     kinds = []
     while (record := bus.take()) is not None:
         kinds.append(type(record).__name__)
-        bus.ack(record)
     assert kinds.count("LogRecord") == 5
     assert kinds.count("FitnessRecord") == 1
 
@@ -201,8 +200,8 @@ def record_connections(agent):
     return handlers
 
 
-def start_worker(port=0):
-    agent = WorkerAgent("127.0.0.1", port, slots=2, backends=("surrogate", "command"))
+def start_worker(port=0, backends=("surrogate", "command")):
+    agent = WorkerAgent("127.0.0.1", port, slots=2, backends=backends)
     ready = threading.Event()
     thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
     thread.start()
@@ -252,6 +251,27 @@ def test_connection_closed_by_worker_while_idle_is_replaced_without_a_retry(tmp_
     assert engine.stats.failures == 0
 
 
+def test_lookup_jobs_over_one_connection_read_the_table_once(tmp_path, monkeypatch):
+    table = tmp_path / "table.csv"
+    table.write_text(f"identifier,fitness\n{job().identifier},61.25\n", encoding="utf-8")
+    loads = []
+    load = LookupBackend._load
+    monkeypatch.setattr(LookupBackend, "_load", lambda self: (loads.append(self.table_path), load(self))[1])
+    agent, thread = start_worker(backends=("lookup",))
+    handlers = record_connections(agent)
+    transport = TcpTransport()
+    lookup_job = job(backend="lookup", settings={"table": str(table)})
+    try:
+        values = [transport.run_job(lookup_job, f"127.0.0.1:{agent.port}", 0, InProcessBus())[0] for _ in range(3)]
+    finally:
+        transport.close()
+        agent.stop()
+        thread.join(5.0)
+    assert values == [61.25] * 3
+    assert len(handlers) == 1
+    assert loads == [str(table)]
+
+
 class OneJobPerConnectionWorker(WorkerAgent):
     """Serves one message per connection and then closes it, as workers did before connection reuse."""
 
@@ -259,7 +279,7 @@ class OneJobPerConnectionWorker(WorkerAgent):
         with conn:
             msg = recv_msg(conn)
             if msg is not None and msg.get("type") == "job":
-                self._run_job(conn, msg)
+                self._run_job(conn, msg, {})
 
 
 def test_worker_that_closes_after_every_job_costs_no_retry(tmp_path):

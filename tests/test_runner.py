@@ -205,6 +205,23 @@ def test_kill_after_first_generation_then_resume(make_harness):
     assert best.identifier == twin.build()[0].run().identifier  # completed twin re-run is a no-op...
 
 
+def test_resume_leaves_a_record_journal_of_older_versions_untouched(make_harness):
+    """Older versions journaled one id per applied record; resume neither reads nor extends it."""
+    twin = make_harness(name="uninterrupted", pop_size=4, max_gen=3, seed=21)
+    twin.build()[0].run()
+
+    crashed = make_harness(name="crashed", pop_size=4, max_gen=3, seed=21)
+    crash_after(crashed, n_saves=2)
+    journal = crashed.run_dir / "routed_ids.txt"
+    results = (crashed.run_dir / "results.txt").read_text(encoding="utf-8").splitlines()
+    journal.write_text("".join(f"{i:032x}\n" for i in range(len(results))), encoding="utf-8")
+    stale = journal.read_bytes()
+
+    crashed.build()[0].run()
+    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+    assert journal.read_bytes() == stale
+
+
 def test_restart_equivalence_across_every_crash_point(make_harness):
     """Property: for each generation boundary of a 4x5 run, crash-then-resume
     reproduces the uninterrupted run's logs byte for byte."""
