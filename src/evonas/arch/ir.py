@@ -131,7 +131,7 @@ def check_shapes(ir: ArchIR) -> list[Shape]:
             cur = (cur[0] + other[0], cur[1], cur[2])
         else:  # pragma: no cover - exhaustive over LayerSpec
             raise InvariantViolation(f"unknown layer kind {layer!r}")
-        if any(d <= 0 for d in cur):
+        if min(cur) <= 0:  # cur is never empty
             raise InvariantViolation(f"layer {idx} produced non-positive shape {cur}")
         shapes.append(cur)
     return shapes

@@ -199,7 +199,11 @@ def cmd_retrain(args) -> int:
     bus = InProcessBus()
     listener = Listener(bus, run_dir, cache=None)
     engine = build_engine(backend_cfg, settings, bus, listener, args.workers, args.local_slots)
-    name, value = report_mod.retrain_best(run_dir, settings, engine, master_seed=args.seed)
+    try:
+        name, value = report_mod.retrain_best(run_dir, settings, engine, master_seed=args.seed)
+    finally:
+        engine.close()
+        listener.close()
     print(f"retrained {name}: {value:.2f} ({settings.get('total_epoch')} epochs)")
     return 0
 

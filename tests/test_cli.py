@@ -1,10 +1,13 @@
+import os
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import evonas
 from evonas.cli import main
 from evonas.report import CSV_HEADER
 
@@ -182,3 +185,23 @@ def test_worker_subprocess_serves_run(tmp_path, capsys):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_run_and_retrain_close_every_file(tmp_path):
+    """Under ``-X dev``, an unclosed file would print a ResourceWarning on stderr."""
+    g, t = write_configs(tmp_path)
+    retrain_ini = tmp_path / "retrain_train.ini"
+    retrain_ini.write_text(TRAIN_INI.format(epochs=600), encoding="utf-8")
+    runs = tmp_path / "runs"
+    src = str(Path(evonas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["run", "--global-config", g, "--train-config", t, "--run-root", runs],
+        ["retrain", "--run-dir", runs / "demo", "--train-config", retrain_ini],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "evonas.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr

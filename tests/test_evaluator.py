@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from evonas.arch.spaces import FixedBinarySpace
-from evonas.backends import SurrogateBackend
+import evonas.evaluator as evaluator_module
+from evonas.arch import flop_count, identifier, param_count
+from evonas.arch.spaces import FixedBinarySpace, VariableBlocksSpace
+from evonas.backends import (
+    DEFAULT_TIME_BASE,
+    DEFAULT_TIME_PER_MAC,
+    SurrogateBackend,
+    decode_from_settings,
+)
 from evonas.bus import InProcessBus, Listener
 from evonas.cache import ResultCache
 from evonas.evaluator import Evaluator, job_seed
@@ -157,3 +164,150 @@ def test_wall_time_scales_with_slot_count(tmp_path):
     pop = fresh_pop(10, seed=9)
     evaluator.evaluate_population(pop)
     assert farm.last_makespan == pytest.approx(3.0)
+
+
+# ----------------------------------------------------------- start order
+
+@pytest.fixture
+def built(tmp_path):
+    """``build`` that closes the listener and cache it opens at teardown."""
+    opened = []
+
+    def factory(**kwargs):
+        evaluator, farm, cache = build(tmp_path, **kwargs)
+        opened.append((farm.listener, cache))
+        return evaluator, farm, cache
+
+    yield factory
+    for listener, cache in opened:
+        listener.close()
+        if cache is not None:
+            cache.close()
+
+
+def flops_of(member):
+    return flop_count(space().decode(member.genotype, (3, 32, 32), 10))
+
+
+def recording(farm):
+    """Wrap ``farm.run_jobs`` to keep the names of every batch it receives."""
+    batches = []
+    run_jobs = farm.run_jobs
+
+    def record(jobs):
+        batches.append([job.name for job in jobs])
+        return run_jobs(jobs)
+
+    farm.run_jobs = record
+    return batches
+
+
+def counting_decodes(monkeypatch):
+    """Count decodes through the binding the evaluator calls."""
+    calls = []
+
+    def counted(genotype, settings):
+        calls.append(identifier(genotype))
+        return decode_from_settings(genotype, settings)
+
+    monkeypatch.setattr(evaluator_module, "decode_from_settings", counted)
+    return calls
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_multiobjective_batch_larger_than_the_slots_starts_longest_first(built, use_cache):
+    evaluator, farm, _ = built(use_cache=use_cache, slots=2)
+    evaluator.objectives = 2
+    pop = fresh_pop(12)
+    batches = recording(farm)
+    evaluator.evaluate_population(pop)
+
+    by_name = {m.name: m for m in pop.members}
+    submitted = [m.name for m in pop.members]
+    (order,) = batches
+    assert sorted(order) == sorted(submitted)
+    costs = [flops_of(by_name[name]) for name in order]
+    assert costs == sorted(costs, reverse=True)
+    assert len(set(costs)) < len(costs)  # the batch has ties to keep in order
+    for a, b in zip(order, order[1:]):
+        if flops_of(by_name[a]) == flops_of(by_name[b]):
+            assert submitted.index(a) < submitted.index(b)
+    assert all(m.fitness is not None for m in pop.members)
+
+
+def test_batch_that_fits_the_slots_keeps_submission_order(built):
+    evaluator, farm, _ = built(slots=8)
+    evaluator.objectives = 2
+    pop = fresh_pop(8)
+    batches = recording(farm)
+    evaluator.evaluate_population(pop)
+    assert batches == [[m.name for m in pop.members]]
+
+
+def test_single_objective_keeps_submission_order_and_decodes_nothing(built, monkeypatch):
+    decodes = counting_decodes(monkeypatch)
+    evaluator, farm, _ = built(slots=2)
+    pop = fresh_pop(12)
+    batches = recording(farm)
+    evaluator.evaluate_population(pop)
+    assert batches == [[m.name for m in pop.members]]
+    assert decodes == []
+
+
+def test_params_of_decodes_once_per_identifier(built, monkeypatch):
+    decodes = counting_decodes(monkeypatch)
+    evaluator, _, _ = built(slots=2)
+    evaluator.objectives = 2
+    sp = space()
+    rng = random.Random(5)
+    genotypes = [sp.sample(rng) for _ in range(4)]
+    members = [make_individual(individual_name(0, i), genotypes[i % 4]) for i in range(12)]
+    evaluator.evaluate_population(members)
+    for m in members:
+        assert evaluator.params_of(m) == param_count(space().decode(m.genotype, (3, 32, 32), 10))
+    assert sorted(decodes) == sorted({m.identifier for m in members})
+
+
+def list_schedule(durations, slots):
+    """Makespan of starting each job, in the given order, on the earliest free slot."""
+    free = [0.0] * slots
+    for d in durations:
+        free[free.index(min(free))] += d
+    return max(free)
+
+
+def test_farm_makespan_is_the_longest_first_schedule(tmp_path):
+    # four short jobs submitted before one long one, on two slots
+    sp = VariableBlocksSpace()
+    rng = random.Random(0)
+    genotypes = sorted(
+        (sp.sample(rng) for _ in range(40)),
+        key=lambda g: flop_count(sp.decode(g, (3, 32, 32), 10)),
+    )
+    batch = genotypes[:4] + genotypes[-1:]
+    settings = {"dataset": "cifar10", "backend": "surrogate", "total_epoch": "8"}
+    durations = [
+        DEFAULT_TIME_BASE + DEFAULT_TIME_PER_MAC * 8 * flop_count(sp.decode(g, (3, 32, 32), 10))
+        for g in batch
+    ]
+    lpt = list_schedule(sorted(durations, reverse=True), 2)
+    fifo = list_schedule(durations, 2)
+    assert lpt < fifo
+
+    bus = InProcessBus()
+    listener = Listener(bus, tmp_path, None)
+    farm = SimulatedFarm({"sim": 2}, SurrogateBackend(), bus, listener)
+    evaluator = Evaluator(farm, None, settings, sp, objectives=2)
+    evaluator.evaluate_population([make_individual(individual_name(0, i), g) for i, g in enumerate(batch)])
+    listener.close()
+    assert farm.last_makespan == pytest.approx(lpt)
+
+
+def test_nsga2_trajectory_does_not_depend_on_the_slot_count(make_harness):
+    logs = []
+    for slots in (4, 256):
+        harness = make_harness(name=f"slots{slots}", strategy="nsga2", pop_size=12, max_gen=4, slots=slots)
+        runner, _ = harness.build()
+        runner.run()
+        logs.append({t: (harness.run_dir / f"begin_{t}.txt").read_bytes() for t in range(4)})
+    assert logs[0] == logs[1]
