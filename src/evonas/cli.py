@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
         best = runner.run()
     except KeyboardInterrupt:
         # free every GPU before dying: one termination command per live job
-        count = kill_all(bus, getattr(engine, "terminate", lambda node, pid: None))
+        count = kill_all(bus, engine.terminate)
         print(f"interrupted: sent {count} termination command(s); run resumes from {run_dir}", file=sys.stderr)
         return 130
     finally:
@@ -151,9 +151,8 @@ def cmd_simulate(args) -> int:
     workers = {f"w{i}": args.slots_per_worker for i in range(args.worker_count)}
     space = FixedBinarySpace()
     rng = derive_rng(args.seed, "simulate")
-    with tempfile.TemporaryDirectory(prefix="evonas_sim_") as tmp:
-        bus = InProcessBus()
-        listener = Listener(bus, tmp, cache=None)
+    bus = InProcessBus()
+    with tempfile.TemporaryDirectory(prefix="evonas_sim_") as tmp, Listener(bus, tmp, cache=None) as listener:
         farm = SimulatedFarm(
             workers,
             SurrogateBackend(),

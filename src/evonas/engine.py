@@ -1,12 +1,20 @@
-"""Threaded execution engine: real concurrency over local or remote slots.
+"""Execution engines' shared attempt ledger, and the threaded engine.
 
-One dispatch thread per in-flight job blocks for a slot, runs the job through
-a slot runner (an in-process backend or a TCP worker connection), and retries
-on worker loss or job failure up to the retry budget. Jobs that exhaust the
-budget resolve with the fitness-0.00 convention. The record bus collects
-process/log/fitness records from all threads; the listener drains once after
-the batch completes, so the cache and result files are written by exactly one
-consumer.
+``AttemptLedger`` is the one place that knows the retry budget and the slot
+seconds each job has consumed. Both engines report every attempt to it: a
+placement, a failed attempt (and whether the budget allows another), a success
+or a terminal failure. It publishes the job's one ``FitnessRecord`` -- the
+value with a duration that sums every attempt, or the fitness-0.00
+convention for a job that exhausted its budget -- and keeps ``EngineStats``
+under one lock. Slot runners and the simulated farm publish only process and
+log records.
+
+``ThreadedEngine`` gives real concurrency over local or remote slots: one
+dispatch thread per in-flight job blocks for a slot, runs the job through a
+slot runner (an in-process backend or a TCP worker connection), and asks the
+ledger whether to retry on worker loss or job failure. The listener drains
+once after the batch completes, so the cache and result files are written by
+exactly one consumer.
 
 Each engine owns one dispatch pool of at most one thread per slot, shared by
 all its batches: no thread starts before the first job, and a thread that has
@@ -18,6 +26,7 @@ slot runner's idle worker connections.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import os
 import queue
@@ -25,33 +34,80 @@ import signal
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Protocol
+from typing import Callable
 
 from .backends import CommandBackend
 from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord
 from .errors import DecodeError, JobFailed, LookupMiss, WorkerLostError
 from .jobs import JobResult, JobSpec
-from .simfarm import EngineStats
 from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
 
-#: Runs one job on one slot, publishing its records; returns (value, duration).
+#: Runs one job on one slot, publishing its process and log records; returns
+#: (value, duration). The engine's ledger publishes the fitness record.
 SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
 _RETRYABLE = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
+
+#: Retries a job gets after its first failed attempt.
+RETRY_BUDGET = 1
+
+#: Seconds a dispatch thread waits for a slot before its job fails.
+ACQUIRE_TIMEOUT_S = 120.0
 
 #: Seconds an idle dispatch thread waits for the next job before it exits.
 DISPATCH_IDLE_S = 1.0
 
 
-class ExecutionEngine(Protocol):
-    stats: EngineStats
-    store: SlotStore
+@dataclasses.dataclass
+class EngineStats:
+    jobs: int = 0          # jobs driven to a terminal result
+    attempts: int = 0      # slot placements, including failed ones
+    failures: int = 0      # jobs that exhausted their retry budget
+    busy_seconds: float = 0.0  # total slot-occupancy time across attempts
 
-    def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]: ...
 
-    def close(self) -> None: ...
+class AttemptLedger:
+    """Retry budget, consumed seconds per job, stats and the fitness record of each job."""
+
+    def __init__(self, bus: InProcessBus, retry_budget: int = RETRY_BUDGET):
+        self.bus = bus
+        self.retry_budget = retry_budget
+        self.stats = EngineStats()
+        self._lock = threading.Lock()
+        self._consumed: dict[str, float] = {}  # job name -> seconds of its failed attempts
+
+    def placed(self) -> None:
+        """Count one attempt on a slot."""
+        with self._lock:
+            self.stats.attempts += 1
+
+    def failed(self, job: JobSpec, tries: int, seconds: float) -> bool:
+        """Charge a failed attempt (``tries`` earlier ones); True when the job may retry."""
+        with self._lock:
+            self.stats.busy_seconds += seconds
+            self._consumed[job.name] = self._consumed.get(job.name, 0.0) + seconds
+        return tries < self.retry_budget
+
+    def succeeded(self, job: JobSpec, value: float, seconds: float) -> JobResult:
+        """Resolve a job whose last attempt took ``seconds``."""
+        return self._resolve(job, value, seconds, None)
+
+    def give_up(self, job: JobSpec, reason: str) -> JobResult:
+        """Resolve a job with the fitness-0.00 convention for untrainable or unlucky jobs."""
+        self.bus.publish(LogRecord(job_name=job.name, line=f"evaluation failed: {reason}; assigning fitness 0.00"))
+        return self._resolve(job, 0.0, 0.0, reason)
+
+    def _resolve(self, job: JobSpec, value: float, seconds: float, failure: str | None) -> JobResult:
+        """Publish the job's one fitness record, whose duration sums every attempt."""
+        with self._lock:
+            self.stats.jobs += 1
+            self.stats.failures += failure is not None
+            self.stats.busy_seconds += seconds
+            total = self._consumed.pop(job.name, 0.0) + seconds
+        self.bus.publish(FitnessRecord(job_name=job.name, identifier=job.identifier, value=value, duration_s=total))
+        return JobResult(job.name, job.identifier, value, total, ok=failure is None, error=failure or "")
 
 
 def local_runner(backend) -> SlotRunner:
@@ -82,9 +138,6 @@ def local_runner(backend) -> SlotRunner:
             )
         finally:
             bus.process_ended(node, pid_box["pid"], job.name)
-        bus.publish(
-            FitnessRecord(job_name=job.name, identifier=job.identifier, value=value, duration_s=duration)
-        )
         return value, duration
 
     return run
@@ -166,8 +219,7 @@ class ThreadedEngine:
         bus: InProcessBus,
         listener: Listener,
         runner: SlotRunner,
-        retry_budget: int = 1,
-        acquire_timeout: float | None = 120.0,
+        retry_budget: int = RETRY_BUDGET,
         terminator: Callable[[str, int], None] | None = None,
         on_close: Callable[[], None] | None = None,
     ):
@@ -175,11 +227,10 @@ class ThreadedEngine:
         self.bus = bus
         self.listener = listener
         self.runner = runner
-        self.retry_budget = retry_budget
-        self.acquire_timeout = acquire_timeout
         self.terminator = terminator
         self.on_close = on_close
-        self.stats = EngineStats()
+        self.ledger = AttemptLedger(bus, retry_budget)
+        self.stats = self.ledger.stats
         self._pool = DispatchPool(max(1, len(store)))
 
     def terminate(self, node: str, pid: int) -> None:
@@ -187,37 +238,26 @@ class ThreadedEngine:
             self.terminator(node, pid)
 
     def _execute(self, job: JobSpec) -> JobResult:
-        consumed = 0.0
         reason = "no live worker slots available"
-        for tries in range(self.retry_budget + 1):
-            grant = self.store.acquire_wait(job.name, timeout=self.acquire_timeout)
+        for tries in itertools.count():
+            grant = self.store.acquire_wait(job.name, timeout=ACQUIRE_TIMEOUT_S)
             if grant is None:
                 break
             node, slot = grant
+            self.ledger.placed()
             started = time.monotonic()
-            self.stats.attempts += 1
             try:
                 value, duration = self.runner(job, node, slot, self.bus)
             except _RETRYABLE as exc:
-                consumed += time.monotonic() - started
                 reason = str(exc)
                 logger.warning("job %s attempt %d failed on %s:%d: %s", job.name, tries, node, slot, exc)
-                continue
+                if self.ledger.failed(job, tries, time.monotonic() - started):
+                    continue
+                break
             finally:
                 self.store.release(node, slot)
-            self.stats.busy_seconds += duration
-            self.stats.jobs += 1
-            return JobResult(job.name, job.identifier, value, duration, ok=True)
-        self.bus.publish(
-            LogRecord(job_name=job.name, line=f"evaluation failed: {reason}; assigning fitness 0.00")
-        )
-        self.bus.publish(
-            FitnessRecord(job_name=job.name, identifier=job.identifier, value=0.0, duration_s=consumed)
-        )
-        self.stats.busy_seconds += consumed
-        self.stats.failures += 1
-        self.stats.jobs += 1
-        return JobResult(job.name, job.identifier, 0.0, consumed, ok=False, error=reason)
+            return self.ledger.succeeded(job, value, duration)
+        return self.ledger.give_up(job, reason)
 
     def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]:
         if not jobs:

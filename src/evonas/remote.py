@@ -7,7 +7,9 @@ answers with a stream of ``process_start``, ``log``, one ``fitness``
 (``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or one
 ``error``, and always a final ``process_end``, which ends the job's stream.
 ``poll`` and ``kill`` messages support slot reconciliation and run
-interruption.
+interruption. The center republishes the process and log frames on its bus
+and returns the fitness frame's value and duration to the engine, whose
+attempt ledger publishes the job's one fitness record.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after a clean ``process_end`` and sends the
@@ -35,7 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .backends import CommandBackend, build_backend
-from .bus import FitnessRecord, InProcessBus, LogRecord, ProcessRecord
+from .bus import InProcessBus, LogRecord, ProcessRecord
 from .errors import JobFailed, WorkerLostError
 from .jobs import JobSpec
 from .slots import SlotStore, SlotStatus, WorkerDescriptor
@@ -288,7 +290,8 @@ class TcpTransport:
             sock.close()
 
     def run_job(self, job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
-        """Dispatch one job to a worker, republishing its streamed records."""
+        """Dispatch one job to a worker, republishing its process and log records;
+        returns the fitness frame's (value, duration)."""
         sock, reused = self._checkout(node)
         try:
             return self._exchange(sock, job, node, slot, bus)
@@ -332,14 +335,6 @@ class TcpTransport:
                     bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
                 elif kind == "fitness":
                     result = (float(msg["value"]), float(msg["duration_s"]))
-                    bus.publish(
-                        FitnessRecord(
-                            job_name=job.name,
-                            identifier=msg["identifier"],
-                            value=float(msg["value"]),
-                            duration_s=float(msg["duration_s"]),
-                        )
-                    )
                 elif kind == "process_end":
                     bus.process_ended(msg["node"], int(msg["pid"]), job.name)
                     procs = [p for p in procs if p != (msg["node"], int(msg["pid"]))]

@@ -3,12 +3,15 @@
 Workers, slots, job durations, and faults all live in simulated time: a
 single-threaded event loop places queued jobs greedily on the lowest idle
 slot (so no job ever waits while an idle, healthy slot exists), publishes the
-same process/log/fitness records a real farm would, and advances a virtual
-clock. Event order is deterministic: ties break on submission sequence.
+same process and log records a real farm would, and advances a virtual clock.
+Event order is deterministic: ties break on submission sequence.
 
 Scripted faults crash a worker at a given virtual time; in-flight jobs on the
-dead node are requeued until their retry budget runs out, after which they
-resolve with the fitness-0.00 convention for untrainable or unlucky jobs.
+dead node are requeued until their retry budget runs out. The farm keeps only
+the clock and the slots: it reports each placement, failure and completion to
+the same ``AttemptLedger`` as the threaded engine, which decides on retries,
+keeps the stats and publishes each job's fitness record (fitness 0.00 for a
+job that exhausted its budget).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord
+from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
+from .engine import RETRY_BUDGET, AttemptLedger
 from .errors import ConfigError, DecodeError, EvoNasError, JobFailed, LookupMiss
 from .jobs import JobResult, JobSpec
 from .slots import SlotStore
@@ -55,14 +59,6 @@ def parse_fault_script(entries: Iterable[Mapping | FaultEvent]) -> tuple[FaultEv
     return tuple(faults)
 
 
-@dataclass
-class EngineStats:
-    jobs: int = 0          # jobs driven to a terminal result
-    attempts: int = 0      # slot placements, including retried ones
-    failures: int = 0      # jobs that exhausted their retry budget
-    busy_seconds: float = 0.0  # total slot-occupancy time across attempts
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     time: float
@@ -96,7 +92,7 @@ class SimulatedFarm:
         duration: float | Callable[[JobSpec], float] | None = None,
         dispatch_overhead: float = 0.0,
         faults: Iterable[Mapping | FaultEvent] = (),
-        retry_budget: int = 1,
+        retry_budget: int = RETRY_BUDGET,
     ):
         if not workers:
             raise ConfigError("farm needs at least one worker")
@@ -109,8 +105,8 @@ class SimulatedFarm:
         self.store = SlotStore((node, i) for node, n in sorted(workers.items()) for i in range(n))
         self.duration = duration
         self.dispatch_overhead = dispatch_overhead
-        self.retry_budget = retry_budget
-        self.stats = EngineStats()
+        self.ledger = AttemptLedger(bus, retry_budget)
+        self.stats = self.ledger.stats
         self.trace: list[TraceEvent] = []
         self.last_makespan = 0.0
         self._now = 0.0
@@ -118,7 +114,6 @@ class SimulatedFarm:
         self._events: list[tuple[float, int, str, object]] = []
         self._queue: list[tuple[JobSpec, int]] = []
         self._inflight: dict[int, _Attempt] = {}
-        self._consumed: dict[str, float] = {}
         self._results: dict[str, JobResult] = {}
         self._unresolved: set[str] = set()  # names the current run_jobs call waits for
         # upper bound on the idle slots of the store, which only this farm
@@ -174,18 +169,18 @@ class SimulatedFarm:
             self._maybe_idle = max(self._maybe_idle - 1, 0)
             node, slot = grant
             job, tries = self._queue.pop(0)
+            self.ledger.placed()
             try:
                 value, backend_dur = self.backend.evaluate(job, self._emit_log(job), slot_id=slot)
             except (JobFailed, LookupMiss, DecodeError) as exc:
                 self._release(node, slot)
-                self._retry_or_fail(job, tries, str(exc))
+                self._retry_or_fail(job, tries, str(exc), 0.0)  # placement takes no virtual time
                 continue
             duration = self._job_duration(job, backend_dur)
             token = next(self._seq)
             pid = _SYNTHETIC_PID_BASE + token
             attempt = _Attempt(job, tries, node, slot, self._now, duration, pid)
             self._inflight[token] = attempt
-            self.stats.attempts += 1
             self.bus.process_started(ProcessRecord(node=node, pid=pid, job_name=job.name, started_at=self._now))
             heapq.heappush(
                 self._events,
@@ -193,22 +188,15 @@ class SimulatedFarm:
             )
             self.trace.append(TraceEvent(self._now, "start", job.name, node, slot))
 
-    def _retry_or_fail(self, job: JobSpec, tries: int, reason: str) -> None:
-        if tries < self.retry_budget:
+    def _retry_or_fail(self, job: JobSpec, tries: int, reason: str, seconds: float) -> None:
+        if self.ledger.failed(job, tries, seconds):
             self.trace.append(TraceEvent(self._now, "requeue", job.name))
             self._queue.append((job, tries + 1))
         else:
             self._terminal_fail(job, reason)
 
     def _terminal_fail(self, job: JobSpec, reason: str) -> None:
-        consumed = self._consumed.pop(job.name, 0.0)
-        self.bus.publish(LogRecord(job_name=job.name, line=f"evaluation failed: {reason}; assigning fitness 0.00"))
-        self.bus.publish(
-            FitnessRecord(job_name=job.name, identifier=job.identifier, value=0.0, duration_s=consumed)
-        )
-        self._resolve(JobResult(job.name, job.identifier, 0.0, consumed, ok=False, error=reason))
-        self.stats.failures += 1
-        self.stats.jobs += 1
+        self._resolve(self.ledger.give_up(job, reason))
         self.trace.append(TraceEvent(self._now, "fail", job.name))
 
     def _handle_complete(self, token: int, value: float) -> None:
@@ -216,14 +204,8 @@ class SimulatedFarm:
         if attempt is None:
             return  # stale completion of a crashed or killed attempt
         job = attempt.job
-        self.stats.busy_seconds += attempt.duration
-        total = self._consumed.pop(job.name, 0.0) + attempt.duration
         self.bus.process_ended(attempt.node, attempt.pid, job.name)
-        self.bus.publish(
-            FitnessRecord(job_name=job.name, identifier=job.identifier, value=value, duration_s=total)
-        )
-        self._resolve(JobResult(job.name, job.identifier, value, total, ok=True))
-        self.stats.jobs += 1
+        self._resolve(self.ledger.succeeded(job, value, attempt.duration))
         self.trace.append(TraceEvent(self._now, "finish", job.name, attempt.node, attempt.slot))
         self._release(attempt.node, attempt.slot)
         self._fill()
@@ -233,11 +215,10 @@ class SimulatedFarm:
         dead = [tok for tok, a in self._inflight.items() if a.node == fault.node]
         for token in dead:
             attempt = self._inflight.pop(token)
-            elapsed = self._now - attempt.started
-            self.stats.busy_seconds += elapsed
-            self._consumed[attempt.job.name] = self._consumed.get(attempt.job.name, 0.0) + elapsed
             self.bus.process_ended(attempt.node, attempt.pid, attempt.job.name)
-            self._retry_or_fail(attempt.job, attempt.tries, f"worker {fault.node} crashed")
+            self._retry_or_fail(
+                attempt.job, attempt.tries, f"worker {fault.node} crashed", self._now - attempt.started
+            )
         self.store.mark_lost(fault.node)
         self._fill()
 
@@ -284,13 +265,3 @@ class SimulatedFarm:
                 self._resolve(
                     JobResult(attempt.job.name, attempt.job.identifier, 0.0, 0.0, ok=False, error="killed")
                 )
-
-    def cancel_queued(self) -> int:
-        """Drop every queued-but-unplaced job (run interruption)."""
-        dropped = len(self._queue)
-        for job, _ in self._queue:
-            if job.name not in self._results:
-                self._resolve(JobResult(job.name, job.identifier, 0.0, 0.0, ok=False, error="killed"))
-        self._queue.clear()
-        return dropped
-

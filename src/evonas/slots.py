@@ -3,21 +3,18 @@
 Acquire/release are atomic transitions under a single lock, so the store can
 be hammered by concurrent dispatch tasks without double-granting. Acquisition
 is deterministic: the lowest (node, slot) idle pair wins. The slot table is kept
-in (node, slot) order, so a scan of it visits slots lowest first. The store
-optionally persists itself to a JSON state file on every transition.
+in (node, slot) order, so a scan of it visits slots lowest first.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
-from .errors import InvariantViolation, PersistError
+from .errors import InvariantViolation
 
 
 class SlotStatus(Enum):
@@ -48,7 +45,7 @@ class WorkerDescriptor:
 
 
 class SlotStore:
-    def __init__(self, slots: Iterable[tuple[str, int]], state_path: Path | str | None = None):
+    def __init__(self, slots: Iterable[tuple[str, int]]):
         table: dict[tuple[str, int], SlotState] = {}
         for node, slot_id in slots:
             key = (node, slot_id)
@@ -58,34 +55,12 @@ class SlotStore:
         self._slots = dict(sorted(table.items()))  # keys never change after this
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self.state_path = Path(state_path) if state_path else None
-        self._persist_locked()
-
-    @staticmethod
-    def for_workers(workers: Iterable[WorkerDescriptor], state_path=None) -> "SlotStore":
-        pairs = [(w.node, i) for w in workers for i in range(w.slot_count)]
-        return SlotStore(pairs, state_path)
-
-    def _persist_locked(self) -> None:
-        if self.state_path is None:
-            return
-        payload = [
-            {"node": s.node, "slot": s.slot_id, "status": s.status.value, "job": s.job_name}
-            for s in self._slots.values()
-        ]
-        tmp = self.state_path.with_suffix(".tmp")
-        try:
-            tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-            tmp.rename(self.state_path)
-        except OSError as exc:
-            raise PersistError(f"cannot persist slot state: {exc}") from exc
 
     def _claim_locked(self, job_name: str | None) -> tuple[str, int] | None:
         for key, state in self._slots.items():
             if state.status is SlotStatus.IDLE:
                 state.status = SlotStatus.BUSY
                 state.job_name = job_name
-                self._persist_locked()
                 return key
         return None
 
@@ -125,7 +100,6 @@ class SlotStore:
             if state.status is SlotStatus.BUSY:
                 state.status = SlotStatus.IDLE
                 state.job_name = None
-                self._persist_locked()
                 self._idle.notify_all()
 
     def mark_lost(self, node: str) -> list[str]:
@@ -139,7 +113,6 @@ class SlotStore:
                     orphans.append(state.job_name)
                 state.status = SlotStatus.LOST
                 state.job_name = None
-            self._persist_locked()
             self._idle.notify_all()
             return orphans
 
@@ -150,7 +123,6 @@ class SlotStore:
                 raise InvariantViolation(f"unknown slot ({node}, {slot_id})")
             state.status = SlotStatus.QUARANTINED
             state.job_name = job_name
-            self._persist_locked()
 
     def clear_quarantine(self, node: str, slot_id: int) -> None:
         with self._idle:
@@ -158,7 +130,6 @@ class SlotStore:
             if state is not None and state.status is SlotStatus.QUARANTINED:
                 state.status = SlotStatus.IDLE
                 state.job_name = None
-                self._persist_locked()
                 self._idle.notify_all()
 
     def touch(self, node: str, when: float) -> None:

@@ -29,7 +29,8 @@ class RunHarness:
     """Builds fresh runner/farm stacks over one run directory.
 
     Every ``build()`` constructs new components that read their state from
-    disk, which is exactly what a restarted process would do.
+    disk, which is exactly what a restarted process would do. ``close()``
+    closes every engine and listener the builds opened.
     """
 
     run_dir: Path
@@ -42,6 +43,7 @@ class RunHarness:
     label: str = "test_run"
     space: object = None  # overrides the strategy's default encoding space
     engine_factory: object = None  # callable(bus, listener) -> execution engine
+    opened: list = field(default_factory=list, init=False, repr=False)  # (engine, listener) per build
 
     def __post_init__(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -67,6 +69,7 @@ class RunHarness:
             engine = self.engine_factory(bus, listener)
         else:
             engine = SimulatedFarm({"sim": self.slots}, self.backend, bus, listener)
+        self.opened.append((engine, listener))
         evaluator = Evaluator(
             engine,
             cache,
@@ -85,9 +88,31 @@ class RunHarness:
         )
         return runner, engine
 
+    def close(self) -> None:
+        for engine, listener in self.opened:
+            engine.close()
+            listener.close()
+        self.opened.clear()
+
+
+@pytest.fixture
+def closing():
+    """``closing(thing)`` returns ``thing`` and closes it at teardown, last opened first."""
+    opened = []
+
+    def register(thing):
+        opened.append(thing)
+        return thing
+
+    yield register
+    for thing in reversed(opened):
+        thing.close()
+
 
 @pytest.fixture
 def make_harness(tmp_path):
+    harnesses: list[RunHarness] = []
+
     def factory(name="run", strategy="elitist_ga", pop_size=4, max_gen=3, seed=7, **kwargs) -> RunHarness:
         cfg_kwargs = {}
         for key in ("crossover_prob", "mutation_prob", "tournament_size", "sample_size"):
@@ -96,6 +121,10 @@ def make_harness(tmp_path):
         cfg = StrategyConfig(
             strategy=strategy, pop_size=pop_size, max_gen=max_gen, seed=seed, **cfg_kwargs
         )
-        return RunHarness(run_dir=tmp_path / name, cfg=cfg, **kwargs)
+        harness = RunHarness(run_dir=tmp_path / name, cfg=cfg, **kwargs)
+        harnesses.append(harness)
+        return harness
 
-    return factory
+    yield factory
+    for harness in harnesses:
+        harness.close()

@@ -49,9 +49,9 @@ def test_process_records_present_exactly_while_running(bus):
     assert bus.live_processes() == []
 
 
-def test_listener_routes_fitness_to_cache_result_and_durations(tmp_path, bus):
+def test_listener_routes_fitness_to_cache_result_and_durations(tmp_path, bus, closing):
     cache = ResultCache(tmp_path / "cache.txt", DIGEST)
-    listener = Listener(bus, tmp_path, cache)
+    listener = closing(Listener(bus, tmp_path, cache))
     bus.publish(fit_record(1, 90.50))
     assert listener.drain() == 1
     ident = format(1, "x").rjust(56, "0")
@@ -62,15 +62,15 @@ def test_listener_routes_fitness_to_cache_result_and_durations(tmp_path, bus):
     assert bus.pending() == 0
 
 
-def test_listener_routes_logs_with_job_prefix(tmp_path, bus):
-    listener = Listener(bus, tmp_path, cache=None)
+def test_listener_routes_logs_with_job_prefix(tmp_path, bus, closing):
+    listener = closing(Listener(bus, tmp_path, cache=None))
     bus.publish(LogRecord(job_name="jobA", line="epoch 3 acc 52.10"))
     listener.drain()
     assert (tmp_path / RUN_LOG_FILE).read_text() == "[jobA] epoch 3 acc 52.10\n"
 
 
-def test_thousand_publishes_consumed_exactly_once(tmp_path, bus):
-    listener = Listener(bus, tmp_path, cache=None)
+def test_thousand_publishes_consumed_exactly_once(tmp_path, bus, closing):
+    listener = closing(Listener(bus, tmp_path, cache=None))
     for i in range(500):
         bus.publish(LogRecord(job_name="j", line=f"line {i}"))
         bus.publish(fit_record(i))
@@ -99,9 +99,9 @@ def test_kill_all_noop_without_live_processes(bus):
     assert killed == []
 
 
-def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path):
+def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path, closing):
     bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache=None)
+    listener = closing(Listener(bus, tmp_path, cache=None))
     n = 20_000
     start = time.perf_counter()
     for i in range(n):
@@ -111,8 +111,8 @@ def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path):
     assert n / elapsed >= 10_000, f"bus throughput {n / elapsed:.0f} records/s"
 
 
-def test_bus_empty_at_quiescence(tmp_path, bus):
-    listener = Listener(bus, tmp_path, cache=None)
+def test_bus_empty_at_quiescence(tmp_path, bus, closing):
+    listener = closing(Listener(bus, tmp_path, cache=None))
     for i in range(10):
         bus.process_started(ProcessRecord(node="n", pid=i, job_name=f"j{i}", started_at=0.0))
         bus.publish(fit_record(i))

@@ -14,25 +14,25 @@ def rand_id(rng):
     return "".join(rng.choice("0123456789abcdef") for _ in range(56))
 
 
-def test_lookup_miss_and_hit(tmp_path):
-    cache = ResultCache(tmp_path / "cache.txt", DIGEST)
+def test_lookup_miss_and_hit(tmp_path, closing):
+    cache = closing(ResultCache(tmp_path / "cache.txt", DIGEST))
     ident = "b" * 56
     assert cache.lookup(ident) is None
     assert cache.insert(ident, 90.50) is True
     assert cache.lookup(ident) == 90.50
 
 
-def test_first_write_wins(tmp_path):
-    cache = ResultCache(tmp_path / "cache.txt", DIGEST)
+def test_first_write_wins(tmp_path, closing):
+    cache = closing(ResultCache(tmp_path / "cache.txt", DIGEST))
     ident = "c" * 56
     assert cache.insert(ident, 80.00)
     assert cache.insert(ident, 95.00) is False
     assert cache.lookup(ident) == 80.00
 
 
-def test_cache_survives_reload(tmp_path):
+def test_cache_survives_reload(tmp_path, closing):
     path = tmp_path / "cache.txt"
-    cache = ResultCache(path, DIGEST)
+    cache = closing(ResultCache(path, DIGEST))
     ident = "d" * 56
     cache.insert(ident, 90.50)
     reloaded = ResultCache(path, DIGEST)  # same process restart pattern
@@ -40,24 +40,24 @@ def test_cache_survives_reload(tmp_path):
     assert len(reloaded) == 1
 
 
-def test_cache_refuses_mismatched_settings_digest(tmp_path):
+def test_cache_refuses_mismatched_settings_digest(tmp_path, closing):
     path = tmp_path / "cache.txt"
-    ResultCache(path, DIGEST).insert("e" * 56, 50.00)
+    closing(ResultCache(path, DIGEST)).insert("e" * 56, 50.00)
     with pytest.raises(ConfigError):
         ResultCache(path, "f" * 56)
 
 
-def test_entry_format_pinned(tmp_path):
+def test_entry_format_pinned(tmp_path, closing):
     path = tmp_path / "cache.txt"
-    cache = ResultCache(path, DIGEST)
+    cache = closing(ResultCache(path, DIGEST))
     cache.insert("9" * 56, 90.5)
     lines = path.read_text().splitlines()
     assert lines[0] == f"#traincfg={DIGEST}"
     assert lines[1] == f"{'9' * 56} = 90.50"
 
 
-def test_value_bounds_and_identifier_shape(tmp_path):
-    cache = ResultCache(tmp_path / "cache.txt", DIGEST)
+def test_value_bounds_and_identifier_shape(tmp_path, closing):
+    cache = closing(ResultCache(tmp_path / "cache.txt", DIGEST))
     with pytest.raises(InvariantViolation):
         cache.insert("short", 50.0)
     with pytest.raises(InvariantViolation):
@@ -66,9 +66,9 @@ def test_value_bounds_and_identifier_shape(tmp_path):
         cache.insert("a" * 56, -0.5)
 
 
-def test_ten_thousand_entries_under_one_megabyte(tmp_path):
+def test_ten_thousand_entries_under_one_megabyte(tmp_path, closing):
     path = tmp_path / "cache.txt"
-    cache = ResultCache(path, DIGEST)
+    cache = closing(ResultCache(path, DIGEST))
     rng = random.Random(8)
     inserted = set()
     while len(inserted) < 10_000:
@@ -85,9 +85,9 @@ def test_ten_thousand_entries_under_one_megabyte(tmp_path):
         assert ENTRY_PATTERN.match(line), line
 
 
-def test_every_line_parses_back(tmp_path):
+def test_every_line_parses_back(tmp_path, closing):
     path = tmp_path / "cache.txt"
-    cache = ResultCache(path, DIGEST)
+    cache = closing(ResultCache(path, DIGEST))
     rng = random.Random(9)
     expected = {}
     for _ in range(200):

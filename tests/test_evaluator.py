@@ -30,13 +30,19 @@ def space():
     return FixedBinarySpace(stage_sizes=(4,), stage_channels=(8,))
 
 
-def build(tmp_path, use_cache=True, slots=2):
-    cache = ResultCache(tmp_path / "cache.txt", "d" * 56) if use_cache else None
-    bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache)
-    farm = SimulatedFarm({"sim": slots}, SurrogateBackend(), bus, listener)
-    evaluator = Evaluator(farm, cache, SETTINGS, space(), master_seed=3)
-    return evaluator, farm, cache
+@pytest.fixture
+def build(closing):
+    """build(run_dir, use_cache, slots) -> (evaluator, farm, cache); listeners close at teardown."""
+
+    def factory(run_dir, use_cache=True, slots=2):
+        cache = ResultCache(run_dir / "cache.txt", "d" * 56) if use_cache else None
+        bus = InProcessBus()
+        listener = closing(Listener(bus, run_dir, cache))
+        farm = SimulatedFarm({"sim": slots}, SurrogateBackend(), bus, listener)
+        evaluator = Evaluator(farm, cache, SETTINGS, space(), master_seed=3)
+        return evaluator, farm, cache
+
+    return factory
 
 
 def fresh_pop(n, seed=0, distinct=True):
@@ -57,7 +63,7 @@ def fresh_pop(n, seed=0, distinct=True):
     return Population(0, members)
 
 
-def test_all_members_get_fitness(tmp_path):
+def test_all_members_get_fitness(tmp_path, build):
     evaluator, farm, _ = build(tmp_path)
     pop = fresh_pop(5)
     evaluator.evaluate_population(pop)
@@ -65,7 +71,7 @@ def test_all_members_get_fitness(tmp_path):
     assert farm.stats.jobs == 5
 
 
-def test_identical_genotypes_cost_one_backend_job(tmp_path):
+def test_identical_genotypes_cost_one_backend_job(tmp_path, build):
     evaluator, farm, cache = build(tmp_path)
     sp = space()
     g = sp.sample(random.Random(1))
@@ -76,7 +82,7 @@ def test_identical_genotypes_cost_one_backend_job(tmp_path):
     assert len(cache) == 1
 
 
-def test_cached_population_runs_zero_jobs(tmp_path):
+def test_cached_population_runs_zero_jobs(tmp_path, build):
     evaluator, farm, _ = build(tmp_path)
     pop = fresh_pop(4)
     evaluator.evaluate_population(pop)
@@ -89,7 +95,7 @@ def test_cached_population_runs_zero_jobs(tmp_path):
     assert [m.fitness for m in again.members] == [m.fitness for m in pop.members]
 
 
-def test_evaluate_population_is_idempotent(tmp_path):
+def test_evaluate_population_is_idempotent(tmp_path, build):
     evaluator, farm, _ = build(tmp_path)
     pop = fresh_pop(4)
     evaluator.evaluate_population(pop)
@@ -99,7 +105,7 @@ def test_evaluate_population_is_idempotent(tmp_path):
     assert [m.fitness for m in pop.members] == before
 
 
-def test_caching_disabled_submits_one_job_per_member(tmp_path):
+def test_caching_disabled_submits_one_job_per_member(tmp_path, build):
     evaluator, farm, _ = build(tmp_path, use_cache=False)
     sp = space()
     g = sp.sample(random.Random(1))
@@ -108,7 +114,7 @@ def test_caching_disabled_submits_one_job_per_member(tmp_path):
     assert farm.stats.jobs == 4  # raw budget: no memoization anywhere
 
 
-def test_cache_hits_reduce_jobs_to_distinct_identifiers(tmp_path):
+def test_cache_hits_reduce_jobs_to_distinct_identifiers(tmp_path, build):
     evaluator, farm, _ = build(tmp_path)
     sp = space()
     rng = random.Random(5)
@@ -121,7 +127,7 @@ def test_cache_hits_reduce_jobs_to_distinct_identifiers(tmp_path):
     assert farm.stats.jobs == distinct
 
 
-def test_fitness_is_percent_over_100_and_quantized(tmp_path):
+def test_fitness_is_percent_over_100_and_quantized(tmp_path, build):
     evaluator, _, cache = build(tmp_path)
     pop = fresh_pop(3)
     evaluator.evaluate_population(pop)
@@ -132,10 +138,10 @@ def test_fitness_is_percent_over_100_and_quantized(tmp_path):
         assert cache.lookup(m.identifier) == pytest.approx(percent)
 
 
-def test_two_objective_mode_attaches_param_count(tmp_path):
+def test_two_objective_mode_attaches_param_count(tmp_path, closing):
     cache = ResultCache(tmp_path / "cache.txt", "d" * 56)
     bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache)
+    listener = closing(Listener(bus, tmp_path, cache))
     farm = SimulatedFarm({"sim": 2}, SurrogateBackend(), bus, listener)
     evaluator = Evaluator(farm, cache, SETTINGS, space(), objectives=2)
     pop = fresh_pop(3)
@@ -154,11 +160,11 @@ def test_job_seed_is_stable_and_identifier_specific():
     assert job_seed(1, "a" * 56) != job_seed(1, "b" * 56)
 
 
-def test_wall_time_scales_with_slot_count(tmp_path):
+def test_wall_time_scales_with_slot_count(tmp_path, closing):
     # 10 one-second jobs on 4 slots: virtual wall time == ceil(10/4) seconds
     cache = ResultCache(tmp_path / "cache.txt", "d" * 56)
     bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache)
+    listener = closing(Listener(bus, tmp_path, cache))
     farm = SimulatedFarm({"sim": 4}, SurrogateBackend(), bus, listener, duration=1.0)
     evaluator = Evaluator(farm, cache, SETTINGS, space(), master_seed=1)
     pop = fresh_pop(10, seed=9)
@@ -167,23 +173,6 @@ def test_wall_time_scales_with_slot_count(tmp_path):
 
 
 # ----------------------------------------------------------- start order
-
-@pytest.fixture
-def built(tmp_path):
-    """``build`` that closes the listener and cache it opens at teardown."""
-    opened = []
-
-    def factory(**kwargs):
-        evaluator, farm, cache = build(tmp_path, **kwargs)
-        opened.append((farm.listener, cache))
-        return evaluator, farm, cache
-
-    yield factory
-    for listener, cache in opened:
-        listener.close()
-        if cache is not None:
-            cache.close()
-
 
 def flops_of(member):
     return flop_count(space().decode(member.genotype, (3, 32, 32), 10))
@@ -215,8 +204,8 @@ def counting_decodes(monkeypatch):
 
 
 @pytest.mark.parametrize("use_cache", [True, False])
-def test_multiobjective_batch_larger_than_the_slots_starts_longest_first(built, use_cache):
-    evaluator, farm, _ = built(use_cache=use_cache, slots=2)
+def test_multiobjective_batch_larger_than_the_slots_starts_longest_first(tmp_path, build, use_cache):
+    evaluator, farm, _ = build(tmp_path, use_cache=use_cache, slots=2)
     evaluator.objectives = 2
     pop = fresh_pop(12)
     batches = recording(farm)
@@ -235,8 +224,8 @@ def test_multiobjective_batch_larger_than_the_slots_starts_longest_first(built, 
     assert all(m.fitness is not None for m in pop.members)
 
 
-def test_batch_that_fits_the_slots_keeps_submission_order(built):
-    evaluator, farm, _ = built(slots=8)
+def test_batch_that_fits_the_slots_keeps_submission_order(tmp_path, build):
+    evaluator, farm, _ = build(tmp_path, slots=8)
     evaluator.objectives = 2
     pop = fresh_pop(8)
     batches = recording(farm)
@@ -244,9 +233,9 @@ def test_batch_that_fits_the_slots_keeps_submission_order(built):
     assert batches == [[m.name for m in pop.members]]
 
 
-def test_single_objective_keeps_submission_order_and_decodes_nothing(built, monkeypatch):
+def test_single_objective_keeps_submission_order_and_decodes_nothing(tmp_path, build, monkeypatch):
     decodes = counting_decodes(monkeypatch)
-    evaluator, farm, _ = built(slots=2)
+    evaluator, farm, _ = build(tmp_path, slots=2)
     pop = fresh_pop(12)
     batches = recording(farm)
     evaluator.evaluate_population(pop)
@@ -254,9 +243,9 @@ def test_single_objective_keeps_submission_order_and_decodes_nothing(built, monk
     assert decodes == []
 
 
-def test_params_of_decodes_once_per_identifier(built, monkeypatch):
+def test_params_of_decodes_once_per_identifier(tmp_path, build, monkeypatch):
     decodes = counting_decodes(monkeypatch)
-    evaluator, _, _ = built(slots=2)
+    evaluator, _, _ = build(tmp_path, slots=2)
     evaluator.objectives = 2
     sp = space()
     rng = random.Random(5)

@@ -2,6 +2,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -46,38 +47,58 @@ def job(name="indi_gen00_no00", backend="surrogate", settings=None, epochs=10):
     )
 
 
-def test_surrogate_job_round_trip_matches_in_process(worker):
+class TallyBus(InProcessBus):
+    """Counts the records published on it, by record type."""
+
+    def __init__(self):
+        super().__init__()
+        self.published = Counter()
+
+    def publish(self, record):
+        self.published[type(record).__name__] += 1
+        super().publish(record)
+
+
+def test_surrogate_job_round_trip_matches_in_process(worker, closing):
     bus = InProcessBus()
-    value, duration = TcpTransport().run_job(job(), f"127.0.0.1:{worker.port}", 0, bus)
+    value, duration = closing(TcpTransport()).run_job(job(), f"127.0.0.1:{worker.port}", 0, bus)
     expected_value, expected_duration = SurrogateBackend().evaluate(job())
     assert value == expected_value
     assert duration == expected_duration
-    assert bus.pending() == 1  # the republished fitness record
+    assert bus.pending() == 0  # the transport returns the fitness; the engine publishes its record
     assert bus.live_processes() == []  # process record removed at completion
 
 
-def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path):
+def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
     template = (
         f"{sys.executable} -m evonas.toy_trainer --payload {{payload_path}} "
         f"--settings {{settings_path}} --seed {{seed}} --slot {{slot_id}}"
     )
+    node = f"127.0.0.1:{worker.port}"
+    transport = closing(TcpTransport())
     bus = InProcessBus()
     the_job = job(backend="command", settings={"command": template}, epochs=5)
-    value, _ = TcpTransport().run_job(the_job, f"127.0.0.1:{worker.port}", 1, bus)
+    value, _ = transport.run_job(the_job, node, 1, bus)
     expected_value, _ = SurrogateBackend().evaluate(the_job)
     assert value == expected_value
-    # 5 epoch lines streamed back as log records + 1 fitness record
+    # 5 epoch lines streamed back as log records, and no fitness record from the transport
     kinds = []
     while (record := bus.take()) is not None:
         kinds.append(type(record).__name__)
-    assert kinds.count("LogRecord") == 5
-    assert kinds.count("FitnessRecord") == 1
+    assert kinds == ["LogRecord"] * 5
+    # through an engine the job gets exactly one fitness record, from the engine's ledger
+    bus = TallyBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(SlotStore([(node, 1)]), bus, listener, remote_runner(transport)))
+    (result,) = engine.run_jobs([the_job]).values()
+    assert result.ok and result.value == expected_value
+    assert bus.published == {"LogRecord": 5, "FitnessRecord": 1}
 
 
-def test_unsupported_backend_is_job_failure(worker):
+def test_unsupported_backend_is_job_failure(worker, closing):
     bus = InProcessBus()
     with pytest.raises(JobFailed):
-        TcpTransport().run_job(job(backend="lookup", settings={"table": "x.csv"}),
+        closing(TcpTransport()).run_job(job(backend="lookup", settings={"table": "x.csv"}),
                                f"127.0.0.1:{worker.port}", 0, bus)
 
 
@@ -97,12 +118,12 @@ def test_kill_message_is_accepted(worker):
     TcpTransport().kill(f"127.0.0.1:{worker.port}", 999_999)  # no such pid: harmless no-op
 
 
-def test_threaded_engine_over_remote_workers(worker, tmp_path):
+def test_threaded_engine_over_remote_workers(worker, tmp_path, closing):
     node = f"127.0.0.1:{worker.port}"
     store = SlotStore([(node, 0), (node, 1)])
     bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache=None)
-    engine = ThreadedEngine(store, bus, listener, remote_runner(TcpTransport()))
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(store, bus, listener, remote_runner(closing(TcpTransport()))))
     jobs = [job(name=f"indi_gen00_no{i:02d}") for i in range(5)]
     results = engine.run_jobs(jobs)
     assert len(results) == 5
@@ -113,7 +134,7 @@ def test_threaded_engine_over_remote_workers(worker, tmp_path):
     assert bus.pending() == 0
 
 
-def test_threaded_engine_local_runner_failure_convention(tmp_path):
+def test_threaded_engine_local_runner_failure_convention(tmp_path, closing):
     class ExplodingBackend:
         kind = "surrogate"
 
@@ -122,8 +143,8 @@ def test_threaded_engine_local_runner_failure_convention(tmp_path):
 
     store = SlotStore([("local", 0)])
     bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache=None)
-    engine = ThreadedEngine(store, bus, listener, local_runner(ExplodingBackend()), retry_budget=1)
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(store, bus, listener, local_runner(ExplodingBackend()), retry_budget=1))
     results = engine.run_jobs([job()])
     (result,) = results.values()
     assert not result.ok and result.value == 0.0
@@ -132,18 +153,18 @@ def test_threaded_engine_local_runner_failure_convention(tmp_path):
     assert (tmp_path / "results.txt").read_text().endswith("=0.00\n")
 
 
-def test_threaded_engine_local_matches_simulated_values(tmp_path):
+def test_threaded_engine_local_matches_simulated_values(tmp_path, closing):
     store = SlotStore([("local", 0), ("local", 1)])
     bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache=None)
-    engine = ThreadedEngine(store, bus, listener, local_runner(SurrogateBackend()))
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(store, bus, listener, local_runner(SurrogateBackend())))
     jobs = [job(name=f"indi_gen00_no{i:02d}", epochs=7) for i in range(4)]
     results = engine.run_jobs(jobs)
     expected, _ = SurrogateBackend().evaluate(jobs[0])
     assert [r.value for r in results.values()] == [expected] * 4
 
 
-def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path):
+def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path, closing):
     """kill-all must target the trainer subprocess, so its pid (not the
     center's) goes into the process record."""
     import os
@@ -176,8 +197,8 @@ def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path):
 
     bus = RecordingBus()
     store = SlotStore([("local", 0)])
-    listener = Listener(bus, tmp_path, cache=None)
-    engine = ThreadedEngine(store, bus, listener, local_runner(backend))
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(store, bus, listener, local_runner(backend)))
     results = engine.run_jobs([job(backend="command", settings={"command": backend.template})])
     assert next(iter(results.values())).ok
     log_line = (tmp_path / "run.log").read_text()

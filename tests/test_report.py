@@ -24,6 +24,7 @@ def retrain_engine(harness, run_dir, epochs=600):
     bus = InProcessBus()
     listener = Listener(bus, run_dir, cache=None)
     farm = SimulatedFarm({"sim": 1}, SurrogateBackend(), bus, listener)
+    harness.opened.append((farm, listener))  # closed with the harness at teardown
     settings = dict(harness.settings)
     settings["total_epoch"] = str(epochs)
     return farm, settings

@@ -37,39 +37,45 @@ def make_jobs(n, seed=0):
     return jobs
 
 
-def make_farm(tmp_path, workers, **kwargs):
-    bus = InProcessBus()
-    listener = Listener(bus, tmp_path, cache=None)
-    farm = SimulatedFarm(workers, SurrogateBackend(), bus, listener, **kwargs)
-    return farm, bus, listener
+@pytest.fixture
+def make_farm(closing):
+    """make_farm(run_dir, workers, **farm_kwargs) -> (farm, bus, listener); listeners close at teardown."""
+
+    def factory(run_dir, workers, **kwargs):
+        bus = InProcessBus()
+        listener = closing(Listener(bus, run_dir, cache=None))
+        farm = SimulatedFarm(workers, SurrogateBackend(), bus, listener, **kwargs)
+        return farm, bus, listener
+
+    return factory
 
 
-def test_serial_slot_runs_jobs_back_to_back(tmp_path):
+def test_serial_slot_runs_jobs_back_to_back(tmp_path, make_farm):
     farm, _, _ = make_farm(tmp_path, {"w": 1}, duration=5.0)
     farm.run_jobs(make_jobs(3))
     finishes = [e.time for e in farm.trace if e.kind == "finish"]
     assert finishes == [5.0, 10.0, 15.0]
 
 
-def test_ten_jobs_four_slots_makespan_three(tmp_path):
+def test_ten_jobs_four_slots_makespan_three(tmp_path, make_farm):
     farm, _, _ = make_farm(tmp_path, {"w": 4}, duration=1.0)
     farm.run_jobs(make_jobs(10))
     assert farm.last_makespan == pytest.approx(3.0)
 
 
-def test_eight_jobs_four_slots_makespan_two(tmp_path):
+def test_eight_jobs_four_slots_makespan_two(tmp_path, make_farm):
     farm, _, _ = make_farm(tmp_path, {"w": 4}, duration=1.0)
     farm.run_jobs(make_jobs(8))
     assert farm.last_makespan == pytest.approx(2.0)
 
 
-def test_makespan_with_dispatch_overhead_within_five_percent(tmp_path):
+def test_makespan_with_dispatch_overhead_within_five_percent(tmp_path, make_farm):
     farm, _, _ = make_farm(tmp_path, {"w": 4}, duration=1.0, dispatch_overhead=0.01)
     farm.run_jobs(make_jobs(10))
     assert farm.last_makespan <= 3.0 * 1.05
 
 
-def test_results_and_stats(tmp_path):
+def test_results_and_stats(tmp_path, make_farm):
     farm, bus, _ = make_farm(tmp_path, {"w": 2}, duration=1.0)
     results = farm.run_jobs(make_jobs(5))
     assert len(results) == 5
@@ -80,7 +86,7 @@ def test_results_and_stats(tmp_path):
     assert bus.live_processes() == []
 
 
-def test_same_seed_identical_event_traces(tmp_path):
+def test_same_seed_identical_event_traces(tmp_path, make_farm):
     farm_a, _, _ = make_farm(tmp_path / "a", {"w": 3}, duration=2.0)
     farm_b, _, _ = make_farm(tmp_path / "b", {"w": 3}, duration=2.0)
     farm_a.run_jobs(make_jobs(7))
@@ -88,7 +94,7 @@ def test_same_seed_identical_event_traces(tmp_path):
     assert farm_a.trace == farm_b.trace
 
 
-def test_work_conservation_no_idle_slot_with_queued_jobs(tmp_path):
+def test_work_conservation_no_idle_slot_with_queued_jobs(tmp_path, make_farm):
     farm, _, _ = make_farm(tmp_path, {"w": 3}, duration=1.0)
     farm.run_jobs(make_jobs(9))
     # replay the trace between distinct virtual instants: whenever jobs are
@@ -110,7 +116,7 @@ def test_work_conservation_no_idle_slot_with_queued_jobs(tmp_path):
     assert outstanding == 0
 
 
-def test_crashed_worker_requeues_job_on_survivor(tmp_path):
+def test_crashed_worker_requeues_job_on_survivor(tmp_path, make_farm):
     farm, bus, _ = make_farm(
         tmp_path,
         {"w1": 1, "w2": 1},
@@ -130,7 +136,7 @@ def test_crashed_worker_requeues_job_on_survivor(tmp_path):
     assert bus.live_processes() == []
 
 
-def test_job_requeued_exactly_once_per_retry_budget(tmp_path):
+def test_job_requeued_exactly_once_per_retry_budget(tmp_path, make_farm):
     farm, _, _ = make_farm(
         tmp_path,
         {"w1": 1},
@@ -148,7 +154,7 @@ def test_job_requeued_exactly_once_per_retry_budget(tmp_path):
     assert results[job.name].value == 0.0
 
 
-def test_failed_job_resolves_with_zero_fitness_record(tmp_path):
+def test_failed_job_resolves_with_zero_fitness_record(tmp_path, make_farm):
     farm, bus, listener = make_farm(
         tmp_path, {"w1": 1}, duration=4.0, retry_budget=0,
         faults=[{"kind": "crash", "node": "w1", "at": 2.0}],
@@ -162,20 +168,19 @@ def test_failed_job_resolves_with_zero_fitness_record(tmp_path):
     assert "evaluation failed" in run_log
 
 
-def test_kill_all_leaves_no_orphan_processes(tmp_path):
+def test_kill_all_leaves_no_orphan_processes(tmp_path, make_farm):
     farm, bus, _ = make_farm(tmp_path, {"w": 2}, duration=50.0)
     jobs = make_jobs(4)
     for job in jobs:
         farm.submit(job)
     assert len(bus.live_processes()) == 2  # two placed, two queued
     count = kill_all(bus, farm.terminate)
-    farm.cancel_queued()
     assert count == 2
     assert bus.live_processes() == []
     assert all(s.status is SlotStatus.IDLE for s in farm.store.snapshot())
 
 
-def test_kill_all_during_race_over_many_interleavings(tmp_path):
+def test_kill_all_during_race_over_many_interleavings(tmp_path, make_farm):
     # interrupt after each event step in turn; no orphan may survive any cut
     for cut in range(8):
         farm, bus, _ = make_farm(tmp_path / str(cut), {"w": 2}, duration=3.0)
@@ -185,7 +190,6 @@ def test_kill_all_during_race_over_many_interleavings(tmp_path):
             if not farm.step():
                 break
         kill_all(bus, farm.terminate)
-        farm.cancel_queued()
         assert bus.live_processes() == []
         busy = [s for s in farm.store.snapshot() if s.status is SlotStatus.BUSY]
         assert busy == []
@@ -208,7 +212,7 @@ def test_farm_requires_workers(tmp_path):
         SimulatedFarm({}, SurrogateBackend(), bus, listener)
 
 
-def test_gpu_days_accounting_matches_durations(tmp_path):
+def test_gpu_days_accounting_matches_durations(tmp_path, make_farm):
     farm, _, _ = make_farm(tmp_path, {"w": 4}, duration=3600.0)
     farm.run_jobs(make_jobs(8))
     # 8 jobs x 1 slot-hour each = 8 slot-hours

@@ -1,4 +1,3 @@
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,16 +77,6 @@ def test_slots_scan_in_key_order_whatever_the_input_order():
         ("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1),
     ]
     assert [store.acquire("j") for _ in range(4)] == [("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1)]
-
-
-def test_state_file_persists_transitions(tmp_path):
-    path = tmp_path / "slots.json"
-    store = SlotStore([("n1", 0), ("n1", 1)], state_path=path)
-    store.acquire("j")
-    data = json.loads(path.read_text())
-    statuses = {(d["node"], d["slot"]): d["status"] for d in data}
-    assert statuses[("n1", 0)] == "busy"
-    assert statuses[("n1", 1)] == "idle"
 
 
 def test_concurrent_acquisition_grants_each_slot_once():
