@@ -134,13 +134,15 @@ class CellGraphPayload:
             seen.add((src, dst))
         if self.edges != tuple(sorted(self.edges)):
             raise InvariantViolation("edges must be in canonical sorted order")
-        sinks = [i for i in range(n) if not any(s == i for s, _ in self.edges)]
+        sources = {src for src, _ in self.edges}
+        sinks = [i for i in range(n) if i not in sources]
         if len(sinks) != 1:
             raise InvariantViolation(f"cell graph must have exactly one output node, found {sinks}")
 
     @property
     def output_node(self) -> int:
-        return next(i for i in range(len(self.ops)) if not any(s == i for s, _ in self.edges))
+        sources = {src for src, _ in self.edges}
+        return next(i for i in range(len(self.ops)) if i not in sources)
 
     def predecessors(self, node: int) -> list[int]:
         return [s for s, d in self.edges if d == node]

@@ -251,10 +251,10 @@ class CellGraphSpace(EncodingSpace):
         # route every consumer-less non-final node into the last node so the
         # graph has exactly one output
         n = len(ops)
-        if n > 1:
-            for i in range(n - 1):
-                if not any(s == i for s, _ in edges):
-                    edges.add((i, n - 1))
+        sources = {src for src, _ in edges}
+        for i in range(n - 1):
+            if i not in sources:
+                edges.add((i, n - 1))
         return Genotype.cell_graph(tuple(ops), tuple(sorted(edges)))
 
     def sample(self, rng: random.Random) -> Genotype:

@@ -94,7 +94,8 @@ class Listener:
     one cache entry (first write wins), one ``name=value`` line in
     ``results.txt`` and one duration line in ``durations.txt``. A job name
     already in ``results.txt`` (a job re-run after a restart) gets no second
-    result or duration line.
+    result or duration line. A drain writes its lines through to every file
+    once, at its end, not once per line.
     """
 
     def __init__(self, bus: InProcessBus, run_dir: Path | str, cache: ResultCache | None = None):
@@ -117,9 +118,17 @@ class Listener:
                 fh = (self.run_dir / filename).open("a", encoding="utf-8")
                 self._files[filename] = fh
             fh.write(line + "\n")
-            fh.flush()
         except OSError as exc:
             raise PersistError(f"cannot append to {filename}: {exc}") from exc
+
+    def _flush(self) -> None:
+        try:
+            for fh in self._files.values():
+                fh.flush()
+        except OSError as exc:
+            raise PersistError(f"cannot flush the run files in {self.run_dir}: {exc}") from exc
+        if self.cache is not None:
+            self.cache.flush()
 
     def close(self) -> None:
         for fh in self._files.values():
@@ -139,7 +148,7 @@ class Listener:
             self._append(RUN_LOG_FILE, f"[{record.job_name}] {record.line}")
         else:
             if self.cache is not None:
-                self.cache.insert(record.identifier, record.value)
+                self.cache.insert(record.identifier, record.value, flush=False)
             if record.job_name not in self._routed_names:
                 self._append(RESULT_FILE, f"{record.job_name}={record.value:.2f}")
                 self._append(DURATIONS_FILE, f"{record.job_name} {record.identifier} {record.duration_s:.6f}")
@@ -152,6 +161,8 @@ class Listener:
             while (record := self.bus.take()) is not None:
                 self._apply(record)
                 routed += 1
+            if routed:
+                self._flush()  # one write per file per drain, not one per line
         return routed
 
 

@@ -57,11 +57,12 @@ class ResultCache:
         """Cached fitness (percent) for an identifier, or None on a miss."""
         return self._entries.get(identifier)
 
-    def insert(self, identifier: str, value: float) -> bool:
+    def insert(self, identifier: str, value: float, flush: bool = True) -> bool:
         """Append an entry unless the identifier is already present.
 
         Returns True when the entry was written. The first value stored for an
-        identifier is retained forever.
+        identifier is retained forever. With ``flush=False`` the entry reaches
+        the file at the next ``flush()``.
         """
         if not re.fullmatch(r"[0-9a-f]{56}", identifier):
             raise InvariantViolation(f"bad identifier {identifier!r}")
@@ -74,11 +75,20 @@ class ResultCache:
             if self._fh is None:
                 self._fh = self.path.open("a", encoding="utf-8")
             self._fh.write(f"{identifier} = {quantized:.2f}\n")
-            self._fh.flush()
+            if flush:
+                self._fh.flush()
         except OSError as exc:
             raise PersistError(f"cannot append to cache file {self.path}: {exc}") from exc
         self._entries[identifier] = quantized
         return True
+
+    def flush(self) -> None:
+        """Write appended entries through to the file."""
+        if self._fh is not None:
+            try:
+                self._fh.flush()
+            except OSError as exc:
+                raise PersistError(f"cannot append to cache file {self.path}: {exc}") from exc
 
     def close(self) -> None:
         """Close the append handle; a later insert opens it again."""

@@ -27,7 +27,7 @@ from .config import (
     settings_map,
 )
 from .datasets import dataset_spec
-from .engine import ThreadedEngine, local_runner, local_terminator
+from .engine import ThreadedEngine, local_runner
 from .errors import ConfigError, EvoNasError
 from .evaluator import Evaluator
 from .evo.strategies import build_strategy
@@ -66,14 +66,11 @@ def build_engine(
     if workers:
         worker_map = _parse_workers(workers)
         store = SlotStore((node, i) for node, n in sorted(worker_map.items()) for i in range(n))
-        transport = TcpTransport()
-        return ThreadedEngine(
-            store, bus, listener, remote_runner(transport), terminator=transport.kill, on_close=transport.close
-        )
+        return ThreadedEngine(store, bus, listener, remote_runner(TcpTransport()))
     backend = build_backend(backend_cfg.kind, settings)
     if backend_cfg.kind == "command":
         store = SlotStore(("local", i) for i in range(local_slots))
-        return ThreadedEngine(store, bus, listener, local_runner(backend), terminator=local_terminator)
+        return ThreadedEngine(store, bus, listener, local_runner(backend))
     return SimulatedFarm({"sim": local_slots}, backend, bus, listener)
 
 
@@ -109,12 +106,15 @@ def cmd_run(args) -> int:
     try:
         best = runner.run()
     except KeyboardInterrupt:
-        # free every GPU before dying: one termination command per live job
+        # free every GPU before dying: start nothing more, then one termination
+        # command per live job; killed jobs are not retried
+        engine.cancel()
         count = kill_all(bus, engine.terminate)
         print(f"interrupted: sent {count} termination command(s); run resumes from {run_dir}", file=sys.stderr)
         return 130
     finally:
         engine.close()
+        listener.drain()  # results that finished before an interrupt stay in cache.txt
         listener.close()
     stats = engine.stats
     print(f"run {global_cfg.name}: best {best.name} fitness {100 * best.fitness0:.2f}")

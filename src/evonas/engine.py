@@ -1,5 +1,12 @@
 """Execution engines' shared attempt ledger, and the threaded engine.
 
+Both engines offer the same streaming API: ``submit(job)`` starts a job as
+soon as a slot allows, ``done(name)`` tells without blocking whether it has
+resolved, and ``wait(names)`` blocks until every named job has resolved,
+drains the listener once, and hands each ``JobResult`` out exactly once.
+``run_jobs(jobs)`` is "submit each, then wait for all". The engines assign no
+fitness; the evaluator does, from what ``wait`` returns.
+
 ``AttemptLedger`` is the one place that knows the retry budget and the slot
 seconds each job has consumed. Both engines report every attempt to it: a
 placement, a failed attempt (and whether the budget allows another), a success
@@ -9,15 +16,20 @@ convention for a job that exhausted its budget -- and keeps ``EngineStats``
 under one lock. Slot runners and the simulated farm publish only process and
 log records.
 
+``cancel()`` is the interrupt path: no job starts another attempt after it,
+a failed attempt (a killed trainer) is not retried, and a job stopped this
+way resolves as ``cancelled`` without a fitness record, so a resumed run
+trains it again instead of reading fitness 0.00 from the cache.
+
 ``ThreadedEngine`` gives real concurrency over local or remote slots: one
 dispatch thread per in-flight job blocks for a slot, runs the job through a
 slot runner (an in-process backend or a TCP worker connection), and asks the
-ledger whether to retry on worker loss or job failure. The listener drains
-once after the batch completes, so the cache and result files are written by
-exactly one consumer.
+ledger whether to retry on worker loss or job failure. The slot runner
+carries what it holds: its ``kill(node, pid)`` is the engine's terminator and
+its ``close()`` runs when the engine closes.
 
 Each engine owns one dispatch pool of at most one thread per slot, shared by
-all its batches: no thread starts before the first job, and a thread that has
+all its jobs: no thread starts before the first job, and a thread that has
 waited ``DISPATCH_IDLE_S`` for work exits, so an engine dropped without
 ``close()`` keeps no thread for long. ``close()`` ends the pool and closes the
 slot runner's idle worker connections.
@@ -45,7 +57,8 @@ from .slots import SlotStore
 logger = logging.getLogger(__name__)
 
 #: Runs one job on one slot, publishing its process and log records; returns
-#: (value, duration). The engine's ledger publishes the fitness record.
+#: (value, duration). The engine's ledger publishes the fitness record. A
+#: runner may carry ``kill(node, pid)`` and ``close()`` attributes.
 SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
 _RETRYABLE = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
@@ -94,6 +107,13 @@ class AttemptLedger:
         """Resolve a job whose last attempt took ``seconds``."""
         return self._resolve(job, value, seconds, None)
 
+    def cancelled(self, job: JobSpec, seconds: float = 0.0) -> JobResult:
+        """Resolve a job that a cancel stopped; no fitness record, so no cache entry."""
+        with self._lock:
+            self.stats.busy_seconds += seconds
+            total = self._consumed.pop(job.name, 0.0) + seconds
+        return JobResult(job.name, job.identifier, 0.0, total, ok=False, error="cancelled")
+
     def give_up(self, job: JobSpec, reason: str) -> JobResult:
         """Resolve a job with the fitness-0.00 convention for untrainable or unlucky jobs."""
         self.bus.publish(LogRecord(job_name=job.name, line=f"evaluation failed: {reason}; assigning fitness 0.00"))
@@ -140,6 +160,7 @@ def local_runner(backend) -> SlotRunner:
             bus.process_ended(node, pid_box["pid"], job.name)
         return value, duration
 
+    run.kill = local_terminator
     return run
 
 
@@ -220,30 +241,40 @@ class ThreadedEngine:
         listener: Listener,
         runner: SlotRunner,
         retry_budget: int = RETRY_BUDGET,
-        terminator: Callable[[str, int], None] | None = None,
-        on_close: Callable[[], None] | None = None,
     ):
         self.store = store
         self.bus = bus
         self.listener = listener
         self.runner = runner
-        self.terminator = terminator
-        self.on_close = on_close
+        # read once: a wrapper later set as ``runner`` keeps the runner's kill and close
+        self.terminator: Callable[[str, int], None] | None = getattr(runner, "kill", None)
+        self.on_close: Callable[[], None] | None = getattr(runner, "close", None)
         self.ledger = AttemptLedger(bus, retry_budget)
         self.stats = self.ledger.stats
         self._pool = DispatchPool(max(1, len(store)))
+        self._futures: dict[str, Future] = {}
+        self._cancelled = threading.Event()
 
     def terminate(self, node: str, pid: int) -> None:
         if self.terminator is not None:
             self.terminator(node, pid)
 
+    def cancel(self) -> None:
+        """Start no further attempt: queued jobs and killed attempts resolve as cancelled."""
+        self._cancelled.set()
+
     def _execute(self, job: JobSpec) -> JobResult:
         reason = "no live worker slots available"
         for tries in itertools.count():
+            if self._cancelled.is_set():
+                return self.ledger.cancelled(job)
             grant = self.store.acquire_wait(job.name, timeout=ACQUIRE_TIMEOUT_S)
             if grant is None:
                 break
             node, slot = grant
+            if self._cancelled.is_set():  # the cancel came while this job waited for a slot
+                self.store.release(node, slot)
+                return self.ledger.cancelled(job)
             self.ledger.placed()
             started = time.monotonic()
             try:
@@ -251,7 +282,10 @@ class ThreadedEngine:
             except _RETRYABLE as exc:
                 reason = str(exc)
                 logger.warning("job %s attempt %d failed on %s:%d: %s", job.name, tries, node, slot, exc)
-                if self.ledger.failed(job, tries, time.monotonic() - started):
+                seconds = time.monotonic() - started
+                if self._cancelled.is_set():  # killed by the cancel: never retried
+                    return self.ledger.cancelled(job, seconds)
+                if self.ledger.failed(job, tries, seconds):
                     continue
                 break
             finally:
@@ -259,21 +293,31 @@ class ThreadedEngine:
             return self.ledger.succeeded(job, value, duration)
         return self.ledger.give_up(job, reason)
 
-    def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]:
-        if not jobs:
-            return {}
-        results: dict[str, JobResult] = {}
-        futures = [self._pool.submit(self._execute, job) for job in jobs]
+    def submit(self, job: JobSpec) -> None:
+        self._futures[job.name] = self._pool.submit(self._execute, job)
+
+    def done(self, name: str) -> bool:
+        """Whether the job has resolved and its result is still to be handed out."""
+        future = self._futures.get(name)
+        return future is not None and future.done()
+
+    def wait(self, names: list[str]) -> dict[str, JobResult]:
+        """Block until every named job has resolved; drain the listener once; hand the results out."""
+        futures = [self._futures.pop(name) for name in names]
         try:
-            for future in futures:
-                result = future.result()
-                results[result.name] = result
+            results = {name: future.result() for name, future in zip(names, futures)}
         except BaseException:
-            for future in futures:  # an interrupt must not start the jobs still queued
-                future.cancel()
+            self.cancel()  # an interrupt must not start the jobs still queued
             raise
         self.listener.drain()
         return results
+
+    def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]:
+        if not jobs:
+            return {}
+        for job in jobs:
+            self.submit(job)
+        return self.wait([job.name for job in jobs])
 
     def close(self) -> None:
         """End the dispatch pool, then release what the slot runner holds (idle connections)."""

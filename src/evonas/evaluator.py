@@ -19,6 +19,16 @@ the same per-identifier decode that yields the parameter count, so ordering
 costs no extra decode; single-objective runs decode nothing here, because
 ordering them would add one decode per job next to the backend's own.
 
+Members can also be started ahead of their evaluation: ``submit(members)``
+starts a job for each cache miss whose identifier is not already in flight
+(without caching, for each member), and a member whose identifier is in
+flight joins that job, so two equal children submitted at different times
+cost one backend job. ``submit`` assigns no fitness, not even to cache hits:
+a later ``evaluate_population`` call that contains the member assigns it,
+waiting through ``engine.wait`` for the jobs already in flight and starting
+the rest itself through ``engine.run_jobs``. ``resolved(member)`` tells
+without blocking whether that call would wait for a submitted member.
+
 A failed job (after the engine's retries) is assigned fitness 0.00: the
 convention for untrainable architectures, which keeps the evaluation budget
 exact instead of resampling.
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from operator import attrgetter
 from typing import Iterable
 
 from .arch import flop_count, param_count
@@ -65,6 +76,9 @@ class Evaluator:
         # identifier -> (params, FLOPs), one decode each; per instance, so no
         # decode is shared across runs
         self._costs: dict[str, tuple[int, int]] = {}
+        # identifier (member name without a cache) -> name of the submitted job
+        self._inflight: dict[str, str] = {}
+        self._key = attrgetter("identifier" if cache is not None else "name")
 
     @property
     def width(self) -> int:
@@ -101,6 +115,27 @@ class Evaluator:
             epochs=int(self.settings.get("total_epoch", 1)),
         )
 
+    def submit(self, members: Iterable[Individual]) -> None:
+        """Start the jobs these members need, joining jobs already in flight; assign no fitness."""
+        for member in members:
+            key = self._key(member)
+            if member.fitness is not None or key in self._inflight:
+                continue
+            if self.cache is not None and self.cache.lookup(member.identifier) is not None:
+                continue
+            self._inflight[key] = member.name
+            self.engine.submit(self.job_for(member))
+
+    def resolved(self, member: Individual) -> bool:
+        """Whether evaluating this submitted member would not wait for its job."""
+        name = self._inflight.get(self._key(member))
+        return name is None or self.engine.done(name)
+
+    def _apply(self, member: Individual, result) -> None:
+        if not result.ok:
+            logger.warning("job %s failed (%s); fitness 0.00", result.name, result.error)
+        member.assign_fitness(self.fitness_vector(member, result.value))
+
     def evaluate_population(self, members: Population | Iterable[Individual]) -> None:
         """Assign fitness to every member; returns only when all are evaluated.
 
@@ -113,16 +148,32 @@ class Evaluator:
         if not todo:
             return
 
+        waiting: list[Individual] = []
         pending: list[Individual] = []
         for member in todo:
+            if self._key(member) in self._inflight:
+                waiting.append(member)
+                continue
             hit = self.cache.lookup(member.identifier) if self.cache is not None else None
             if hit is not None:
                 member.assign_fitness(self.fitness_vector(member, hit))
             else:
                 pending.append(member)
-        if not pending:
-            return
+        if pending:
+            self._dispatch(pending)
+        if waiting:
+            keys = dict.fromkeys(self._key(member) for member in waiting)
+            results = self.engine.wait([self._inflight[key] for key in keys])
+            by_key = {key: results[self._inflight.pop(key)] for key in keys}
+            for member in waiting:
+                self._apply(member, by_key[self._key(member)])
 
+        still = [m.name for m in todo if m.fitness is None]
+        if still:
+            raise EvoNasError(f"members left unevaluated after dispatch: {still}")
+
+    def _dispatch(self, pending: list[Individual]) -> None:
+        """Run one job per distinct identifier (per member without a cache) and assign the results."""
         if self.cache is not None:
             # one job per distinct identifier; duplicates share the result
             groups: dict[str, list[Individual]] = {}
@@ -140,17 +191,10 @@ class Evaluator:
         results = self.engine.run_jobs(jobs)
 
         if self.cache is not None:
-            for identifier, group in groups.items():
+            for group in groups.values():
                 result = results[group[0].name]
-                if not result.ok:
-                    logger.warning("job %s failed (%s); fitness 0.00", result.name, result.error)
                 for member in group:
-                    member.assign_fitness(self.fitness_vector(member, result.value))
+                    self._apply(member, result)
         else:
             for member in pending:
-                result = results[member.name]
-                member.assign_fitness(self.fitness_vector(member, result.value))
-
-        still = [m.name for m in todo if m.fitness is None]
-        if still:
-            raise EvoNasError(f"members left unevaluated after dispatch: {still}")
+                self._apply(member, results[member.name])

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Callable
 
 from ..arch import Genotype
 from ..arch.spaces import EncodingSpace
 from ..errors import ConfigError, EvaluationOrderError, InvariantViolation, SchemeError
 from .individual import Individual, Population, rank_key
+
+#: Objective 0 as a ``max`` key; ``max`` keeps the first of equally fit members.
+FITNESS0 = attrgetter("fitness0")
 
 
 def tournament_select(pop: Population, k: int, rng: random.Random) -> Individual:
@@ -82,33 +86,21 @@ def aging_step(
     rng: random.Random,
     make_child: Callable[[Individual], Individual],
     evaluate: Callable[[list[Individual]], None],
-    width: int = 1,
 ) -> Population:
-    """``width`` steady-state steps whose children are evaluated together.
+    """One classic steady-state aging step.
 
-    The population is a queue ordered by insertion. Each step mutates the best
-    of its own random sample of the queue as it stands before the batch; all
-    children go to one ``evaluate`` call. Then, in child order, each step
-    removes the head (index 0) regardless of its fitness and appends its child
-    to the tail. Population size is unchanged. With ``width`` 1 this is one
-    classic aging step, and the RNG draws come in the same order.
+    The population is a queue ordered by insertion. The step mutates the best
+    member of a random sample of the queue (ties go to the earlier sample
+    slot), evaluates the child, then removes the head (index 0) regardless of
+    its fitness and appends the child to the tail. Population size is
+    unchanged. ``AgingEvolution`` runs the same draw in a pipeline whose
+    queue lags the children in flight.
     """
     if sample_size < 1 or sample_size > len(pop):
         raise ConfigError(f"sample size {sample_size} invalid for population of {len(pop)}")
-    if width < 1:
-        raise ConfigError(f"aging batch width must be >= 1, got {width}")
     pop.require_evaluated()
-    children = []
-    for _ in range(width):
-        sample = rng.sample(pop.members, sample_size)
-        parent = sample[0]
-        for contender in sample[1:]:
-            if contender.fitness0 > parent.fitness0:
-                parent = contender
-        children.append(make_child(parent))
-    evaluate(children)
-    for child in children:
-        if child.fitness is None:
-            raise EvaluationOrderError(f"child {child.name} came back unevaluated")
-    # each child retires one head, so the first ``width`` entries of the queue go
-    return Population(generation=pop.generation, members=(pop.members + children)[width:])
+    child = make_child(max(rng.sample(pop.members, sample_size), key=FITNESS0))
+    evaluate([child])
+    if child.fitness is None:
+        raise EvaluationOrderError(f"child {child.name} came back unevaluated")
+    return Population(generation=pop.generation, members=pop.members[1:] + [child])

@@ -6,25 +6,35 @@ Four strategies are registered:
                        fixed-binary encoding,
 * ``variable_ga``   -- the same loop over the variable-length block encoding,
 * ``aging_evolution`` -- steady-state tournament evolution that always retires
-                       the oldest member (cell-graph encoding); its steps run
-                       in batches of ``width`` children, one ``evaluate`` call
-                       per batch,
+                       the oldest member (cell-graph encoding), pipelined at a
+                       fixed lag so that every slot stays busy,
 * ``nsga2``         -- two-objective (accuracy up, parameters down) selection
                        by non-dominated sorting and crowding distance.
 
-A strategy produces exactly ``pop_size`` new evaluations per ``advance`` call,
-so a full run of ``max_gen`` generations (the initial population counts as the
+A strategy produces exactly ``pop_size`` new evaluations per generation, so a
+full run of ``max_gen`` generations (the initial population counts as the
 first) costs ``pop_size * max_gen`` evaluations when every job misses the cache.
 
-``advance`` takes the number of jobs the engine can run at once as ``width``.
-The generational strategies evaluate a whole generation in one call and ignore
-it. Aging evolution draws ``width`` parents from the queue as it stands, then
-evaluates their children together and applies their retire-head /
-append-tail steps in child order, so ``width`` slots stay busy instead of
-one; a generation is ``ceil(pop_size / width)`` such batches, the last one
-short. Children of one batch cannot see each other, so the trajectory depends
-on ``width`` (``width`` 1 is the classic one-child-at-a-time loop) and a run
-must keep its width to stay reproducible.
+The runner drives a strategy through ``generations``, which yields each next
+generation once all its members have fitness. The generational strategies
+make one ``advance`` call per generation and evaluate a whole generation at
+once; they do not depend on the slot count.
+
+Aging evolution keeps one history list of every member ever created: the
+initial population, then every child in child order. After ``m`` children
+have been applied the queue is ``hist[m : m + P]`` (P the population size).
+With K slots the lag is L = 2K - 1: global child i is drawn from the queue
+``hist[j : j + P]`` with ``j = max(0, i - L + 1)``, so children before j
+must have fitness by then, while the L - 1 children before i may still be
+in flight. Each child draws its sample and its mutation from the RNG of its
+own generation, in child order, is submitted as soon as it is drawn, and
+is applied in child order. The trajectory thus depends on the seed and K,
+never on completion order; K = 1 gives L = 1, the classic one-child loop.
+The lag crosses generation boundaries: generation t is complete, and is
+yielded, when its last child is applied, while children of generation t+1
+are still running. Generation t is then exactly ``hist[tP : tP + P]``, so a
+resume rebuilds the history from the trailing population logs (see
+``runner``).
 """
 
 from __future__ import annotations
@@ -32,12 +42,12 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterator
 
 from ..arch.spaces import CellGraphSpace, EncodingSpace, FixedBinarySpace, VariableBlocksSpace
-from ..errors import ConfigError
+from ..errors import ConfigError, EvaluationOrderError
 from .individual import Individual, Population, individual_name, make_individual
-from .operators import aging_step, crossover, environmental_select_elitist, mutate, tournament_select
+from .operators import FITNESS0, crossover, environmental_select_elitist, mutate, tournament_select
 from .pareto import crowding_select
 
 EvaluateFn = Callable[[list[Individual]], None]
@@ -74,8 +84,6 @@ class SearchStrategy(ABC):
 
     key: ClassVar[str]
     objectives: ClassVar[int] = 1
-    #: whether ``advance``'s trajectory depends on its ``width`` argument
-    uses_width: ClassVar[bool] = False
 
     def __init__(self, cfg: StrategyConfig, space: EncodingSpace):
         self.cfg = cfg
@@ -87,6 +95,24 @@ class SearchStrategy(ABC):
             for i in range(self.cfg.pop_size)
         ]
         return Population(generation=0, members=members)
+
+    def lag(self, width: int) -> int:
+        """The pipeline lag on ``width`` slots; 0 when the trajectory does not depend on it."""
+        return 0
+
+    def generations(
+        self, history: list[Individual], t: int, evaluator, rng_for: Callable[[int], random.Random]
+    ) -> Iterator[Population]:
+        """Yield generations t+1 .. max_gen-1, each once all its members have fitness.
+
+        ``history`` ends with generation t's evaluated members; ``rng_for(g)``
+        is the RNG that advances generation g. ``evaluator`` supplies
+        ``evaluate_population``, ``submit``, ``resolved`` and ``width``.
+        """
+        pop = Population(t, list(history[-self.cfg.pop_size:]))
+        while pop.generation + 1 < self.cfg.max_gen:
+            pop = self.advance(pop, evaluator.evaluate_population, rng_for(pop.generation), evaluator.width)
+            yield pop
 
     @abstractmethod
     def advance(
@@ -130,38 +156,91 @@ class VariableGA(GenerationalGA):
 
 
 class AgingEvolution(SearchStrategy):
-    """Steady-state aging evolution; one generation = ``pop_size`` aging steps.
-
-    The steps run in batches of ``width``: one ``aging_step`` call, and so one
-    ``evaluate`` call, per batch.
-    """
+    """Steady-state aging evolution at a fixed lag; one generation = ``pop_size`` children."""
 
     key = "aging_evolution"
-    uses_width = True
+
+    def lag(self, width: int) -> int:
+        return 2 * width - 1
+
+    def generations(
+        self, history: list[Individual], t: int, evaluator, rng_for: Callable[[int], random.Random]
+    ) -> Iterator[Population]:
+        return self._pipeline(
+            history, t, self.cfg.max_gen - 1, self.lag(evaluator.width), rng_for,
+            evaluator.evaluate_population, evaluator.submit, evaluator.resolved,
+        )
 
     def advance(
         self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
     ) -> Population:
+        """One generation of the classic loop (lag 1), each child evaluated on its own."""
+        (nxt,) = self._pipeline(pop.members, pop.generation, pop.generation + 1, 1, lambda g: rng, evaluate)
+        return nxt
+
+    def _pipeline(
+        self,
+        history: list[Individual],
+        t: int,
+        last: int,
+        lag: int,
+        rng_for: Callable[[int], random.Random],
+        evaluate: EvaluateFn,
+        submit: EvaluateFn | None = None,
+        resolved: Callable[[Individual], bool] | None = None,
+    ) -> Iterator[Population]:
+        """Yield generations t+1 .. ``last`` of aging at ``lag`` over ``history``.
+
+        Positions are indices into ``hist``: child c (counted from the first
+        child of generation t+1, so global child i = tP + c) sits at
+        ``base + c``, and its queue ends ``min(i, lag - 1)`` positions before
+        it. Each time the oldest unapplied child is needed, one ``evaluate``
+        call covers it and every later child up to the first one whose job is
+        still running, so one call serves each wait.
+        """
         cfg = self.cfg
-        if cfg.sample_size > cfg.pop_size:
+        size = cfg.pop_size
+        if cfg.sample_size > size:
             raise ConfigError("sample_size cannot exceed pop_size")
-        gen = pop.generation + 1
-        counter = 0
-
-        def make_child(parent: Individual) -> Individual:
-            nonlocal counter
-            g = self.space.mutate(parent.genotype, 1.0, rng)
-            child = make_individual(individual_name(gen, counter), g, age=gen)
-            counter += 1
-            return child
-
-        current = pop
-        done = 0
-        while done < cfg.pop_size:
-            batch = min(width, cfg.pop_size - done)
-            current = aging_step(current, cfg.sample_size, rng, make_child, evaluate, batch)
-            done += batch
-        return Population(generation=gen, members=current.members)
+        hist = list(history)
+        base = len(hist)
+        total = (last - t) * size
+        drawn = applied = 0
+        rng = None
+        while applied < total:
+            fresh = []
+            while drawn < total:
+                end = base + drawn - min(t * size + drawn, lag - 1)
+                if end > base + applied:
+                    break  # the queue of this child still holds one without fitness
+                gen, index = divmod(drawn, size)
+                if index == 0:
+                    rng = rng_for(t + gen)
+                parent = max(rng.sample(hist[end - size : end], cfg.sample_size), key=FITNESS0)
+                g = self.space.mutate(parent.genotype, 1.0, rng)
+                child = make_individual(individual_name(t + 1 + gen, index), g, age=t + 1 + gen)
+                hist.append(child)
+                fresh.append(child)
+                drawn += 1
+            if submit is not None and fresh:
+                submit(fresh)
+            head = base + applied
+            stop = head + 1
+            if resolved is not None:
+                while stop < base + drawn and resolved(hist[stop]):
+                    stop += 1
+            evaluate(hist[head:stop])
+            if hist[head].fitness is None:
+                raise EvaluationOrderError(f"child {hist[head].name} came back unevaluated")
+            while applied < drawn and hist[base + applied].fitness is not None:
+                applied += 1
+                if applied % size == 0:
+                    yield Population(t + applied // size, hist[base + applied - size : base + applied])
+                    # no later queue starts before this generation less the lag: drop the rest
+                    dead = base + applied - size - (lag - 1)
+                    if dead > 0:
+                        del hist[:dead]
+                        base -= dead
 
 
 class ParetoGA(SearchStrategy):

@@ -386,9 +386,14 @@ class TcpTransport:
 
 
 def remote_runner(transport: TcpTransport):
+    """Slot runner over ``transport``; it carries the transport's ``kill`` and ``close``,
+    so an engine built on it kills remote trainers and closes idle connections."""
+
     def run(job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
         return transport.run_job(job, node, slot, bus)
 
+    run.kill = transport.kill
+    run.close = transport.close
     return run
 
 

@@ -3,7 +3,8 @@
 All run state lives in the run directory:
 
 * ``run_state.txt``   -- ``is_running`` flag, the run's labels, the last
-  persisted generation and ``width``, the engine's slot count,
+  persisted generation, ``width`` (the engine's slot count) and ``lag`` (the
+  aging pipeline's lag on that many slots; 0 for strategies without one),
 * ``begin_<t>.txt``   -- one population log per generation, written atomically
   after every member of that generation has fitness; one record per line::
 
@@ -17,12 +18,19 @@ offspring the uninterrupted run would have -- the cache makes re-evaluation of
 anything already trained free, and subsequent population logs come out
 byte-identical.
 
-Each ``advance`` gets the engine's slot count as ``width``. Aging evolution
-evaluates its children in batches of that many, so its trajectory depends on
-it: a restart of an aging run with a slot count other than the recorded
-``width`` raises ``RestartError`` before anything is written, instead of
-silently forking the run. A ``run_state.txt`` without a ``width`` line was
-written by one-child-at-a-time aging and reads as ``width=1``.
+Aging evolution draws children at a lag of L = 2K - 1 on K slots (see
+``evo.strategies``), and its logs are written while children of the next
+generation are still running. Its trajectory depends on L, so a restart with
+another lag raises ``RestartError`` before anything is written, instead of
+silently forking the run. Its first draws after ``begin_<t>.txt`` read queue
+positions up to L - 1 children back, so a resume loads ``begin_<t-1>.txt``
+as well when L > 1 (more logs when L - 1 > P): generation g fills history
+positions gP .. gP+P-1. Children in flight at the crash are drawn again
+identically and hit the cache if their results were drained. A
+``run_state.txt`` without a ``lag`` line was written before the pipeline:
+with ``width=1`` or no ``width`` line it was the one-child loop and reads as
+lag 1; a larger ``width`` is a run of the older batched step, which cannot be
+reproduced, and is refused.
 
 ``max_gen`` counts generations including the initial one: a full run evaluates
 ``pop_size * max_gen`` candidates when nothing hits the cache.
@@ -30,8 +38,10 @@ written by one-child-at-a-time aging and reads as ``width=1``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -64,6 +74,7 @@ class RunState:
     strategy: str = ""
     generation: int = 0
     width: int = 1
+    lag: int = 0  # 0 in a file written before the lag was recorded
 
     @staticmethod
     def load(run_dir: Path) -> "RunState":
@@ -83,6 +94,8 @@ class RunState:
                 state.generation = int(value)
             elif key == "width":
                 state.width = int(value)
+            elif key == "lag":
+                state.lag = int(value)
         return state
 
     def save(self, run_dir: Path) -> None:
@@ -93,6 +106,7 @@ class RunState:
             f"strategy={self.strategy}\n"
             f"generation={self.generation}\n"
             f"width={self.width}\n"
+            f"lag={self.lag}\n"
         )
         tmp = path.with_suffix(".tmp")
         try:
@@ -155,22 +169,17 @@ def parse_record(line: str) -> Individual:
     return member
 
 
-def load_latest_population(
+def load_population(
     run_dir: Path,
+    t: int,
     objectives: int = 1,
     augment: Callable[[Individual], tuple[float, ...]] | None = None,
-) -> tuple[int, Population]:
-    """Load the newest population log, verifying identifiers and log contiguity.
+) -> Population:
+    """Load ``begin_<t>.txt``, verifying every identifier.
 
     ``augment`` supplies the derived extra objectives (e.g. parameter count)
     for multi-objective runs; objective 0 always comes from the log.
     """
-    generations = list_generations(run_dir)
-    if not generations:
-        raise RestartError(f"run flagged as interrupted but {run_dir} holds no population logs")
-    if generations != list(range(generations[-1] + 1)):
-        raise RestartError(f"population logs are not contiguous in {run_dir}: {generations}")
-    t = generations[-1]
     path = log_path(run_dir, t)
     members = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -183,7 +192,22 @@ def load_latest_population(
             member.fitness = None
             member.assign_fitness(base + tuple(augment(member)))
         members.append(member)
-    return t, Population(generation=t, members=members)
+    return Population(generation=t, members=members)
+
+
+def load_latest_population(
+    run_dir: Path,
+    objectives: int = 1,
+    augment: Callable[[Individual], tuple[float, ...]] | None = None,
+) -> tuple[int, Population]:
+    """Load the newest population log, verifying identifiers and log contiguity."""
+    generations = list_generations(run_dir)
+    if not generations:
+        raise RestartError(f"run flagged as interrupted but {run_dir} holds no population logs")
+    if generations != list(range(generations[-1] + 1)):
+        raise RestartError(f"population logs are not contiguous in {run_dir}: {generations}")
+    t = generations[-1]
+    return t, load_population(run_dir, t, objectives, augment)
 
 
 class Runner:
@@ -207,7 +231,8 @@ class Runner:
         self.on_save = on_save  # test hook, called after each persisted generation
 
     def _state(self, is_running: int, t: int) -> RunState:
-        return RunState(is_running, self.label, self.strategy.cfg.strategy, t, self.evaluator.width)
+        width = self.evaluator.width
+        return RunState(is_running, self.label, self.strategy.cfg.strategy, t, width, self.strategy.lag(width))
 
     def _save(self, t: int, pop: Population) -> None:
         save_population(self.run_dir, t, pop)
@@ -215,36 +240,54 @@ class Runner:
         if self.on_save is not None:
             self.on_save(t)
 
+    def _check_lag(self, state: RunState, lag: int) -> None:
+        """Refuse, before anything is written, a resume that would fork a lagged trajectory."""
+        name = self.strategy.cfg.strategy
+        if not state.lag and state.width > 1:
+            raise RestartError(
+                f"{self.run_dir} ran {name} in batches of {state.width}, a schedule this version "
+                "no longer runs; its trajectory cannot be resumed, start the run afresh"
+            )
+        recorded = state.lag or 1
+        if recorded != lag:
+            raise RestartError(
+                f"{self.run_dir} ran {name} at lag {recorded}; resuming at lag {lag} "
+                f"({self.evaluator.width} slot(s)) would fork its trajectory, "
+                f"resume it on {(recorded + 1) // 2} slot(s)"
+            )
+
     def run(self) -> Individual:
         cfg = self.strategy.cfg
-        width = self.evaluator.width
+        lag = self.strategy.lag(self.evaluator.width)
         state = RunState.load(self.run_dir)
         if state.is_running == 0:
             logger.info("fresh start in %s (strategy %s)", self.run_dir, cfg.strategy)
             pop = self.strategy.initial_population(derive_rng(self.master_seed, "init"))
             t = 0
+            history = pop.members
             self._state(1, 0).save(self.run_dir)
         else:
-            if self.strategy.uses_width and state.width != width:
-                raise RestartError(
-                    f"{self.run_dir} ran {cfg.strategy} in batches of {state.width}; resuming "
-                    f"on {width} slot(s) would fork its trajectory, resume it on {state.width}"
-                )
+            if lag:
+                self._check_lag(state, lag)
 
             def augment(member: Individual) -> tuple[float, ...]:
                 return (float(self.evaluator.params_of(member)),)
 
-            t, pop = load_latest_population(
-                self.run_dir, objectives=self.strategy.objectives, augment=augment
-            )
+            objectives = self.strategy.objectives
+            t, pop = load_latest_population(self.run_dir, objectives=objectives, augment=augment)
+            # the first draws after generation t read up to lag - 1 positions before it
+            first = max(0, t - math.ceil(max(lag - 1, 0) / cfg.pop_size))
+            history = []
+            for g in range(first, t):
+                history += load_population(self.run_dir, g, objectives, augment).members
+            history += pop.members
             logger.info("resuming %s at generation %d", self.run_dir, t)
 
         self.evaluator.evaluate_population(pop)
         self._save(t, pop)
 
-        while t + 1 < cfg.max_gen:
-            rng = derive_rng(self.master_seed, t)
-            pop = self.strategy.advance(pop, self.evaluator.evaluate_population, rng, width)
+        rng_for = functools.partial(derive_rng, self.master_seed)
+        for pop in self.strategy.generations(history, t, self.evaluator, rng_for):
             if pop.generation != t + 1:
                 raise EvaluationOrderError(
                     f"strategy advanced generation {t} to {pop.generation}, expected {t + 1}"

@@ -6,6 +6,12 @@ slot (so no job ever waits while an idle, healthy slot exists), publishes the
 same process and log records a real farm would, and advances a virtual clock.
 Event order is deterministic: ties break on submission sequence.
 
+The farm offers the engines' streaming API: ``submit`` places a job at the
+current virtual time if a slot is idle and queues it otherwise; ``wait``
+advances the clock event by event until the named jobs have resolved, so
+jobs submitted at different times share the slots as they would on a real
+farm. A result is handed out once and then forgotten.
+
 Scripted faults crash a worker at a given virtual time; in-flight jobs on the
 dead node are requeued until their retry budget runs out. The farm keeps only
 the clock and the slots: it reports each placement, failure and completion to
@@ -114,8 +120,9 @@ class SimulatedFarm:
         self._events: list[tuple[float, int, str, object]] = []
         self._queue: list[tuple[JobSpec, int]] = []
         self._inflight: dict[int, _Attempt] = {}
-        self._results: dict[str, JobResult] = {}
-        self._unresolved: set[str] = set()  # names the current run_jobs call waits for
+        self._results: dict[str, JobResult] = {}  # resolved, not yet handed out
+        self._unresolved: set[str] = set()  # names the current wait call waits for
+        self._cancelled = False
         # upper bound on the idle slots of the store, which only this farm
         # changes: a release adds one, a grant takes one, a refused acquire
         # proves there are none
@@ -138,6 +145,15 @@ class SimulatedFarm:
         self._queue.append((job, 0))
         self._fill()
 
+    def done(self, name: str) -> bool:
+        """Whether the job has resolved and its result is still to be handed out."""
+        return name in self._results
+
+    def cancel(self) -> None:
+        """Start no queued job: each resolves as cancelled. In-flight attempts end through terminate."""
+        self._cancelled = True
+        self._fill()
+
     def _emit_log(self, job: JobSpec):
         return lambda line: self.bus.publish(LogRecord(job_name=job.name, line=line))
 
@@ -156,6 +172,10 @@ class SimulatedFarm:
         it would be refused, and that job's completion fills again. With
         nothing in flight a refused acquire is what finds that no slot is live.
         """
+        if self._cancelled:
+            while self._queue:
+                self._resolve(self.ledger.cancelled(self._queue.pop(0)[0]))
+            return
         while self._queue and (self._maybe_idle or not self._inflight):
             grant = self.store.acquire(self._queue[0][0].name)
             if grant is None:
@@ -235,21 +255,26 @@ class SimulatedFarm:
             self._handle_fault(payload)  # type: ignore[arg-type]
         return True
 
-    def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]:
-        """Submit, run to completion in virtual time, and return per-name results."""
-        start = self._now
-        names = [job.name for job in jobs]
-        self._unresolved = set(names)
-        # one submit per job, not one fill for the whole batch: a job that
-        # fails at placement is retried before the jobs submitted after it
-        for job in jobs:
-            self.submit(job)
+    def wait(self, names: list[str]) -> dict[str, JobResult]:
+        """Run in virtual time until every named job has resolved; drain the listener once;
+        hand the results out."""
+        self._unresolved = {name for name in names if name not in self._results}
         while self._unresolved:
             if not self.step():
                 raise EvoNasError("farm stalled with unresolved jobs and no pending events")
         self.listener.drain()
+        return {name: self._results.pop(name) for name in names}
+
+    def run_jobs(self, jobs: list[JobSpec]) -> dict[str, JobResult]:
+        """Submit, run to completion in virtual time, and return per-name results."""
+        start = self._now
+        # one submit per job, not one fill for the whole batch: a job that
+        # fails at placement is retried before the jobs submitted after it
+        for job in jobs:
+            self.submit(job)
+        results = self.wait([job.name for job in jobs])
         self.last_makespan = self._now - start
-        return {name: self._results[name] for name in names}
+        return results
 
     def close(self) -> None:
         """Nothing to release: the farm holds no threads or connections."""

@@ -1,4 +1,5 @@
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -205,3 +206,52 @@ def test_run_and_retrain_close_every_file(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
+TRAINER = """\
+import os, sys, time
+with open(sys.argv[1], "a") as starts:
+    starts.write(f"{os.getpid()} slot {sys.argv[2]}\\n")
+time.sleep(0.2 if sys.argv[2] == "0" else 30)
+print("FITNESS=50.00")
+"""
+
+
+def test_interrupt_kills_trainers_without_retrying_and_keeps_finished_results(tmp_path):
+    """SIGINT to the center while three trainers run and one has finished: the run exits
+    promptly with status 130, starts no trainer after the signal, and the finished
+    result is in cache.txt."""
+    trainer = tmp_path / "trainer.py"
+    trainer.write_text(TRAINER, encoding="utf-8")
+    starts = tmp_path / "starts.txt"
+    g, t = write_configs(
+        tmp_path, name="interrupted",
+        extra_train=f"\n[backend]\nkind = command\ncommand = {sys.executable} {trainer} {starts} {{slot_id}}\n",
+    )
+    src = str(Path(evonas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evonas.cli", "run", "--global-config", str(g), "--train-config", str(t),
+         "--run-root", str(tmp_path / "runs"), "--local-slots", "4"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (starts.exists() and len(starts.read_text().splitlines()) == 4):
+            assert time.monotonic() < deadline, "the four trainers never started"
+            time.sleep(0.05)
+        time.sleep(1.5)  # the slot-0 trainer has finished; the other three sleep on
+        signalled = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=15)
+        elapsed = time.monotonic() - signalled
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert elapsed < 10
+    assert "sent 3 termination command(s)" in err
+    assert len(starts.read_text().splitlines()) == 4  # no trainer started after SIGINT
+    entries = (tmp_path / "runs" / "interrupted" / "cache.txt").read_text().splitlines()[1:]
+    assert len(entries) == 1 and entries[0].endswith(" = 50.00")

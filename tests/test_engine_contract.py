@@ -1,14 +1,17 @@
-"""Both engines account a job's attempts the same way.
+"""Both engines account a job's attempts the same way, and keep the same streaming contract.
 
 The same retry scenarios run through ``SimulatedFarm`` and through
 ``ThreadedEngine(local_runner(...))``: the results, the stats and the one
 fitness record per job must agree. A failed attempt costs what the engine's
 clock measured: wall time on the threaded engine, and nothing on the farm,
-where a failure at placement takes no virtual time.
+where a failure at placement takes no virtual time. Jobs submitted one by one
+and waited for in groups give what one ``run_jobs`` call gives, and a cancel
+starts no queued job on either engine.
 """
 
 import random
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -150,3 +153,88 @@ def test_dispatch_threads_lose_no_count(tmp_path, closing):
     assert all(r.ok for r in results.values())
     assert (engine.stats.jobs, engine.stats.attempts, engine.stats.failures) == (400, 800, 0)
     assert engine.stats.busy_seconds == pytest.approx(sum(r.duration_s for r in results.values()))
+
+
+@pytest.mark.parametrize("engine_kind", ENGINES)
+def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
+    """Jobs submitted one by one and waited for in two groups give the results, stats
+    and one fitness record per job that one run_jobs call gives; each result is handed
+    out once."""
+    outcomes = []
+    for mode in ("run_jobs", "submit_wait"):
+        bus = FitnessTallyBus()
+        listener = closing(Listener(bus, tmp_path / f"{engine_kind}_{mode}", cache=None))
+        backend = FlakyBackend(1)  # every job fails once, then succeeds
+        if engine_kind == "farm":
+            engine = SimulatedFarm({"w": 2}, backend, bus, listener)
+        else:
+            engine = ThreadedEngine(SlotStore([("local", 0), ("local", 1)]), bus, listener, local_runner(backend))
+        closing(engine)
+        jobs = make_jobs(5)
+        if mode == "run_jobs":
+            results = engine.run_jobs(jobs)
+        else:
+            for job in jobs:
+                engine.submit(job)
+            results = engine.wait([job.name for job in jobs[3:]])
+            assert bus.pending() == 0  # wait drains the listener
+            results.update(engine.wait([job.name for job in jobs[:3]]))
+            assert not any(engine.done(job.name) for job in jobs)  # each result is handed out once
+        assert sorted(r.job_name for r in bus.fitness) == sorted(results)
+        lines = (tmp_path / f"{engine_kind}_{mode}" / DURATIONS_FILE).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 5
+        outcomes.append((
+            {name: (r.ok, r.value) for name, r in results.items()},
+            (engine.stats.jobs, engine.stats.attempts, engine.stats.failures),
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == (5, 10, 0)
+
+
+@pytest.mark.parametrize("engine_kind", ENGINES)
+def test_cancel_starts_no_queued_job_and_records_no_fitness(tmp_path, closing, engine_kind):
+    """After cancel, a job that has not started resolves as cancelled without a fitness
+    record (a resumed run trains it again); a job that finished keeps its record."""
+    bus = FitnessTallyBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    backend = SlowBackend(block=engine_kind == "threaded")  # the farm runs a backend at placement
+    if engine_kind == "farm":
+        engine = SimulatedFarm({"w": 1}, backend, bus, listener)
+    else:
+        engine = ThreadedEngine(SlotStore([("local", 0)]), bus, listener, local_runner(backend))
+    closing(engine)
+    first, *rest = make_jobs(4)
+    done = engine.run_jobs([first])
+    for job in rest:
+        engine.submit(job)
+    deadline = time.monotonic() + 10
+    while len(backend.started) < 2:  # the second job holds the one slot
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    engine.cancel()
+    backend.release.set()
+    results = engine.wait([job.name for job in rest])
+    started = backend.started
+    assert done[first.name].ok
+    assert [r.job_name for r in bus.fitness] == [first.name] + [n for n in started if n != first.name]
+    assert started == [first.name, rest[0].name]  # the second job took the slot before the cancel
+    assert results[rest[0].name].ok
+    for job in rest[1:]:
+        assert (results[job.name].ok, results[job.name].error) == (False, "cancelled")
+    assert engine.stats.jobs == 2
+
+
+class SlowBackend(SurrogateBackend):
+    """Records the jobs it starts; with ``block``, each after the first waits for ``release``."""
+
+    def __init__(self, block):
+        super().__init__()
+        self.block = block
+        self.started = []
+        self.release = threading.Event()
+
+    def evaluate(self, job, emit_log=None, slot_id=0):
+        self.started.append(job.name)
+        if self.block and len(self.started) > 1:
+            self.release.wait(10.0)
+        return super().evaluate(job, emit_log, slot_id)

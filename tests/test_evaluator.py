@@ -300,3 +300,42 @@ def test_nsga2_trajectory_does_not_depend_on_the_slot_count(make_harness):
         runner.run()
         logs.append({t: (harness.run_dir / f"begin_{t}.txt").read_bytes() for t in range(4)})
     assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize("lead_first", [True, False], ids=["lead_first", "joiner_first"])
+def test_equal_members_submitted_at_different_times_cost_one_job(tmp_path, build, lead_first):
+    evaluator, farm, _ = build(tmp_path, slots=1)
+    g = space().sample(random.Random(1))
+    (other,) = fresh_pop(1, seed=9).members
+    assert other.identifier != identifier(g)
+    lead = make_individual(individual_name(1, 0), g)
+    evaluator.submit([other, lead])  # the lead's job queues behind other's on the one slot
+    joiner = make_individual(individual_name(1, 1), g)
+    evaluator.submit([joiner])  # same identifier while the lead's job is in flight
+    assert (lead.fitness, joiner.fitness) == (None, None)  # submit assigns no fitness
+    first, second = (lead, joiner) if lead_first else (joiner, lead)
+    evaluator.evaluate_population([first])
+    evaluator.evaluate_population([other, second])
+    assert farm.stats.jobs == 2
+    assert lead.fitness == joiner.fitness is not None
+
+
+def test_without_a_cache_equal_submitted_members_cost_one_job_each(tmp_path, build):
+    evaluator, farm, _ = build(tmp_path, use_cache=False, slots=1)
+    g = space().sample(random.Random(1))
+    members = [make_individual(individual_name(1, i), g) for i in range(3)]
+    evaluator.submit(members[:2])
+    evaluator.submit(members[2:])
+    evaluator.evaluate_population(members)
+    assert farm.stats.jobs == 3
+
+
+def test_submit_starts_no_job_for_a_cache_hit_and_assigns_no_fitness(tmp_path, build):
+    evaluator, farm, _ = build(tmp_path)
+    g = space().sample(random.Random(1))
+    evaluator.evaluate_population([make_individual(individual_name(0, 0), g)])
+    again = make_individual(individual_name(1, 0), g)
+    evaluator.submit([again])
+    assert again.fitness is None and evaluator.resolved(again)
+    evaluator.evaluate_population([again])
+    assert again.fitness is not None and farm.stats.jobs == 1

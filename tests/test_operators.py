@@ -354,33 +354,6 @@ def test_aging_hundred_steps_follow_queue_oracle():
 
 
 
-def test_aging_batch_draws_parents_from_the_queue_before_it_and_retires_heads_in_child_order():
-    pop, make_child, evaluate = _aging_setup([0.2, 0.9, 0.5, 0.4, 0.3])
-    parents, calls = [], []
-
-    def spy_child(parent):
-        parents.append(parent.name)
-        return make_child(parent)
-
-    def spy_evaluate(children):
-        calls.append([c.name for c in children])
-        evaluate(children)
-
-    nxt = aging_step(pop, 5, random.Random(3), spy_child, spy_evaluate, width=3)
-    # every parent comes from a full-queue sample of the pre-batch queue, so
-    # all three are its best member; the children go to one evaluate call
-    assert parents == [individual_name(0, 1)] * 3
-    assert calls == [[individual_name(1, 0), individual_name(1, 1), individual_name(1, 2)]]
-    assert [m.name for m in nxt.members] == [
-        individual_name(0, 3), individual_name(0, 4),
-        individual_name(1, 0), individual_name(1, 1), individual_name(1, 2),
-    ]
-
-
-def test_aging_batch_width_bounds():
-    pop, make_child, evaluate = _aging_setup([0.1, 0.2])
-    with pytest.raises(ConfigError):
-        aging_step(pop, 2, random.Random(0), make_child, evaluate, width=0)
 
 def test_mutation_stuck_raises_after_retry_budget():
     from evonas.arch.spaces import CellGraphSpace

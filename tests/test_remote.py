@@ -235,9 +235,7 @@ def remote_engine(node, tmp_path, slots=1, transport=None):
     store = SlotStore([(node, i) for i in range(slots)])
     bus = InProcessBus()
     listener = Listener(bus, tmp_path, cache=None)
-    return ThreadedEngine(
-        store, bus, listener, remote_runner(transport), terminator=transport.kill, on_close=transport.close
-    )
+    return ThreadedEngine(store, bus, listener, remote_runner(transport))
 
 
 def test_sequential_jobs_on_one_slot_share_one_connection(worker, tmp_path):

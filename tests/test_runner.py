@@ -7,7 +7,7 @@ from evonas.arch.spaces import FixedBinarySpace
 from evonas.errors import CorruptLogError, EvaluationOrderError, RestartError
 from evonas.evo import Population, make_individual
 from evonas.evo.individual import individual_name
-from evonas.evo.strategies import AgingEvolution
+from evonas.evo.strategies import AgingEvolution, SearchStrategy
 from evonas.runner import (
     RunState,
     format_record,
@@ -341,10 +341,10 @@ def test_aging_run_restart_equivalence(make_harness):
     assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
 
 
-# ------------------------------------------------------- batched aging
+# ------------------------------------------------------- pipelined aging
 
 def _one_child_aging_step(pop, sample_size, rng, make_child, evaluate):
-    """Aging step as it ran before batching: one child per evaluate call."""
+    """Aging step as it ran before pipelining: one child per evaluate call."""
     sample = rng.sample(pop.members, sample_size)
     parent = sample[0]
     for contender in sample[1:]:
@@ -356,7 +356,10 @@ def _one_child_aging_step(pop, sample_size, rng, make_child, evaluate):
 
 
 class OneChildAging(AgingEvolution):
-    """Oracle: pop_size one-child aging steps per generation, whatever the width."""
+    """Oracle: pop_size one-child aging steps per generation, one advance call per
+    generation, whatever the slot count."""
+
+    generations = SearchStrategy.generations  # the generational loop, not the pipeline
 
     def advance(self, pop, evaluate, rng, width=1):
         gen = pop.generation + 1
@@ -372,9 +375,9 @@ class OneChildAging(AgingEvolution):
         return Population(generation=gen, members=current.members)
 
 
-def aging_harness(make_harness, name, slots, **kwargs):
+def aging_harness(make_harness, name, slots, pop_size=10, **kwargs):
     return make_harness(
-        name=name, strategy="aging_evolution", pop_size=10, max_gen=5, seed=64, sample_size=3,
+        name=name, strategy="aging_evolution", pop_size=pop_size, max_gen=5, seed=64, sample_size=3,
         slots=slots, **kwargs,
     )
 
@@ -384,29 +387,34 @@ def run_files(run_dir):
 
 
 def test_one_slot_aging_run_matches_the_one_child_oracle(make_harness):
-    batched = aging_harness(make_harness, "k1", slots=1)
-    batched.build()[0].run()
+    piped = aging_harness(make_harness, "k1", slots=1)
+    piped.build()[0].run()
     oracle = aging_harness(make_harness, "k1_oracle", slots=1)
     runner, _ = oracle.build()
     runner.strategy = OneChildAging(runner.strategy.cfg, runner.strategy.space)
     runner.run()
-    assert len(list_generations(batched.run_dir)) == 5
-    assert read_all_logs(batched.run_dir) == read_all_logs(oracle.run_dir)
-    assert RunState.load(batched.run_dir).width == 1
+    assert len(list_generations(piped.run_dir)) == 5
+    assert read_all_logs(piped.run_dir) == read_all_logs(oracle.run_dir)
+    assert (RunState.load(piped.run_dir).width, RunState.load(piped.run_dir).lag) == (1, 1)
 
 
-def test_four_slot_aging_run_restart_equivalence(make_harness):
-    twin = aging_harness(make_harness, "k4_twin", slots=4)
+@pytest.mark.parametrize("pop_size", [10, 4], ids=["pop10", "pop4"])
+def test_lag_aging_resume_at_every_generation_boundary(make_harness, pop_size):
+    """K = 4 slots, lag 7: with pop 4 the lag reaches back further than one log."""
+    twin = aging_harness(make_harness, f"k4_twin_{pop_size}", slots=4, pop_size=pop_size)
     twin.build()[0].run()
-    crashed = aging_harness(make_harness, "k4_crash", slots=4)
-    crash_after(crashed, n_saves=2)
-    assert list_generations(crashed.run_dir) == [0, 1]
-    assert RunState.load(crashed.run_dir).width == 4
-    crashed.build()[0].run()
-    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
-    one_slot = aging_harness(make_harness, "k4_vs_k1", slots=1)
+    reference = read_all_logs(twin.run_dir)
+    assert len(reference) == 5
+    assert RunState.load(twin.run_dir).lag == 7
+    for crash_point in range(1, 6):
+        crashed = aging_harness(make_harness, f"k4_crash_{pop_size}_{crash_point}", slots=4, pop_size=pop_size)
+        crash_after(crashed, n_saves=crash_point)
+        assert list_generations(crashed.run_dir) == list(range(crash_point))
+        crashed.build()[0].run()
+        assert read_all_logs(crashed.run_dir) == reference, f"crash point {crash_point}"
+    one_slot = aging_harness(make_harness, f"k4_vs_k1_{pop_size}", slots=1, pop_size=pop_size)
     one_slot.build()[0].run()
-    assert read_all_logs(crashed.run_dir) != read_all_logs(one_slot.run_dir)  # the width matters
+    assert read_all_logs(one_slot.run_dir) != reference  # the lag matters
 
 
 def test_aging_resume_with_another_slot_count_is_refused_before_writing(make_harness):
@@ -414,8 +422,23 @@ def test_aging_resume_with_another_slot_count_is_refused_before_writing(make_har
     crash_after(crashed, n_saves=2)
     before = run_files(crashed.run_dir)
     crashed.slots = 2
-    with pytest.raises(RestartError, match="batches of 4"):
+    with pytest.raises(RestartError, match="at lag 7"):
         crashed.build()[0].run()
+    assert run_files(crashed.run_dir) == before
+
+
+def test_run_of_the_batched_step_is_refused_before_writing(make_harness):
+    """A run_state.txt with width > 1 and no lag line was written by the batched step."""
+    crashed = aging_harness(make_harness, "batched", slots=4)
+    crash_after(crashed, n_saves=2)
+    state_path = crashed.run_dir / "run_state.txt"
+    lines = state_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    state_path.write_text("".join(line for line in lines if not line.startswith("lag=")), encoding="utf-8")
+    before = run_files(crashed.run_dir)
+    for slots in (4, 1):
+        crashed.slots = slots
+        with pytest.raises(RestartError, match="batches of 4"):
+            crashed.build()[0].run()
     assert run_files(crashed.run_dir) == before
 
 
@@ -427,38 +450,59 @@ def test_generational_resume_with_another_slot_count_is_allowed(make_harness):
     crashed.slots = 2
     crashed.build()[0].run()
     assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
-    assert RunState.load(crashed.run_dir).width == 2
+    assert (RunState.load(crashed.run_dir).width, RunState.load(crashed.run_dir).lag) == (2, 0)
 
 
 def test_run_state_without_width_line_resumes_as_one_slot(make_harness):
+    """Files from before the lag: no width line, or width=1, was the one-child loop (lag 1)."""
     twin = aging_harness(make_harness, "legacy_twin", slots=1)
     twin.build()[0].run()
-    crashed = aging_harness(make_harness, "legacy", slots=1)
-    crash_after(crashed, n_saves=2)
-    state_path = crashed.run_dir / "run_state.txt"
-    lines = state_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    state_path.write_text("".join(line for line in lines if not line.startswith("width=")), encoding="utf-8")
-    assert RunState.load(crashed.run_dir).width == 1
-    crashed.slots = 4
-    with pytest.raises(RestartError):
+    for dropped in (("width=", "lag="), ("lag=",)):
+        crashed = aging_harness(make_harness, f"legacy_{len(dropped)}", slots=1)
+        crash_after(crashed, n_saves=2)
+        state_path = crashed.run_dir / "run_state.txt"
+        lines = state_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        state_path.write_text("".join(line for line in lines if not line.startswith(dropped)), encoding="utf-8")
+        assert (RunState.load(crashed.run_dir).width, RunState.load(crashed.run_dir).lag) == (1, 0)
+        crashed.slots = 4
+        with pytest.raises(RestartError, match="at lag 1"):
+            crashed.build()[0].run()
+        crashed.slots = 1
         crashed.build()[0].run()
-    crashed.slots = 1
-    crashed.build()[0].run()
-    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+        assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
 
 
-def test_four_slot_aging_generation_of_ten_is_three_evaluate_calls(make_harness):
+def test_lag_aging_evaluates_each_child_once_with_the_pipeline_full(make_harness):
+    """K = 4: at most 2K - 1 = 7 children are drawn but not yet evaluated, and that many
+    are; submit assigns no fitness; every child is unevaluated in exactly one evaluate
+    call, which starts with the oldest child not yet evaluated; one call often serves
+    several children."""
     harness = make_harness(
-        name="k4_calls", strategy="aging_evolution", pop_size=10, max_gen=2, seed=66, sample_size=3, slots=4
+        name="k4_calls", strategy="aging_evolution", pop_size=10, max_gen=4, seed=66, sample_size=3, slots=4
     )
     runner, _ = harness.build()
-    sizes = []
-    evaluate = runner.evaluator.evaluate_population
+    evaluator = runner.evaluator
+    evaluate, submit = evaluator.evaluate_population, evaluator.submit
+    submitted, calls, unevaluated = [], [], []
 
-    def recording(members):
-        sizes.append(len(members))
+    def recording_submit(members):
+        assert all(m.fitness is None for m in members)
+        submitted.extend(members)
+        unevaluated.append(sum(m.fitness is None for m in submitted))
+        submit(members)
+        assert all(m.fitness is None for m in members)
+
+    def recording_evaluate(members):
+        members = list(members.members if isinstance(members, Population) else members)
+        calls.append([m.name for m in members if m.fitness is None])
         evaluate(members)
 
-    runner.evaluator.evaluate_population = recording
+    evaluator.submit = recording_submit
+    evaluator.evaluate_population = recording_evaluate
     runner.run()
-    assert sizes == [10, 4, 4, 2]  # the initial population, then ceil(10 / 4) batches
+    assert calls[0] == [individual_name(0, i) for i in range(10)]
+    children = [name for call in calls[1:] for name in call]
+    assert children == [m.name for m in submitted] == sorted(children)  # child order
+    assert len(children) == len(set(children)) == 30
+    assert max(unevaluated) == 7
+    assert len(calls) - 1 < 30

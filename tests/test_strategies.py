@@ -5,6 +5,8 @@ import pytest
 from evonas.arch import identifier
 from evonas.arch.spaces import FixedBinarySpace, VariableBlocksSpace
 from evonas.errors import ConfigError
+from evonas.evo import make_individual
+from evonas.evo.individual import individual_name
 from evonas.evo.strategies import STRATEGIES, StrategyConfig, build_strategy, default_space
 
 
@@ -154,3 +156,75 @@ def test_default_spaces_match_strategies():
     assert default_space("variable_ga").scheme.value == "VB"
     assert default_space("nsga2").scheme.value == "VB"
     assert default_space("aging_evolution").scheme.value == "CG"
+
+
+# ------------------------------------------------------- pipelined aging
+
+class FakeEvaluator:
+    """Records submits and evaluate calls; a seeded coin says which submitted child has resolved."""
+
+    def __init__(self, width, seed):
+        self.width = width
+        self.coin = random.Random(seed)
+        self.submitted = []
+        self.calls = []
+
+    def submit(self, members):
+        assert all(m.fitness is None for m in members)
+        self.submitted.extend(members)
+
+    def resolved(self, member):
+        return self.coin.random() < 0.5
+
+    def evaluate_population(self, members):
+        self.calls.append([m.name for m in members])
+        evaluate_single(members)
+
+
+def history_slice_oracle(strat, initial, lag, generations):
+    """The lag rule taken literally: global child i is drawn from a copy of hist[j:j+P],
+    j = max(0, i - lag + 1), with the RNG of its generation; every child is evaluated at once."""
+    size, sample_size = strat.cfg.pop_size, strat.cfg.sample_size
+    hist = list(initial)
+    for g in range(1, generations + 1):
+        rng = random.Random(1000 + g - 1)
+        for index in range(size):
+            i = (g - 1) * size + index
+            j = max(0, i - lag + 1)
+            sample = rng.sample(hist[j : j + size], sample_size)
+            parent = sample[0]
+            for contender in sample[1:]:
+                if contender.fitness0 > parent.fitness0:
+                    parent = contender
+            child = make_individual(
+                individual_name(g, index), strat.space.mutate(parent.genotype, 1.0, rng), age=g
+            )
+            evaluate_single([child])
+            hist.append(child)
+    return hist
+
+
+@pytest.mark.parametrize("width, pop_size", [(1, 6), (2, 6), (4, 6), (4, 3)])
+def test_lag_pipeline_matches_the_history_slice_oracle(width, pop_size):
+    cfg = StrategyConfig("aging_evolution", pop_size=pop_size, max_gen=5, sample_size=3)
+    strat = build_strategy(cfg, space=FixedBinarySpace(stage_sizes=(4,), stage_channels=(8,)))
+    initial = strat.initial_population(random.Random(5))
+    evaluate_single(initial.members)
+    oracle = history_slice_oracle(strat, initial.members, 2 * width - 1, 4)
+
+    fake = FakeEvaluator(width, seed=width)
+    pops = list(strat.generations(initial.members, 0, fake, lambda g: random.Random(1000 + g)))
+    assert [p.generation for p in pops] == [1, 2, 3, 4]
+    for p in pops:
+        expected = oracle[p.generation * pop_size : (p.generation + 1) * pop_size]
+        assert [(m.name, m.identifier) for m in p.members] == [(m.name, m.identifier) for m in expected]
+    # children are submitted in child order, and each is unevaluated in exactly one call,
+    # which starts with the oldest child not yet applied
+    assert [m.name for m in fake.submitted] == [m.name for m in oracle[pop_size:]]
+    evaluated = [name for call in fake.calls for name in call]
+    assert sorted(evaluated) == sorted(m.name for m in fake.submitted)
+    assert len(evaluated) == len(set(evaluated))
+    heads = [call[0] for call in fake.calls]
+    assert heads == sorted(heads)
+    if width == 1:
+        assert all(len(call) == 1 for call in fake.calls)  # the classic loop
