@@ -506,3 +506,28 @@ def test_lag_aging_evaluates_each_child_once_with_the_pipeline_full(make_harness
     assert len(children) == len(set(children)) == 30
     assert max(unevaluated) == 7
     assert len(calls) - 1 < 30
+
+
+def test_lag_aging_does_not_depend_on_completion_order(make_harness):
+    """Threads finishing in random order give the logs of the simulated farm at the same K."""
+    import time
+
+    from evonas.backends import SurrogateBackend
+    from evonas.engine import ThreadedEngine, local_runner
+    from evonas.slots import SlotStore
+
+    class JitteryBackend(SurrogateBackend):
+        def evaluate(self, job, emit_log=None, slot_id=0):
+            time.sleep(random.random() * 0.005)
+            return super().evaluate(job, emit_log, slot_id)
+
+    def engine_factory(bus, listener):
+        store = SlotStore([("local", i) for i in range(3)])
+        return ThreadedEngine(store, bus, listener, local_runner(JitteryBackend()))
+
+    farm = aging_harness(make_harness, "order_farm", slots=3)
+    farm.build()[0].run()
+    threaded = aging_harness(make_harness, "order_threads", slots=3, engine_factory=engine_factory)
+    threaded.build()[0].run()
+    assert RunState.load(threaded.run_dir).lag == 5
+    assert read_all_logs(threaded.run_dir) == read_all_logs(farm.run_dir)
