@@ -12,7 +12,7 @@ from . import arch, evo
 from .backends import CommandBackend, LookupBackend, SurrogateBackend, build_backend
 from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord, kill_all
 from .cache import ResultCache
-from .config import BackendConfig, GlobalConfig, TrainerSettings, parse_configs
+from .config import BackendConfig, GlobalConfig, TrainerSettings
 from .engine import ThreadedEngine, local_runner
 from .evaluator import Evaluator
 from .jobs import JobResult, JobSpec
@@ -52,7 +52,6 @@ __all__ = [
     "kill_all",
     "load_latest_population",
     "local_runner",
-    "parse_configs",
     "poll_workers",
     "save_population",
 ]

@@ -44,6 +44,7 @@ DEFAULT_TAU = 20.0
 DEFAULT_SIGMA = 0.0
 DEFAULT_TIME_BASE = 1.0      # fixed virtual seconds per job
 DEFAULT_TIME_PER_MAC = 1e-9  # virtual seconds per multiply-accumulate per epoch
+DEFAULT_TIMEOUT_S = 300.0    # wall-clock seconds a command job may run
 
 
 def _quantize(value: float) -> float:
@@ -185,7 +186,7 @@ class CommandBackend:
     """
 
     template: str
-    timeout_s: float = 300.0
+    timeout_s: float = DEFAULT_TIMEOUT_S
     kind: str = "command"
     on_spawn: Callable[[int], None] | None = None
 
@@ -287,5 +288,5 @@ def build_backend(kind: str, settings: dict[str, str] | None = None):
         template = settings.get("command", "")
         if not template:
             raise ConfigError("command backend requires a 'command' setting")
-        return CommandBackend(template=template, timeout_s=float(settings.get("timeout_s", 300.0)))
+        return CommandBackend(template=template, timeout_s=float(settings.get("timeout_s", DEFAULT_TIMEOUT_S)))
     raise ConfigError(f"unknown backend kind {kind!r}; known: {BACKEND_KINDS}")

@@ -27,25 +27,39 @@
     kind = surrogate         ; surrogate | lookup | command
     ; command = python -m evonas.toy_trainer --payload {payload_path} ...
     ; table = bench.csv   fallback = error|surrogate
-    ; tau / sigma / c0 / c1 tune the surrogate
+    ; tau / sigma / c0 / c1 tune the surrogate; timeout_s bounds a command job
 
-Unknown sections or keys are rejected with their location named. The flattened
-settings map (trainer + backend + decode parameters) is digested into the
-cache header and the per-run ``settings.txt``; runs are only comparable --
-and caches only reusable -- under an identical digest.
+Each setting is declared once: ``KEYS`` maps its section and key to the
+dataclass field it fills, and that field gives its type and its default (a
+field without a default is a required key). Each dataclass's
+``__post_init__`` is the one place its values are checked; an error there is
+reported at the section and key the value came from. A strategy checks the
+selection size it reads against ``pop_size`` when it is built, which
+``evonas run`` does before it writes anything. Unknown sections or keys
+are rejected with their location named. The flattened settings map (trainer +
+backend + decode parameters) is digested into the cache header and the
+per-run ``settings.txt``; runs are only comparable -- and caches only
+reusable -- under an identical digest.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .backends import BACKEND_KINDS
+from .backends import (
+    BACKEND_KINDS,
+    DEFAULT_SIGMA,
+    DEFAULT_TAU,
+    DEFAULT_TIME_BASE,
+    DEFAULT_TIME_PER_MAC,
+    DEFAULT_TIMEOUT_S,
+)
 from .datasets import DATASETS
 from .errors import ConfigError
-from .evo.strategies import STRATEGIES, StrategyConfig
+from .evo.strategies import StrategyConfig
 
 KNOWN_OPTIMIZERS = ("SGD", "Adam", "RMSprop")
 KNOWN_LR_STRATEGIES = (
@@ -56,50 +70,18 @@ KNOWN_LR_STRATEGIES = (
     "ReduceLROnPlateau",
 )
 
-_GLOBAL_KEYS = {
-    "algorithm": {
-        "name",
-        "run_algorithm",
-        "max_gen",
-        "pop_size",
-        "seed",
-        "crossover_prob",
-        "mutation_prob",
-        "tournament_size",
-        "sample_size",
-    }
-}
-_TRAIN_KEYS = {
-    "optimizer": {"_optimizer_name", "_batch_size", "_total_epoch"},
-    "LearningRate": {"lr", "lr_strategy"},
-    "dataset": {"_name"},
-    "backend": {"kind", "command", "table", "fallback", "tau", "sigma", "c0", "c1", "timeout_s"},
-}
-
 
 @dataclass
 class GlobalConfig:
     name: str
-    run_algorithm: str
-    max_gen: int
-    pop_size: int
-    seed: int = 0
-    crossover_prob: float = 0.9
-    mutation_prob: float = 0.1
-    tournament_size: int = 2
-    sample_size: int = 3
+    strategy: StrategyConfig
+
+    @property
+    def seed(self) -> int:
+        return self.strategy.seed
 
     def strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(
-            strategy=self.run_algorithm,
-            pop_size=self.pop_size,
-            max_gen=self.max_gen,
-            crossover_prob=self.crossover_prob,
-            mutation_prob=self.mutation_prob,
-            tournament_size=self.tournament_size,
-            sample_size=self.sample_size,
-            seed=self.seed,
-        )
+        return self.strategy
 
 
 @dataclass
@@ -113,21 +95,17 @@ class TrainerSettings:
 
     def __post_init__(self) -> None:
         if self.optimizer not in KNOWN_OPTIMIZERS:
-            raise ConfigError(
-                f"section 'optimizer', key '_optimizer_name': unknown optimizer {self.optimizer!r}"
-            )
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}", "optimizer")
         if self.batch_size <= 0:
-            raise ConfigError("section 'optimizer', key '_batch_size': must be positive")
+            raise ConfigError("must be positive", "batch_size")
         if self.total_epoch <= 0:
-            raise ConfigError("section 'optimizer', key '_total_epoch': must be positive")
-        if self.lr <= 0:
-            raise ConfigError("section 'LearningRate', key 'lr': must be positive")
+            raise ConfigError("must be positive", "total_epoch")
+        if not self.lr > 0:
+            raise ConfigError(f"must be positive, got {self.lr}", "lr")
         if self.lr_strategy not in KNOWN_LR_STRATEGIES:
-            raise ConfigError(
-                f"section 'LearningRate', key 'lr_strategy': unknown strategy {self.lr_strategy!r}"
-            )
+            raise ConfigError(f"unknown strategy {self.lr_strategy!r}", "lr_strategy")
         if self.dataset.lower() not in DATASETS:
-            raise ConfigError(f"section 'dataset', key '_name': unknown dataset {self.dataset!r}")
+            raise ConfigError(f"unknown dataset {self.dataset!r}", "dataset")
 
 
 @dataclass
@@ -136,21 +114,51 @@ class BackendConfig:
     command: str = ""
     table: str = ""
     fallback: str = "error"
-    tau: float = 20.0
-    sigma: float = 0.0
-    c0: float = 1.0
-    c1: float = 1e-9
-    timeout_s: float = 300.0
+    tau: float = DEFAULT_TAU
+    sigma: float = DEFAULT_SIGMA
+    c0: float = DEFAULT_TIME_BASE
+    c1: float = DEFAULT_TIME_PER_MAC
+    timeout_s: float = DEFAULT_TIMEOUT_S
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"section 'backend', key 'kind': unknown backend {self.kind!r}")
+            raise ConfigError(f"unknown backend {self.kind!r}", "kind")
         if self.kind == "command" and not self.command:
-            raise ConfigError("section 'backend', key 'command': required for the command backend")
+            raise ConfigError("required for the command backend", "command")
         if self.kind == "lookup" and not self.table:
-            raise ConfigError("section 'backend', key 'table': required for the lookup backend")
+            raise ConfigError("required for the lookup backend", "table")
         if self.fallback not in ("error", "surrogate"):
-            raise ConfigError(f"section 'backend', key 'fallback': unknown value {self.fallback!r}")
+            raise ConfigError(f"unknown value {self.fallback!r}", "fallback")
+        # written as `not (x > 0)` so that nan is refused too
+        for name in ("tau", "timeout_s"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"must be positive, got {getattr(self, name)}", name)
+        for name in ("sigma", "c0", "c1"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"must be >= 0, got {getattr(self, name)}", name)
+
+
+#: Every INI key: (section, key) -> (dataclass, field) it fills.
+KEYS: dict[tuple[str, str], tuple[type, str]] = {
+    ("algorithm", "name"): (GlobalConfig, "name"),
+    ("algorithm", "run_algorithm"): (StrategyConfig, "strategy"),
+    ("algorithm", "max_gen"): (StrategyConfig, "max_gen"),
+    ("algorithm", "pop_size"): (StrategyConfig, "pop_size"),
+    ("algorithm", "seed"): (StrategyConfig, "seed"),
+    ("algorithm", "crossover_prob"): (StrategyConfig, "crossover_prob"),
+    ("algorithm", "mutation_prob"): (StrategyConfig, "mutation_prob"),
+    ("algorithm", "tournament_size"): (StrategyConfig, "tournament_size"),
+    ("algorithm", "sample_size"): (StrategyConfig, "sample_size"),
+    ("optimizer", "_optimizer_name"): (TrainerSettings, "optimizer"),
+    ("optimizer", "_batch_size"): (TrainerSettings, "batch_size"),
+    ("optimizer", "_total_epoch"): (TrainerSettings, "total_epoch"),
+    ("LearningRate", "lr"): (TrainerSettings, "lr"),
+    ("LearningRate", "lr_strategy"): (TrainerSettings, "lr_strategy"),
+    ("dataset", "_name"): (TrainerSettings, "dataset"),
+    **{("backend", f.name): (BackendConfig, f.name) for f in fields(BackendConfig)},
+}
+
+_CASTS = {"str": str, "int": int, "float": float}
 
 
 def _read_ini(path: Path | str) -> configparser.ConfigParser:
@@ -165,107 +173,53 @@ def _read_ini(path: Path | str) -> configparser.ConfigParser:
     return parser
 
 
-def _reject_unknown(parser: configparser.ConfigParser, allowed: dict[str, set], path) -> None:
+def _read(path: Path | str, classes: tuple[type, ...]) -> dict[type, dict[str, object]]:
+    """The keyword arguments ``path`` gives each of ``classes``, through ``KEYS``."""
+    parser = _read_ini(path)
+    table = {at: dest for at, dest in KEYS.items() if dest[0] in classes}
+    sections = {section for section, _ in table}
+    declared = {(cls, f.name): f for cls in classes for f in fields(cls)}
+    kwargs: dict[type, dict[str, object]] = {cls: {} for cls in classes}
     for section in parser.sections():
-        if section not in allowed:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section '{section}'")
-        for key in parser[section]:
-            if key not in allowed[section]:
+        for key, raw in parser.items(section):
+            dest = table.get((section, key))
+            if dest is None:
                 raise ConfigError(f"{path}: unknown key '{key}' in section '{section}'")
-
-
-def _get(parser, section: str, key: str, cast, default=None, required: bool = False):
-    if not parser.has_option(section, key):
-        if required:
+            cls, name = dest
+            f = declared[dest]
+            try:
+                kwargs[cls][name] = _CASTS[f.type](raw)
+            except ValueError:
+                raise ConfigError(
+                    f"section '{section}', key '{key}': cannot interpret {raw!r} as {f.type}"
+                ) from None
+    for (section, key), (cls, name) in table.items():
+        if name not in kwargs[cls] and declared[cls, name].default is MISSING:
             raise ConfigError(f"missing key '{key}' in section '{section}'")
-        return default
-    raw = parser.get(section, key)
+    return kwargs
+
+
+def _build(cls: type, kwargs: dict[str, object]):
+    """``cls(**kwargs)``, with an error in a field reported at its section and key."""
     try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(
-            f"section '{section}', key '{key}': cannot interpret {raw!r} as {cast.__name__}"
-        ) from None
+        return cls(**kwargs)
+    except ConfigError as exc:
+        for (section, key), dest in KEYS.items():
+            if dest == (cls, exc.field):
+                raise ConfigError(f"section '{section}', key '{key}': {exc.reason}") from None
+        raise
 
 
 def parse_global(path: Path | str) -> GlobalConfig:
-    parser = _read_ini(path)
-    _reject_unknown(parser, _GLOBAL_KEYS, path)
-    if not parser.has_section("algorithm"):
-        raise ConfigError(f"{path}: missing section 'algorithm'")
-    cfg = GlobalConfig(
-        name=_get(parser, "algorithm", "name", str, required=True),
-        run_algorithm=_get(parser, "algorithm", "run_algorithm", str, required=True),
-        max_gen=_get(parser, "algorithm", "max_gen", int, required=True),
-        pop_size=_get(parser, "algorithm", "pop_size", int, required=True),
-        seed=_get(parser, "algorithm", "seed", int, default=0),
-        crossover_prob=_get(parser, "algorithm", "crossover_prob", float, default=0.9),
-        mutation_prob=_get(parser, "algorithm", "mutation_prob", float, default=0.1),
-        tournament_size=_get(parser, "algorithm", "tournament_size", int, default=2),
-        sample_size=_get(parser, "algorithm", "sample_size", int, default=3),
-    )
-    if cfg.max_gen < 0:
-        raise ConfigError("section 'algorithm', key 'max_gen': must be >= 0")
-    if cfg.pop_size < 2:
-        raise ConfigError("section 'algorithm', key 'pop_size': must be >= 2")
-    if cfg.run_algorithm not in STRATEGIES:
-        raise ConfigError(
-            f"section 'algorithm', key 'run_algorithm': unknown strategy {cfg.run_algorithm!r}; "
-            f"registered: {sorted(STRATEGIES)}"
-        )
-    return cfg
+    kwargs = _read(path, (GlobalConfig, StrategyConfig))
+    return GlobalConfig(strategy=_build(StrategyConfig, kwargs[StrategyConfig]), **kwargs[GlobalConfig])
 
 
 def parse_train(path: Path | str) -> tuple[TrainerSettings, BackendConfig]:
-    parser = _read_ini(path)
-    _reject_unknown(parser, _TRAIN_KEYS, path)
-    train = TrainerSettings(
-        optimizer=_get(parser, "optimizer", "_optimizer_name", str, default="SGD"),
-        batch_size=_get(parser, "optimizer", "_batch_size", int, default=64),
-        total_epoch=_get(parser, "optimizer", "_total_epoch", int, default=50),
-        lr=_get(parser, "LearningRate", "lr", float, default=0.025),
-        lr_strategy=_get(parser, "LearningRate", "lr_strategy", str, default="CosineAnnealingLR"),
-        dataset=_get(parser, "dataset", "_name", str, default="cifar10"),
-    )
-    backend = BackendConfig(
-        kind=_get(parser, "backend", "kind", str, default="surrogate"),
-        command=_get(parser, "backend", "command", str, default=""),
-        table=_get(parser, "backend", "table", str, default=""),
-        fallback=_get(parser, "backend", "fallback", str, default="error"),
-        tau=_get(parser, "backend", "tau", float, default=20.0),
-        sigma=_get(parser, "backend", "sigma", float, default=0.0),
-        c0=_get(parser, "backend", "c0", float, default=1.0),
-        c1=_get(parser, "backend", "c1", float, default=1e-9),
-        timeout_s=_get(parser, "backend", "timeout_s", float, default=300.0),
-    )
-    return train, backend
-
-
-def parse_configs(global_path, train_path) -> tuple[GlobalConfig, TrainerSettings, BackendConfig]:
-    train, backend = parse_train(train_path)
-    return parse_global(global_path), train, backend
-
-
-def dumps_global(cfg: GlobalConfig) -> str:
-    lines = ["[algorithm]"]
-    lines += [f"{k} = {v}" for k, v in asdict(cfg).items()]
-    return "\n".join(lines) + "\n"
-
-
-def dumps_train(train: TrainerSettings, backend: BackendConfig) -> str:
-    return (
-        "[optimizer]\n"
-        f"_optimizer_name = {train.optimizer}\n"
-        f"_batch_size = {train.batch_size}\n"
-        f"_total_epoch = {train.total_epoch}\n\n"
-        "[LearningRate]\n"
-        f"lr = {train.lr}\n"
-        f"lr_strategy = {train.lr_strategy}\n\n"
-        "[dataset]\n"
-        f"_name = {train.dataset}\n\n"
-        "[backend]\n"
-        + "".join(f"{k} = {v}\n" for k, v in asdict(backend).items())
-    )
+    kwargs = _read(path, (TrainerSettings, BackendConfig))
+    return _build(TrainerSettings, kwargs[TrainerSettings]), _build(BackendConfig, kwargs[BackendConfig])
 
 
 def settings_map(

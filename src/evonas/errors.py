@@ -18,7 +18,16 @@ class SchemeError(EvoNasError):
 
 
 class ConfigError(EvoNasError):
-    """A configuration file or parameter set is invalid."""
+    """A configuration file or parameter set is invalid.
+
+    ``field`` names the config dataclass field at fault, if one is; the INI
+    parser reports such an error at the section and key the value came from.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(f"{field}: {message}" if field else message)
+        self.field = field
+        self.reason = message
 
 
 class MutationStuckError(EvoNasError):

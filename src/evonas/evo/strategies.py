@@ -65,18 +65,22 @@ class StrategyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(
+                f"unknown strategy {self.strategy!r}; registered: {sorted(STRATEGIES)}", "strategy"
+            )
         if self.pop_size < 2:
-            raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
+            raise ConfigError(f"must be >= 2, got {self.pop_size}", "pop_size")
         if self.max_gen < 0:
-            raise ConfigError(f"max_gen must be >= 0, got {self.max_gen}")
+            raise ConfigError(f"must be >= 0, got {self.max_gen}", "max_gen")
         if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ConfigError(f"crossover_prob outside [0, 1]: {self.crossover_prob}")
+            raise ConfigError(f"outside [0, 1]: {self.crossover_prob}", "crossover_prob")
         if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ConfigError(f"mutation_prob outside [0, 1]: {self.mutation_prob}")
+            raise ConfigError(f"outside [0, 1]: {self.mutation_prob}", "mutation_prob")
         if self.tournament_size < 2:
-            raise ConfigError(f"tournament_size must be >= 2, got {self.tournament_size}")
+            raise ConfigError(f"must be >= 2, got {self.tournament_size}", "tournament_size")
         if self.sample_size < 1:
-            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
+            raise ConfigError(f"must be >= 1, got {self.sample_size}", "sample_size")
 
 
 class SearchStrategy(ABC):
@@ -111,17 +115,12 @@ class SearchStrategy(ABC):
         """
         pop = Population(t, list(history[-self.cfg.pop_size:]))
         while pop.generation + 1 < self.cfg.max_gen:
-            pop = self.advance(pop, evaluator.evaluate_population, rng_for(pop.generation), evaluator.width)
+            pop = self.advance(pop, evaluator.evaluate_population, rng_for(pop.generation))
             yield pop
 
     @abstractmethod
-    def advance(
-        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
-    ) -> Population:
-        """Produce the next generation from an evaluated population.
-
-        ``width`` is how many jobs the engine runs at once.
-        """
+    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
+        """Produce the next generation from an evaluated population."""
 
 
 class GenerationalGA(SearchStrategy):
@@ -129,9 +128,12 @@ class GenerationalGA(SearchStrategy):
 
     key = "elitist_ga"
 
-    def advance(
-        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
-    ) -> Population:
+    def __init__(self, cfg: StrategyConfig, space: EncodingSpace):
+        if cfg.tournament_size > cfg.pop_size:
+            raise ConfigError(f"{cfg.tournament_size} exceeds pop_size {cfg.pop_size}", "tournament_size")
+        super().__init__(cfg, space)
+
+    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
         cfg = self.cfg
         gen = pop.generation + 1
         children: list[Individual] = []
@@ -160,6 +162,11 @@ class AgingEvolution(SearchStrategy):
 
     key = "aging_evolution"
 
+    def __init__(self, cfg: StrategyConfig, space: EncodingSpace):
+        if cfg.sample_size > cfg.pop_size:
+            raise ConfigError(f"{cfg.sample_size} exceeds pop_size {cfg.pop_size}", "sample_size")
+        super().__init__(cfg, space)
+
     def lag(self, width: int) -> int:
         return 2 * width - 1
 
@@ -171,9 +178,7 @@ class AgingEvolution(SearchStrategy):
             evaluator.evaluate_population, evaluator.submit, evaluator.resolved,
         )
 
-    def advance(
-        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
-    ) -> Population:
+    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
         """One generation of the classic loop (lag 1), each child evaluated on its own."""
         (nxt,) = self._pipeline(pop.members, pop.generation, pop.generation + 1, 1, lambda g: rng, evaluate)
         return nxt
@@ -200,8 +205,6 @@ class AgingEvolution(SearchStrategy):
         """
         cfg = self.cfg
         size = cfg.pop_size
-        if cfg.sample_size > size:
-            raise ConfigError("sample_size cannot exceed pop_size")
         hist = list(history)
         base = len(hist)
         total = (last - t) * size
@@ -249,9 +252,7 @@ class ParetoGA(SearchStrategy):
     key = "nsga2"
     objectives = 2
 
-    def advance(
-        self, pop: Population, evaluate: EvaluateFn, rng: random.Random, width: int = 1
-    ) -> Population:
+    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
         cfg = self.cfg
         gen = pop.generation + 1
         children: list[Individual] = []
@@ -290,10 +291,4 @@ def default_space(strategy_key: str, input_hw: int = 32) -> EncodingSpace:
 def build_strategy(
     cfg: StrategyConfig, space: EncodingSpace | None = None, input_hw: int = 32
 ) -> SearchStrategy:
-    try:
-        cls = STRATEGIES[cfg.strategy]
-    except KeyError:
-        raise ConfigError(
-            f"unknown strategy {cfg.strategy!r}; registered: {sorted(STRATEGIES)}"
-        ) from None
-    return cls(cfg, space if space is not None else default_space(cfg.strategy, input_hw))
+    return STRATEGIES[cfg.strategy](cfg, space if space is not None else default_space(cfg.strategy, input_hw))

@@ -14,8 +14,8 @@ attempt ledger publishes the job's one fitness record.
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after a clean ``process_end`` and sends the
 next job for that worker over it, so a busy slot holds one connection rather
-than one per job. ``poll``, ``kill`` and ``shutdown`` use a connection of
-their own each, so a kill never waits behind a running job. Both ends set
+than one per job. ``poll`` and ``kill`` use a connection of their own
+each, so a kill never waits behind a running job. Both ends set
 ``TCP_NODELAY``: on a reused connection Nagle's algorithm would hold the small
 reply frames back until the peer's delayed ACK arrives.
 
@@ -150,9 +150,6 @@ class WorkerAgent:
                     elif kind == "kill":
                         self._kill(int(msg.get("pid", -1)))
                         send_msg(conn, {"type": "ok"})
-                    elif kind == "shutdown":
-                        send_msg(conn, {"type": "ok"})
-                        self.stop()
         except (WorkerLostError, json.JSONDecodeError, OSError):
             pass
         finally:
@@ -375,14 +372,6 @@ class TcpTransport:
                 recv_msg(sock)
         except WorkerLostError:
             logger.warning("could not deliver kill to %s pid %d", node, pid)
-
-    def shutdown(self, node: str) -> None:
-        try:
-            with self._connect(node) as sock:
-                send_msg(sock, {"type": "shutdown"})
-                recv_msg(sock)
-        except WorkerLostError:
-            pass
 
 
 def remote_runner(transport: TcpTransport):

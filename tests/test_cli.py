@@ -96,6 +96,19 @@ def test_run_verb_config_error_is_reported(tmp_path, capsys):
     assert "run_algorithm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "strategy, key",
+    [("elitist_ga", "tournament_size"), ("variable_ga", "tournament_size"), ("aging_evolution", "sample_size")],
+)
+def test_selection_size_above_pop_size_is_refused_before_writing(tmp_path, capsys, strategy, key):
+    g, t = write_configs(tmp_path)
+    g.write_text(g.read_text().replace("elitist_ga", strategy) + f"{key} = 6\n", encoding="utf-8")
+    code = run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs")
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "demo").exists()
+
+
 def test_simulate_verb_reports_makespan(capsys):
     code = run_cli(
         "simulate", "--jobs", 10, "--worker-count", 1, "--slots-per-worker", 4,

@@ -1,18 +1,21 @@
+import dataclasses
+
 import pytest
 
+from evonas.arch.spaces import CellGraphSpace, FixedBinarySpace
 from evonas.config import (
+    KEYS,
     BackendConfig,
+    GlobalConfig,
     TrainerSettings,
     canonical_settings_text,
-    dumps_global,
-    dumps_train,
-    parse_configs,
     parse_global,
     parse_train,
     settings_digest,
     settings_map,
 )
 from evonas.errors import ConfigError
+from evonas.evo.strategies import StrategyConfig
 
 GLOBAL_OK = """\
 [algorithm]
@@ -46,14 +49,14 @@ def write(tmp_path, name, body):
 def test_parse_global_happy_path(tmp_path):
     cfg = parse_global(write(tmp_path, "global.ini", GLOBAL_OK))
     assert cfg.name == "demo"
-    assert cfg.run_algorithm == "elitist_ga"
-    assert (cfg.max_gen, cfg.pop_size) == (20, 20)
-    assert cfg.seed == 0 and cfg.crossover_prob == 0.9 and cfg.mutation_prob == 0.1
+    assert cfg.strategy.strategy == "elitist_ga"
+    assert (cfg.strategy.max_gen, cfg.strategy.pop_size) == (20, 20)
+    assert cfg.seed == 0 and cfg.strategy.crossover_prob == 0.9 and cfg.strategy.mutation_prob == 0.1
 
 
 def test_integer_strings_are_parsed(tmp_path):
     cfg = parse_global(write(tmp_path, "g.ini", GLOBAL_OK.replace("pop_size = 20", 'pop_size = "20"').replace('"', "")))
-    assert cfg.pop_size == 20
+    assert cfg.strategy.pop_size == 20
 
 
 def test_negative_max_gen_rejected(tmp_path):
@@ -135,21 +138,88 @@ def test_backend_section_validation(tmp_path):
     assert backend.tau == 25.0
 
 
-def test_config_round_trip(tmp_path):
-    cfg = parse_global(write(tmp_path, "g.ini", GLOBAL_OK))
-    train, backend = parse_train(write(tmp_path, "t.ini", TRAIN_OK))
-    cfg2 = parse_global(write(tmp_path, "g2.ini", dumps_global(cfg)))
-    train2, backend2 = parse_train(write(tmp_path, "t2.ini", dumps_train(train, backend)))
-    assert cfg2 == cfg
-    assert train2 == train
-    assert backend2 == backend
+#: One value per INI key, none of them its field's default.
+EVERY_KEY = {
+    ("algorithm", "name"): "other",
+    ("algorithm", "run_algorithm"): "aging_evolution",
+    ("algorithm", "max_gen"): 7,
+    ("algorithm", "pop_size"): 9,
+    ("algorithm", "seed"): 17,
+    ("algorithm", "crossover_prob"): 0.5,
+    ("algorithm", "mutation_prob"): 0.25,
+    ("algorithm", "tournament_size"): 3,
+    ("algorithm", "sample_size"): 4,
+    ("optimizer", "_optimizer_name"): "Adam",
+    ("optimizer", "_batch_size"): 128,
+    ("optimizer", "_total_epoch"): 12,
+    ("LearningRate", "lr"): 0.1,
+    ("LearningRate", "lr_strategy"): "StepLR",
+    ("dataset", "_name"): "cifar100",
+    ("backend", "kind"): "command",
+    ("backend", "command"): "python train.py {payload_path}",
+    ("backend", "table"): "bench.csv",
+    ("backend", "fallback"): "surrogate",
+    ("backend", "tau"): 25.5,
+    ("backend", "sigma"): 0.5,
+    ("backend", "c0"): 2.0,
+    ("backend", "c1"): 3e-09,
+    ("backend", "timeout_s"): 60.0,
+}
 
 
-def test_parse_configs_returns_triple(tmp_path):
-    g = write(tmp_path, "g.ini", GLOBAL_OK)
-    t = write(tmp_path, "t.ini", TRAIN_OK)
-    cfg, train, backend = parse_configs(g, t)
-    assert cfg.name == "demo" and train.dataset == "cifar10" and backend.kind == "surrogate"
+def ini_text(values):
+    lines: dict[str, str] = {}
+    for (section, key), value in values.items():
+        lines[section] = lines.get(section, f"[{section}]\n") + f"{key} = {value}\n"
+    return "".join(lines.values())
+
+
+def test_every_key_parses_to_exactly_its_value(tmp_path):
+    assert set(EVERY_KEY) == set(KEYS)
+    is_global = {at: KEYS[at][0] in (GlobalConfig, StrategyConfig) for at in KEYS}
+    g = ini_text({at: v for at, v in EVERY_KEY.items() if is_global[at]})
+    t = ini_text({at: v for at, v in EVERY_KEY.items() if not is_global[at]})
+    cfg = parse_global(write(tmp_path, "g.ini", g))
+    train, backend = parse_train(write(tmp_path, "t.ini", t))
+    parsed = {GlobalConfig: cfg, StrategyConfig: cfg.strategy, TrainerSettings: train, BackendConfig: backend}
+    defaults = {(cls, f.name): f.default for cls in parsed for f in dataclasses.fields(cls)}
+    for at, value in EVERY_KEY.items():
+        cls, name = KEYS[at]
+        got = getattr(parsed[cls], name)
+        assert (type(got), got) == (type(value), value), at
+        assert value != defaults[cls, name], at
+
+
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("backend", "tau", "0"),
+        ("backend", "tau", "nan"),
+        ("backend", "timeout_s", "0"),
+        ("backend", "timeout_s", "nan"),
+        ("LearningRate", "lr", "-0.1"),
+        ("LearningRate", "lr", "nan"),
+        ("backend", "sigma", "-0.5"),
+        ("backend", "sigma", "nan"),
+        ("backend", "c0", "-1"),
+        ("backend", "c0", "nan"),
+        ("backend", "c1", "-1e-9"),
+        ("backend", "c1", "nan"),
+    ],
+)
+def test_numeric_training_keys_are_range_checked(tmp_path, section, key, raw):
+    if section == "LearningRate":
+        body = TRAIN_OK.replace("lr = 0.025", f"lr = {raw}")
+    else:
+        body = TRAIN_OK + f"\n[{section}]\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=f"section '{section}', key '{key}'"):
+        parse_train(write(tmp_path, "t.ini", body))
+
+
+def test_zero_sigma_c0_c1_are_allowed(tmp_path):
+    body = TRAIN_OK + "\n[backend]\nsigma = 0\nc0 = 0\nc1 = 0\n"
+    _, backend = parse_train(write(tmp_path, "t.ini", body))
+    assert (backend.sigma, backend.c0, backend.c1) == (0.0, 0.0, 0.0)
 
 
 def test_settings_digest_sensitive_to_every_field():
@@ -162,6 +232,36 @@ def test_settings_digest_sensitive_to_every_field():
     assert settings_digest(settings_map(train, changed_backend)) != base
     with_decode = settings_map(train, backend, {"stage_channels": "8,16"})
     assert settings_digest(with_decode) != base
+
+
+def test_settings_digest_golden_values():
+    """Every existing settings.txt and cache.txt header was written under these."""
+    train, backend = TrainerSettings(), BackendConfig()
+    assert (
+        settings_digest(settings_map(train, backend))
+        == "f6a4a02cd80946dd6557933599080916d5b226f8fbe78b25e0b8b67d"
+    )
+    assert (
+        settings_digest(settings_map(train, backend, FixedBinarySpace().decode_settings()))
+        == "62013bb0806d7ad43b512ea8e894e6b5292c75c324a3dab0ed27ec81"
+    )
+    command = BackendConfig(kind="command", command="python -m evonas.toy_trainer --payload {payload_path}")
+    assert canonical_settings_text(settings_map(train, command, CellGraphSpace().decode_settings())) == (
+        "backend=command\n"
+        "batch_size=64\n"
+        "c0=1.0\n"
+        "c1=1e-09\n"
+        "cell_channels=32\n"
+        "command=python -m evonas.toy_trainer --payload {payload_path}\n"
+        "dataset=cifar10\n"
+        "lr=0.025\n"
+        "lr_strategy=CosineAnnealingLR\n"
+        "optimizer=SGD\n"
+        "sigma=0.0\n"
+        "tau=20.0\n"
+        "timeout_s=300.0\n"
+        "total_epoch=50\n"
+    )
 
 
 def test_canonical_settings_text_is_sorted_and_stable():

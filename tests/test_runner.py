@@ -361,7 +361,7 @@ class OneChildAging(AgingEvolution):
 
     generations = SearchStrategy.generations  # the generational loop, not the pipeline
 
-    def advance(self, pop, evaluate, rng, width=1):
+    def advance(self, pop, evaluate, rng):
         gen = pop.generation + 1
         counter = itertools.count()
 

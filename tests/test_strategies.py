@@ -134,11 +134,14 @@ def test_aging_generation_is_pop_size_steps():
 
 def test_aging_sample_larger_than_pop_rejected():
     cfg = StrategyConfig("aging_evolution", pop_size=2, max_gen=2, sample_size=3)
-    strat = build_strategy(cfg)
-    pop = strat.initial_population(random.Random(7))
-    evaluate_single(pop.members)
     with pytest.raises(ConfigError):
-        strat.advance(pop, evaluate_single, random.Random(8))
+        build_strategy(cfg)
+
+
+def test_each_strategy_checks_only_the_selection_size_it_reads():
+    build_strategy(StrategyConfig("aging_evolution", pop_size=4, max_gen=2, tournament_size=6))
+    build_strategy(StrategyConfig("elitist_ga", pop_size=4, max_gen=2, sample_size=6))
+    build_strategy(StrategyConfig("nsga2", pop_size=4, max_gen=2, tournament_size=6, sample_size=6))
 
 
 def test_nsga2_keeps_two_objectives():
