@@ -7,11 +7,13 @@ wire up nodes inside convolution stages, a variable-length list of block genes
 Every genotype has a canonical serialization -- a deterministic, scheme-tagged
 text form that is injective per scheme. The SHA-224 digest of those bytes is
 the genotype's identifier, used as the key of the fitness cache and in all
-population logs.
+population logs. The text is computed once per genotype, on first use, and
+kept on the immutable genotype.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -194,6 +196,10 @@ class Genotype:
             raise InvariantViolation("not a variable-blocks genotype")
         return self.payload  # type: ignore[return-value]
 
+    @functools.cached_property
+    def _text(self) -> str:
+        return _serialize(self)
+
 
 def canonical_text(g: Genotype) -> str:
     """Deterministic text form of a genotype, injective within its scheme.
@@ -204,7 +210,13 @@ def canonical_text(g: Genotype) -> str:
     * ``VB:<gene>|<gene>|...`` with genes ``R:<ch>:<amount>``, ``D:<ch>:<amount>``
       or ``P:<max|mean>``
     * ``CG:<op,op,...>:<src-dst,src-dst,...>``
+
+    Serialized on the first call for a genotype; later calls return that text.
     """
+    return g._text
+
+
+def _serialize(g: Genotype) -> str:
     if g.scheme is Scheme.FIXED_BINARY:
         p: FixedBinaryPayload = g.payload  # type: ignore[assignment]
         sizes = ",".join(str(k) for k in p.stage_sizes)
@@ -250,16 +262,14 @@ def parse_canonical(text: str) -> Genotype:
         for part in rest.split("|"):
             fields = part.split(":")
             try:
-                if fields[0] == BlockKind.POOL.value:
-                    if len(fields) != 2:
-                        raise ValueError
-                    genes.append(BlockGene(BlockKind.POOL, pool_type=PoolType(fields[1])))
+                kind = _GENE_KINDS[fields[0]]
+                if kind is BlockKind.POOL and len(fields) == 2:
+                    genes.append(_block_gene(kind, 0, _POOL_TYPES[fields[1]], 1))
+                elif kind is not BlockKind.POOL and len(fields) == 3:
+                    genes.append(_block_gene(kind, int(fields[1]), None, int(fields[2])))
                 else:
-                    kind = BlockKind(fields[0])
-                    if kind is BlockKind.POOL or len(fields) != 3:
-                        raise ValueError
-                    genes.append(BlockGene(kind, out_channels=int(fields[1]), amount=int(fields[2])))
-            except ValueError:
+                    raise ValueError
+            except (KeyError, ValueError):
                 raise InvariantViolation(f"malformed block gene: {part!r}") from None
         return Genotype.variable_blocks(genes)
     if tag == Scheme.CELL_GRAPH.value:
@@ -275,3 +285,10 @@ def parse_canonical(text: str) -> Genotype:
             raise InvariantViolation(f"malformed cell graph genotype: {text!r}") from None
         return Genotype.cell_graph(ops, edges)
     raise InvariantViolation(f"unknown scheme tag {tag!r}")
+
+
+# Tag lookups and an interned gene constructor for parse_canonical: equal genes
+# share one immutable object, validated the first time the value occurs.
+_GENE_KINDS = {kind.value: kind for kind in BlockKind}
+_POOL_TYPES = {pool.value: pool for pool in PoolType}
+_block_gene = functools.cache(BlockGene)

@@ -14,12 +14,19 @@ wiring that block and graph encodings need once flattened into a list:
 Spatial conventions: convolutions are same-padded (``ceil(h / stride)``),
 pooling windows floor-divide (``h // stride``). FLOPs are counted as
 multiply-accumulates, not 2x MACs.
+
+Costs are counted once per IR, by the consistency pass that re-derives every
+shape: the first read of an IR's shapes, parameters or FLOPs runs it, and the
+result is kept on the immutable IR. Layers are immutable values, and the
+decoder shares one object per distinct value across IRs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DecodeError, InvariantViolation
 from .genotype import BlockKind, CellGraphPayload, FixedBinaryPayload, Genotype, Scheme
@@ -71,6 +78,14 @@ LayerSpec = Conv | Pool | Dense | Ref | Skip | Concat
 Shape = tuple[int, ...]  # (c, h, w) before flattening, (n,) after a Dense
 
 
+class _Walk(NamedTuple):
+    """What the consistency pass derives from an IR: every layer's output shape and its costs."""
+
+    shapes: tuple[Shape, ...]
+    params: int
+    macs: int
+
+
 @dataclass(frozen=True)
 class ArchIR:
     """Shape-consistent network description; immutable once built."""
@@ -78,91 +93,110 @@ class ArchIR:
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
 
+    @functools.cached_property
+    def _walk(self) -> _Walk:
+        # lazy, so that a malformed hand-built IR raises where it is first read
+        return _consistency_walk(self)
 
-def check_shapes(ir: ArchIR) -> list[Shape]:
-    """Propagate shapes through the layer list, returning each layer's output shape.
 
-    This is the independent consistency pass: it re-derives every shape from
-    the input and raises InvariantViolation on any mismatch, negative
-    dimension, or dangling reference.
+def _consistency_walk(ir: ArchIR) -> _Walk:
+    """Re-derive every shape from the input and count params and MACs on the way.
+
+    Raises InvariantViolation on any mismatch, non-positive dimension, or
+    dangling reference.
     """
     c, h, w = ir.input_shape
     if c <= 0 or h <= 0 or w <= 0:
         raise InvariantViolation(f"non-positive input shape {ir.input_shape}")
+    network_input: Shape = (c, h, w)
     shapes: list[Shape] = []
-    cur: Shape = (c, h, w)
+    cur = network_input
+    params = macs = 0
 
     def resolve(src: int, at: int) -> Shape:
         if src == -1:
-            return (c, h, w)
+            return network_input
         if not 0 <= src < at:
             raise InvariantViolation(f"layer {at} references out-of-range layer {src}")
         return shapes[src]
 
     for idx, layer in enumerate(ir.layers):
-        if isinstance(layer, Conv):
+        kind = type(layer)
+        if kind is Conv:
             if len(cur) != 3 or cur[0] != layer.c_in:
                 raise InvariantViolation(f"conv at {idx} expects {layer.c_in} channels, has {cur}")
-            oh = -(-cur[1] // layer.stride)
-            ow = -(-cur[2] // layer.stride)
-            cur = (layer.c_out, oh, ow)
-        elif isinstance(layer, Pool):
+            cur = (layer.c_out, -(-cur[1] // layer.stride), -(-cur[2] // layer.stride))
+            if min(cur) <= 0:
+                raise InvariantViolation(f"layer {idx} produced non-positive shape {cur}")
+            weights = layer.kernel * layer.kernel * layer.c_in * layer.c_out
+            params += weights + layer.c_out if layer.bias else weights
+            macs += weights * cur[1] * cur[2]
+        elif kind is Pool:
             if len(cur) != 3:
                 raise InvariantViolation(f"pool at {idx} after flattening")
             oh, ow = cur[1] // layer.stride, cur[2] // layer.stride
             if oh < 1 or ow < 1:
                 raise InvariantViolation(f"pool at {idx} collapses {cur[1]}x{cur[2]} below 1x1")
             cur = (cur[0], oh, ow)
-        elif isinstance(layer, Dense):
+        elif kind is Dense:
             flat = math.prod(cur)
             if layer.n_in != flat:
                 raise InvariantViolation(f"dense at {idx} expects {layer.n_in} inputs, has {flat}")
+            if layer.n_out <= 0:
+                raise InvariantViolation(f"layer {idx} produced non-positive shape {(layer.n_out,)}")
             cur = (layer.n_out,)
-        elif isinstance(layer, Ref):
+            weights = layer.n_in * layer.n_out
+            params += weights + layer.n_out if layer.bias else weights
+            macs += weights
+        elif kind is Ref:
             cur = resolve(layer.src, idx)
-        elif isinstance(layer, Skip):
+        elif kind is Skip:
             other = resolve(layer.src, idx)
             if other != cur:
                 raise InvariantViolation(f"skip at {idx} sums shapes {other} and {cur}")
-        elif isinstance(layer, Concat):
+        elif kind is Concat:
             other = resolve(layer.src, idx)
             if len(cur) != 3 or len(other) != 3 or other[1:] != cur[1:]:
                 raise InvariantViolation(f"concat at {idx} joins shapes {other} and {cur}")
             cur = (cur[0] + other[0], cur[1], cur[2])
-        else:  # pragma: no cover - exhaustive over LayerSpec
+        else:
             raise InvariantViolation(f"unknown layer kind {layer!r}")
-        if min(cur) <= 0:  # cur is never empty
-            raise InvariantViolation(f"layer {idx} produced non-positive shape {cur}")
+        # only Conv and Dense bring new dimensions; the other kinds reuse or
+        # shrink checked ones, so only those two check for non-positive shapes
         shapes.append(cur)
-    return shapes
+    return _Walk(tuple(shapes), params, macs)
+
+
+def check_shapes(ir: ArchIR) -> list[Shape]:
+    """Propagate shapes through the layer list, returning each layer's output shape.
+
+    This is the independent consistency pass: it re-derives every shape from
+    the input and raises InvariantViolation on any mismatch, negative
+    dimension, or dangling reference. It runs once per IR; the costs below
+    read what it counted.
+    """
+    return list(ir._walk.shapes)
 
 
 def param_count(ir: ArchIR) -> int:
     """Trainable parameter count: k*k*c_in*c_out (+bias) per conv, n_in*n_out (+bias) per dense."""
-    total = 0
-    for layer in ir.layers:
-        if isinstance(layer, Conv):
-            total += layer.kernel * layer.kernel * layer.c_in * layer.c_out
-            if layer.bias:
-                total += layer.c_out
-        elif isinstance(layer, Dense):
-            total += layer.n_in * layer.n_out
-            if layer.bias:
-                total += layer.n_out
-    return total
+    return ir._walk.params
 
 
 def flop_count(ir: ArchIR) -> int:
     """Multiply-accumulate count; pooling and wiring markers contribute zero."""
-    shapes = check_shapes(ir)
-    total = 0
-    for layer, shape in zip(ir.layers, shapes):
-        if isinstance(layer, Conv):
-            _, oh, ow = shape
-            total += layer.kernel * layer.kernel * layer.c_in * layer.c_out * oh * ow
-        elif isinstance(layer, Dense):
-            total += layer.n_in * layer.n_out
-    return total
+    return ir._walk.macs
+
+
+# Interned layer constructors: equal layer values share one immutable object,
+# built the first time the value occurs. Their keys are kernel sizes, channel
+# counts, strides and layer indices, so the tables stay small.
+_conv = functools.cache(Conv)
+_pool = functools.cache(Pool)
+_dense = functools.cache(Dense)
+_ref = functools.cache(Ref)
+_skip = functools.cache(Skip)
+_concat = functools.cache(Concat)
 
 
 class _Builder:
@@ -186,12 +220,12 @@ class _Builder:
 
     def ref(self, src: int) -> None:
         if src != self.cur_idx:
-            self._push(Ref(src), self.shape_of(src))
+            self._push(_ref(src), self.shape_of(src))
 
     def conv(self, kernel: int, c_out: int, stride: int = 1) -> int:
         c, h, w = self.cur
         return self._push(
-            Conv(kernel, c, c_out, stride), (c_out, -(-h // stride), -(-w // stride))
+            _conv(kernel, c, c_out, stride), (c_out, -(-h // stride), -(-w // stride))
         )
 
     def pool(self, kind: str, kernel: int, stride: int) -> int:
@@ -199,19 +233,19 @@ class _Builder:
         oh, ow = h // stride, w // stride
         if oh < 1 or ow < 1:
             raise DecodeError(f"pooling collapses spatial size {h}x{w} below 1x1")
-        return self._push(Pool(kind, kernel, stride), (c, oh, ow))
+        return self._push(_pool(kind, kernel, stride), (c, oh, ow))
 
     def skip(self, src: int) -> int:
         if self.shape_of(src) != self.cur:
             raise DecodeError(f"skip joins incompatible shapes {self.shape_of(src)} vs {self.cur}")
-        return self._push(Skip(src), self.cur)
+        return self._push(_skip(src), self.cur)
 
     def concat(self, src: int) -> int:
         oc, oh, ow = self.shape_of(src)
         c, h, w = self.cur
         if (oh, ow) != (h, w):
             raise DecodeError("concat joins tensors with different spatial sizes")
-        return self._push(Concat(src), (c + oc, h, w))
+        return self._push(_concat(src), (c + oc, h, w))
 
     def merge_sum(self, sources: list[int]) -> None:
         """Point the current tensor at the element-wise sum of the given outputs."""
@@ -221,7 +255,7 @@ class _Builder:
 
     def head(self, classes: int) -> None:
         n_in = math.prod(self.cur)
-        self._push(Dense(n_in, classes), (classes,))
+        self._push(_dense(n_in, classes), (classes,))
 
     def build(self) -> ArchIR:
         return ArchIR(self.input_shape, tuple(self.layers))

@@ -283,6 +283,8 @@ def build_backend(kind: str, settings: dict[str, str] | None = None):
         table = settings.get("table", "")
         if not table:
             raise ConfigError("lookup backend requires a 'table' setting")
+        if not Path(table).exists():
+            raise ConfigError(f"lookup table {table} does not exist")
         return LookupBackend(table_path=table, fallback=settings.get("fallback", "error"))
     if kind == "command":
         template = settings.get("command", "")

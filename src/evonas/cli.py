@@ -41,13 +41,18 @@ logger = logging.getLogger(__name__)
 
 
 def _parse_workers(spec: str) -> dict[str, int]:
-    """``host:port=slots,host:port=slots`` -> worker map."""
+    """``host:port=slots,host:port=slots`` -> worker map; ``=slots`` defaults to 1."""
     workers: dict[str, int] = {}
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         addr, _, slots = part.partition("=")
+        host, _, port = addr.rpartition(":")
+        if not host or not port.isdecimal() or not 0 < int(port) < 65536:
+            raise ConfigError(f"worker {part!r} needs host:port with a port in 1..65535")
+        if slots and not (slots.isdecimal() and int(slots) >= 1):
+            raise ConfigError(f"worker {part!r} needs a whole slot count of at least 1")
         workers[addr] = int(slots) if slots else 1
     if not workers:
         raise ConfigError(f"no workers in spec {spec!r}")
@@ -81,6 +86,11 @@ def cmd_run(args) -> int:
         global_cfg.strategy_config(), input_hw=dataset_spec(train.dataset)[0][1]
     )
     settings = settings_map(train, backend_cfg, strategy.space.decode_settings())
+    # refused before the run directory exists, so a corrected rerun is not a settings change
+    if args.workers:
+        _parse_workers(args.workers)
+    else:  # the backend runs here, so a missing lookup table is known now
+        build_backend(backend_cfg.kind, settings)
     run_dir = Path(args.run_root) / global_cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)
     settings_path = run_dir / SETTINGS_FILE

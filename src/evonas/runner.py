@@ -2,9 +2,11 @@
 
 All run state lives in the run directory:
 
-* ``run_state.txt``   -- ``is_running`` flag, the run's labels, the last
-  persisted generation, ``width`` (the engine's slot count) and ``lag`` (the
-  aging pipeline's lag on that many slots; 0 for strategies without one),
+* ``run_state.txt``   -- ``is_running`` flag, the run's labels, ``width`` (the
+  engine's slot count) and ``lag`` (the aging pipeline's lag on that many
+  slots; 0 for strategies without one). None of these change mid-run, so it is
+  written when a run starts or resumes and when it ends; the newest
+  ``begin_<t>.txt`` is the resume point,
 * ``begin_<t>.txt``   -- one population log per generation, written atomically
   after every member of that generation has fitness; one record per line::
 
@@ -72,7 +74,6 @@ class RunState:
     is_running: int = 0
     algorithm: str = ""
     strategy: str = ""
-    generation: int = 0
     width: int = 1
     lag: int = 0  # 0 in a file written before the lag was recorded
 
@@ -82,6 +83,7 @@ class RunState:
         state = RunState()
         if not path.exists():
             return state
+        # unknown keys are skipped: older files carry a ``generation`` line
         for line in path.read_text(encoding="utf-8").splitlines():
             key, _, value = line.partition("=")
             if key == "is_running":
@@ -90,8 +92,6 @@ class RunState:
                 state.algorithm = value
             elif key == "strategy":
                 state.strategy = value
-            elif key == "generation":
-                state.generation = int(value)
             elif key == "width":
                 state.width = int(value)
             elif key == "lag":
@@ -104,7 +104,6 @@ class RunState:
             f"is_running={self.is_running}\n"
             f"algorithm={self.algorithm}\n"
             f"strategy={self.strategy}\n"
-            f"generation={self.generation}\n"
             f"width={self.width}\n"
             f"lag={self.lag}\n"
         )
@@ -230,13 +229,12 @@ class Runner:
         self.master_seed = master_seed
         self.on_save = on_save  # test hook, called after each persisted generation
 
-    def _state(self, is_running: int, t: int) -> RunState:
+    def _state(self, is_running: int) -> RunState:
         width = self.evaluator.width
-        return RunState(is_running, self.label, self.strategy.cfg.strategy, t, width, self.strategy.lag(width))
+        return RunState(is_running, self.label, self.strategy.cfg.strategy, width, self.strategy.lag(width))
 
     def _save(self, t: int, pop: Population) -> None:
         save_population(self.run_dir, t, pop)
-        self._state(1, t).save(self.run_dir)
         if self.on_save is not None:
             self.on_save(t)
 
@@ -265,7 +263,6 @@ class Runner:
             pop = self.strategy.initial_population(derive_rng(self.master_seed, "init"))
             t = 0
             history = pop.members
-            self._state(1, 0).save(self.run_dir)
         else:
             if lag:
                 self._check_lag(state, lag)
@@ -282,6 +279,7 @@ class Runner:
                 history += load_population(self.run_dir, g, objectives, augment).members
             history += pop.members
             logger.info("resuming %s at generation %d", self.run_dir, t)
+        self._state(1).save(self.run_dir)
 
         self.evaluator.evaluate_population(pop)
         self._save(t, pop)
@@ -296,6 +294,6 @@ class Runner:
             self._save(t, pop)
 
         best = pop.best()
-        self._state(0, t).save(self.run_dir)
+        self._state(0).save(self.run_dir)
         logger.info("run complete: best %s fitness %.4f", best.name, best.fitness0)
         return best

@@ -109,6 +109,32 @@ def test_selection_size_above_pop_size_is_refused_before_writing(tmp_path, capsy
     assert not (tmp_path / "runs" / "demo").exists()
 
 
+@pytest.mark.parametrize(
+    "workers", ["127.0.0.1:1=abc", "127.0.0.1:1=0", "127.0.0.1=2", "127.0.0.1:=2", "127.0.0.1:70000=1"]
+)
+def test_malformed_workers_are_refused_before_writing(tmp_path, capsys, workers):
+    g, t = write_configs(tmp_path)
+    code = run_cli(
+        "run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs", "--workers", workers
+    )
+    assert code == 2
+    assert workers in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_missing_lookup_table_is_refused_before_writing(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    backend = f"\n[backend]\nkind = lookup\ntable = {table}\nfallback = surrogate\n"
+    g, t = write_configs(tmp_path, extra_train=backend)
+    argv = ("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs")
+    assert run_cli(*argv) == 2
+    assert "table.csv does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    # the same command with the table in place is a fresh start, not a refused resume
+    table.write_text("identifier,fitness\n", encoding="utf-8")
+    assert run_cli(*argv) == 0
+
+
 def test_simulate_verb_reports_makespan(capsys):
     code = run_cli(
         "simulate", "--jobs", 10, "--worker-count", 1, "--slots-per-worker", 4,

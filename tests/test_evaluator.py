@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import evonas.arch.genotype as genotype_module
+import evonas.arch.ir as ir_module
 import evonas.evaluator as evaluator_module
 from evonas.arch import flop_count, identifier, param_count
 from evonas.arch.spaces import FixedBinarySpace, VariableBlocksSpace
@@ -300,6 +302,36 @@ def test_nsga2_trajectory_does_not_depend_on_the_slot_count(make_harness):
         runner.run()
         logs.append({t: (harness.run_dir / f"begin_{t}.txt").read_bytes() for t in range(4)})
     assert logs[0] == logs[1]
+
+
+def test_one_nsga2_generation_walks_each_ir_once_and_serializes_each_genotype_once(make_harness, monkeypatch):
+    """Guards the cost of the genotype -> cost path: no extra consistency walk or serialization."""
+    counts = {"decodes": 0, "walks": 0}
+    serialized = []  # the genotype objects, held so that their ids stay unique
+    build, walk, serialize = ir_module._Builder.build, ir_module._consistency_walk, genotype_module._serialize
+
+    def counting_build(self):
+        counts["decodes"] += 1
+        return build(self)
+
+    def counting_walk(ir):
+        counts["walks"] += 1
+        return walk(ir)
+
+    def recording_serialize(g):
+        serialized.append(g)
+        return serialize(g)
+
+    monkeypatch.setattr(ir_module._Builder, "build", counting_build)
+    monkeypatch.setattr(ir_module, "_consistency_walk", counting_walk)
+    monkeypatch.setattr(genotype_module, "_serialize", recording_serialize)
+    harness = make_harness(strategy="nsga2", pop_size=12, max_gen=2, slots=4)
+    runner, farm = harness.build()
+    runner.run()
+    # nsga2 decodes each job twice: once for its params objective, once in the backend
+    assert counts["decodes"] == 2 * farm.stats.jobs > 0
+    assert counts["walks"] == counts["decodes"]
+    assert len({id(g) for g in serialized}) == len(serialized) >= 24
 
 
 @pytest.mark.parametrize("lead_first", [True, False], ids=["lead_first", "joiner_first"])

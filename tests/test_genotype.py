@@ -106,9 +106,30 @@ def test_parse_canonical_round_trip(build):
 
 
 def test_parse_canonical_rejects_garbage():
-    for bad in ("", "XX:1:0", "FB:3", "VB:Q:1:1", "CG:conv3", "FB:three:011"):
+    for bad in ("", "XX:1:0", "FB:3", "VB:Q:1:1", "VB:X:32:1", "VB:P:avg", "VB:P:max:1", "VB:R:32",
+                "CG:conv3", "FB:three:011"):
         with pytest.raises(InvariantViolation):
             parse_canonical(bad)
+
+
+@given(
+    st.sampled_from(
+        [
+            FixedBinarySpace(stage_sizes=(4, 5), stage_channels=(8, 16)),
+            VariableBlocksSpace(min_len=1, max_len=6, channel_choices=(8, 16, 32)),
+            CellGraphSpace(n_nodes=4, cell_channels=8),
+        ]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_canonical_text_is_stable_and_round_trips(space, seed):
+    g = space.sample(random.Random(seed))
+    text = canonical_text(g)
+    assert canonical_text(g) is text  # serialized once, then read
+    assert canonical_text(Genotype(g.scheme, g.payload)) == text  # an equal, fresh genotype agrees
+    parsed = parse_canonical(text)
+    assert parsed == g and canonical_text(parsed) == text
 
 
 def _sample_any(rng: random.Random) -> Genotype:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -116,6 +117,39 @@ def test_counting_matches_tabulation_oracle_on_random_architectures():
         assert flop_count(ir) == _oracle_costs(ir)[1]
 
 
+SPACES = (
+    FixedBinarySpace(stage_sizes=(3, 4), stage_channels=(8, 16)),
+    VariableBlocksSpace(min_len=1, max_len=8, channel_choices=(4, 8, 16)),
+    CellGraphSpace(n_nodes=5, cell_channels=8),
+)
+
+
+def _decoded(space, rng):
+    """A sampled genotype of ``space`` and its IR, or None when it collapses."""
+    g = space.sample(rng)
+    try:
+        return g, space.decode(g, (3, 32, 32), 10)
+    except DecodeError:
+        return None
+
+
+@given(st.sampled_from(SPACES), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_costs_and_shapes_survive_rebuilding_from_fresh_layers(space, seed):
+    decoded = _decoded(space, random.Random(seed))
+    if decoded is None:
+        return
+    g, ir = decoded
+    fresh = ArchIR(ir.input_shape, tuple(dataclasses.replace(layer) for layer in ir.layers))
+    assert all(a is not b for a, b in zip(fresh.layers, ir.layers))
+    assert fresh == ir
+    assert (param_count(ir), flop_count(ir)) == _oracle_costs(fresh) == (param_count(fresh), flop_count(fresh))
+    assert check_shapes(ir) == check_shapes(fresh)
+    # decoding the same genotype again shares the interned layer objects
+    again = space.decode(g, (3, 32, 32), 10)
+    assert again == ir and all(a is b for a, b in zip(again.layers, ir.layers))
+
+
 # ---------------------------------------------------------------- decoding
 
 def test_decode_res_unit_expansion():
@@ -197,6 +231,12 @@ def test_check_shapes_flags_inconsistency():
     bad = ArchIR((3, 32, 32), (Dense(100, 10),))
     with pytest.raises(InvariantViolation):
         check_shapes(bad)
+    # the costs are read from the same pass, so they refuse the same IRs
+    for bad in (ArchIR((3, 32, 32), (Conv(3, 4, 8),)), ArchIR((3, 32, 32), (Ref(0),))):
+        with pytest.raises(InvariantViolation):
+            param_count(bad)
+        with pytest.raises(InvariantViolation):
+            flop_count(bad)
 
 
 @given(st.integers(min_value=0, max_value=2**16 - 1))

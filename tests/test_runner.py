@@ -118,10 +118,15 @@ def test_tampered_encoding_detected(tmp_path):
 
 
 def test_run_state_round_trip(tmp_path):
-    RunState(1, "demo", "elitist_ga", 5).save(tmp_path)
-    state = RunState.load(tmp_path)
-    assert (state.is_running, state.algorithm, state.strategy, state.generation) == (1, "demo", "elitist_ga", 5)
+    RunState(1, "demo", "elitist_ga", 4, 7).save(tmp_path)
+    assert RunState.load(tmp_path) == RunState(1, "demo", "elitist_ga", 4, 7)
+    assert "generation" not in (tmp_path / "run_state.txt").read_text()
     assert RunState.load(tmp_path / "missing").is_running == 0
+    # a file from before the generation line was dropped still loads
+    (tmp_path / "run_state.txt").write_text(
+        "is_running=1\nalgorithm=demo\nstrategy=elitist_ga\ngeneration=5\nwidth=4\nlag=7\n"
+    )
+    assert RunState.load(tmp_path) == RunState(1, "demo", "elitist_ga", 4, 7)
 
 
 # ------------------------------------------------------------- full runs
@@ -159,19 +164,27 @@ def test_budget_is_pop_size_times_max_gen(make_harness):
     assert list_generations(harness.run_dir) == [0, 1, 2, 3, 4]
 
 
-def test_flag_discipline_around_the_run(make_harness):
-    harness = make_harness(pop_size=4, max_gen=2)
+def test_flag_discipline_around_the_run(make_harness, monkeypatch):
+    harness = make_harness(pop_size=4, max_gen=3)
     observed = []
+    written = []
+    save = RunState.save
+
+    def counting_save(state, run_dir):
+        written.append(state.is_running)
+        save(state, run_dir)
 
     def spy(t):
         observed.append((t, RunState.load(harness.run_dir).is_running, list_generations(harness.run_dir)))
 
+    monkeypatch.setattr(RunState, "save", counting_save)
     runner, _ = harness.build(on_save=spy)
     runner.run()
     for t, flag, logs in observed:
         assert flag == 1  # flagged running at every generation boundary...
         assert logs == list(range(t + 1))  # ...with logs 0..t on disk
     assert RunState.load(harness.run_dir).is_running == 0  # cleared at the end
+    assert written == [1, 0]  # written when the run starts and when it ends, not per generation
 
 
 def crash_after(harness, n_saves):
