@@ -16,10 +16,10 @@ from .config import BackendConfig, GlobalConfig, TrainerSettings
 from .engine import ThreadedEngine, local_runner
 from .evaluator import Evaluator
 from .jobs import JobResult, JobSpec
-from .remote import TcpTransport, WorkerAgent, poll_workers
+from .remote import TcpTransport, WorkerAgent
 from .runner import Runner, load_latest_population, save_population
 from .simfarm import SimulatedFarm
-from .slots import SlotStore, WorkerDescriptor
+from .slots import SlotStore
 
 __version__ = "0.1.0"
 
@@ -45,13 +45,11 @@ __all__ = [
     "ThreadedEngine",
     "TrainerSettings",
     "WorkerAgent",
-    "WorkerDescriptor",
     "arch",
     "build_backend",
     "evo",
     "kill_all",
     "load_latest_population",
     "local_runner",
-    "poll_workers",
     "save_population",
 ]

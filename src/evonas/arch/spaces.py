@@ -10,12 +10,32 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..errors import ConfigError, InvariantViolation, MutationStuckError
 from . import ir
 from .genotype import CELL_OPS, BlockGene, BlockKind, Genotype, PoolType, Scheme
 
 _MAX_RETRIES = 64
+
+#: Settings keys, besides the dataset, that change how a genotype decodes:
+#: the keys ``EncodingSpace.decode_settings`` may write.
+DECODE_KEYS = ("stage_channels", "cell_channels")
+
+
+def decode_under(
+    g: Genotype, input_shape: tuple[int, int, int], head_classes: int, settings: Mapping[str, str]
+) -> ir.ArchIR:
+    """Decode ``g`` under the ``DECODE_KEYS`` of ``settings``, read back as
+    ``decode_settings`` writes them; an absent key takes the decoder default."""
+    stage_channels = settings.get("stage_channels")
+    return ir.decode(
+        g,
+        input_shape,
+        head_classes,
+        stage_channels=tuple(int(c) for c in stage_channels.split(",")) if stage_channels else None,
+        cell_channels=int(settings.get("cell_channels", ir.DEFAULT_CELL_CHANNELS)),
+    )
 
 
 class EncodingSpace(ABC):
@@ -45,7 +65,7 @@ class EncodingSpace(ABC):
         return {}
 
     def decode(self, g: Genotype, input_shape: tuple[int, int, int], head_classes: int) -> ir.ArchIR:
-        return ir.decode(g, input_shape, head_classes)
+        return decode_under(g, input_shape, head_classes, self.decode_settings())
 
     def _check_scheme(self, g: Genotype) -> None:
         if g.scheme is not self.scheme:
@@ -102,9 +122,6 @@ class FixedBinarySpace(EncodingSpace):
 
     def decode_settings(self) -> dict[str, str]:
         return {"stage_channels": ",".join(str(c) for c in self.stage_channels)}
-
-    def decode(self, g, input_shape, head_classes):
-        return ir.decode(g, input_shape, head_classes, stage_channels=self.stage_channels)
 
 
 @dataclass
@@ -225,9 +242,6 @@ class VariableBlocksSpace(EncodingSpace):
                 continue
         return a, b
 
-    def decode(self, g, input_shape, head_classes):
-        return ir.decode(g, input_shape, head_classes)
-
 
 @dataclass
 class CellGraphSpace(EncodingSpace):
@@ -312,6 +326,3 @@ class CellGraphSpace(EncodingSpace):
 
     def decode_settings(self) -> dict[str, str]:
         return {"cell_channels": str(self.cell_channels)}
-
-    def decode(self, g, input_shape, head_classes):
-        return ir.decode(g, input_shape, head_classes, cell_channels=self.cell_channels)

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .arch import Conv, Genotype, decode, flop_count, param_count, parse_canonical
+from .arch import Conv, Genotype, flop_count, param_count, parse_canonical
 from .arch.ir import ArchIR
+from .arch.spaces import decode_under
 from .datasets import dataset_spec
 from .errors import ConfigError, JobFailed, LookupMiss
 from .jobs import JobSpec
@@ -52,25 +53,10 @@ def _quantize(value: float) -> float:
     return round(min(max(value, 0.0), 100.0), 2)
 
 
-#: Settings keys, besides the dataset, that change how a genotype decodes.
-DECODE_KEYS = ("stage_channels", "cell_channels")
-
-
 def decode_from_settings(genotype: Genotype, settings: Mapping[str, str]) -> ArchIR:
-    """Decode a genotype under a run's settings: its dataset and its ``DECODE_KEYS``."""
+    """Decode a genotype under a run's settings: its dataset and its decode keys."""
     shape, classes = dataset_spec(settings.get("dataset", "cifar10"))
-    stage_channels = None
-    if settings.get("stage_channels"):
-        stage_channels = tuple(int(c) for c in settings["stage_channels"].split(","))
-    cell_channels = int(settings.get("cell_channels", 32))
-    return decode(
-        genotype, shape, classes, stage_channels=stage_channels, cell_channels=cell_channels
-    )
-
-
-def decode_job(job: JobSpec) -> ArchIR:
-    """Decode a job's genotype payload using the decode parameters it carries."""
-    return decode_from_settings(parse_canonical(job.payload), job.settings)
+    return decode_under(genotype, shape, classes, settings)
 
 
 def architecture_asymptote(identifier: str, ir: ArchIR) -> float:
@@ -122,7 +108,7 @@ class SurrogateBackend:
         return float(raw) if raw is not None else default
 
     def evaluate(self, job: JobSpec, emit_log: EmitLog | None = None, slot_id: int = 0) -> tuple[float, float]:
-        ir = decode_job(job)
+        ir = decode_from_settings(parse_canonical(job.payload), job.settings)
         tau = self._setting(job, "tau", self.tau)
         sigma = self._setting(job, "sigma", self.sigma)
         a = self.fixed_asymptote

@@ -12,10 +12,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import tempfile
 from pathlib import Path
 
 from . import report as report_mod
-from .backends import DECODE_KEYS, build_backend
+from .arch import identifier
+from .arch.spaces import DECODE_KEYS, FixedBinarySpace
+from .backends import SurrogateBackend, build_backend
 from .bus import InProcessBus, Listener, kill_all
 from .cache import ResultCache
 from .config import (
@@ -29,12 +32,11 @@ from .config import (
 from .datasets import dataset_spec
 from .engine import ThreadedEngine, local_runner
 from .errors import ConfigError, EvoNasError
-from .evaluator import Evaluator
+from .evaluator import Evaluator, job_spec
 from .evo.strategies import build_strategy
-from .jobs import JobSpec
 from .remote import TcpTransport, WorkerAgent, remote_runner
-from .runner import Runner, SETTINGS_FILE
-from .simfarm import SimulatedFarm, parse_fault_script
+from .runner import Runner, SETTINGS_FILE, derive_rng
+from .simfarm import FaultEvent, SimulatedFarm
 from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
@@ -53,10 +55,30 @@ def _parse_workers(spec: str) -> dict[str, int]:
             raise ConfigError(f"worker {part!r} needs host:port with a port in 1..65535")
         if slots and not (slots.isdecimal() and int(slots) >= 1):
             raise ConfigError(f"worker {part!r} needs a whole slot count of at least 1")
+        if addr in workers:
+            raise ConfigError(f"worker {addr!r} is listed more than once")
         workers[addr] = int(slots) if slots else 1
     if not workers:
         raise ConfigError(f"no workers in spec {spec!r}")
     return workers
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a slot or worker count: a whole number of at least 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"needs a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
+def _crash(text: str) -> FaultEvent:
+    """argparse type of ``--crash``: ``node@time``, a worker crash at a virtual time."""
+    node, _, at = text.partition("@")
+    try:
+        if node:
+            return FaultEvent("crash", node, float(at))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"needs node@time, e.g. w1@7.0, got {text!r}")
 
 
 def build_engine(
@@ -145,21 +167,9 @@ def cmd_worker(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import tempfile
-
-    from .arch.spaces import FixedBinarySpace
-    from .backends import SurrogateBackend
-    from .evaluator import job_seed
-    from .runner import derive_rng
-
-    faults = parse_fault_script(
-        [
-            {"kind": "crash", "node": entry.split("@")[0], "at": float(entry.split("@")[1])}
-            for entry in args.crash
-        ]
-    )
     workers = {f"w{i}": args.slots_per_worker for i in range(args.worker_count)}
     space = FixedBinarySpace()
+    settings = {"dataset": "cifar10", **space.decode_settings()}
     rng = derive_rng(args.seed, "simulate")
     bus = InProcessBus()
     with tempfile.TemporaryDirectory(prefix="evonas_sim_") as tmp, Listener(bus, tmp, cache=None) as listener:
@@ -170,25 +180,12 @@ def cmd_simulate(args) -> int:
             listener,
             duration=args.duration,
             dispatch_overhead=args.overhead,
-            faults=faults,
+            faults=args.crash,
         )
-        jobs = []
-        for i in range(args.jobs):
-            from .arch import canonical_text, identifier
-
-            g = space.sample(rng)
-            jobs.append(
-                JobSpec(
-                    name=f"job{i:03d}",
-                    identifier=identifier(g),
-                    payload=canonical_text(g),
-                    backend="surrogate",
-                    settings={"dataset": "cifar10", "stage_channels": "32,64"},
-                    seed=job_seed(args.seed, identifier(g)),
-                    epochs=1,
-                )
-            )
-        farm.run_jobs(jobs)
+        genotypes = [space.sample(rng) for _ in range(args.jobs)]
+        farm.run_jobs(
+            [job_spec(f"job{i:03d}", identifier(g), g, settings, args.seed) for i, g in enumerate(genotypes)]
+        )
         print(f"jobs {args.jobs}  slots {sum(workers.values())}  duration {args.duration}s")
         print(f"virtual makespan {farm.last_makespan:.3f}s  attempts {farm.stats.attempts}")
         if args.trace:
@@ -236,13 +233,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-config", default="train.ini")
     p.add_argument("--run-root", default="runs")
     p.add_argument("--workers", default=None, help="host:port=slots,... remote worker agents")
-    p.add_argument("--local-slots", type=int, default=4)
+    p.add_argument("--local-slots", type=_positive_int, default=4)
     p.add_argument("--no-cache", action="store_true", help="disable the fitness cache")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("worker", help="serve this machine's slots to a remote runner")
     p.add_argument("--listen", required=True, help="host:port (port 0 picks a free port)")
-    p.add_argument("--slots", type=int, default=1)
+    p.add_argument("--slots", type=_positive_int, default=1)
     p.add_argument(
         "--backend", action="append", default=None,
         help="allowed backend kind (repeatable); default: surrogate,command,lookup",
@@ -251,11 +248,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exercise the virtual-time farm on synthetic jobs")
     p.add_argument("--jobs", type=int, default=10)
-    p.add_argument("--worker-count", type=int, default=1)
-    p.add_argument("--slots-per-worker", type=int, default=4)
+    p.add_argument("--worker-count", type=_positive_int, default=1)
+    p.add_argument("--slots-per-worker", type=_positive_int, default=4)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--overhead", type=float, default=0.0)
-    p.add_argument("--crash", action="append", default=[], help="node@time, e.g. w1@7.0")
+    p.add_argument("--crash", type=_crash, action="append", default=[], help="node@time, e.g. w1@7.0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -264,7 +261,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True)
     p.add_argument("--train-config", required=True)
     p.add_argument("--workers", default=None)
-    p.add_argument("--local-slots", type=int, default=1)
+    p.add_argument("--local-slots", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_retrain)
 

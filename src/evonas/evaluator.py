@@ -41,7 +41,7 @@ import logging
 from operator import attrgetter
 from typing import Iterable
 
-from .arch import flop_count, param_count
+from .arch import Genotype, canonical_text, flop_count, param_count
 from .arch.spaces import EncodingSpace
 from .backends import decode_from_settings
 from .cache import ResultCache
@@ -55,6 +55,22 @@ logger = logging.getLogger(__name__)
 def job_seed(master_seed: int, identifier: str) -> int:
     digest = hashlib.sha256(f"{master_seed}:job:{identifier}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def job_spec(
+    name: str, identifier: str, genotype: Genotype, settings: dict[str, str], master_seed: int
+) -> JobSpec:
+    """The fitness job for one genotype under ``settings``, which name its backend
+    (surrogate when absent) and its epoch budget (one epoch when absent)."""
+    return JobSpec(
+        name=name,
+        identifier=identifier,
+        payload=canonical_text(genotype),
+        backend=settings.get("backend", "surrogate"),
+        settings=settings,
+        seed=job_seed(master_seed, identifier),
+        epochs=int(settings.get("total_epoch", 1)),
+    )
 
 
 class Evaluator:
@@ -102,19 +118,6 @@ class Evaluator:
             return (accuracy, float(self.params_of(member)))
         return (accuracy,)
 
-    def job_for(self, member: Individual) -> JobSpec:
-        from .arch import canonical_text
-
-        return JobSpec(
-            name=member.name,
-            identifier=member.identifier,
-            payload=canonical_text(member.genotype),
-            backend=self.settings.get("backend", "surrogate"),
-            settings=self.settings,
-            seed=job_seed(self.master_seed, member.identifier),
-            epochs=int(self.settings.get("total_epoch", 1)),
-        )
-
     def submit(self, members: Iterable[Individual]) -> None:
         """Start the jobs these members need, joining jobs already in flight; assign no fitness."""
         for member in members:
@@ -124,7 +127,9 @@ class Evaluator:
             if self.cache is not None and self.cache.lookup(member.identifier) is not None:
                 continue
             self._inflight[key] = member.name
-            self.engine.submit(self.job_for(member))
+            self.engine.submit(
+                job_spec(member.name, member.identifier, member.genotype, self.settings, self.master_seed)
+            )
 
     def resolved(self, member: Individual) -> bool:
         """Whether evaluating this submitted member would not wait for its job."""
@@ -185,7 +190,7 @@ class Evaluator:
             leads = pending
         if self.objectives >= 2 and len(leads) > self.width:
             leads = sorted(leads, key=lambda member: -self._cost(member)[1])
-        jobs = [self.job_for(member) for member in leads]
+        jobs = [job_spec(m.name, m.identifier, m.genotype, self.settings, self.master_seed) for m in leads]
 
         logger.debug("dispatching %d jobs for %d unevaluated members", len(jobs), len(pending))
         results = self.engine.run_jobs(jobs)

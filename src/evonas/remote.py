@@ -6,18 +6,18 @@ message per dispatch (the job fields plus the assigned ``slot``); the worker
 answers with a stream of ``process_start``, ``log``, one ``fitness``
 (``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or one
 ``error``, and always a final ``process_end``, which ends the job's stream.
-``poll`` and ``kill`` messages support slot reconciliation and run
-interruption. The center republishes the process and log frames on its bus
-and returns the fitness frame's value and duration to the engine, whose
-attempt ledger publishes the job's one fitness record.
+A ``kill`` message supports run interruption. The center republishes the
+process and log frames on its bus and returns the fitness frame's value and
+duration to the engine, whose attempt ledger publishes the job's one fitness
+record.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after a clean ``process_end`` and sends the
 next job for that worker over it, so a busy slot holds one connection rather
-than one per job. ``poll`` and ``kill`` use a connection of their own
-each, so a kill never waits behind a running job. Both ends set
-``TCP_NODELAY``: on a reused connection Nagle's algorithm would hold the small
-reply frames back until the peer's delayed ACK arrives.
+than one per job. A ``kill`` uses a connection of its own, so it never waits
+behind a running job. Both ends set ``TCP_NODELAY``: on a reused connection
+Nagle's algorithm would hold the small reply frames back until the peer's
+delayed ACK arrives.
 
 The worker agent CLI is ``evonas worker --listen <addr> --slots <n> --backend
 <kind>``.
@@ -40,7 +40,6 @@ from .backends import CommandBackend, build_backend
 from .bus import InProcessBus, LogRecord, ProcessRecord
 from .errors import JobFailed, WorkerLostError
 from .jobs import JobSpec
-from .slots import SlotStore, SlotStatus, WorkerDescriptor
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +86,6 @@ class WorkerAgent:
         self.port = port
         self.slots = slots
         self.backends = backends
-        self._busy: dict[int, str] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._server: socket.socket | None = None
@@ -143,10 +141,6 @@ class WorkerAgent:
                     kind = msg.get("type")
                     if kind == "job":
                         self._run_job(conn, msg, backends)
-                    elif kind == "poll":
-                        with self._lock:
-                            slots = {str(i): self._busy.get(i) for i in range(self.slots)}
-                        send_msg(conn, {"type": "status", "node": self.address, "pid": os.getpid(), "slots": slots})
                     elif kind == "kill":
                         self._kill(int(msg.get("pid", -1)))
                         send_msg(conn, {"type": "ok"})
@@ -171,8 +165,6 @@ class WorkerAgent:
             send_msg(conn, {"type": "error", "message": f"backend {job.backend!r} not supported here"})
             send_msg(conn, {"type": "process_end", "node": self.address, "pid": os.getpid(), "job": job.name})
             return
-        with self._lock:
-            self._busy[slot] = job.name
         pid_box = {"pid": os.getpid()}
 
         def announce(pid: int) -> None:
@@ -214,8 +206,6 @@ class WorkerAgent:
                 send_msg(conn, {"type": "process_end", "node": self.address, "pid": pid_box["pid"], "job": job.name})
             except OSError:
                 pass
-            with self._lock:
-                self._busy.pop(slot, None)
 
 
 class _ClosedBeforeReply(WorkerLostError):
@@ -356,15 +346,6 @@ class TcpTransport:
             raise WorkerLostError(f"worker {node} ended job {job.name} without a fitness record")
         return result
 
-    def poll(self, node: str) -> dict[int, str | None]:
-        """Slot occupancy as reported by the worker: slot index -> job name or None."""
-        with self._connect(node) as sock:
-            send_msg(sock, {"type": "poll"})
-            msg = recv_msg(sock)
-        if msg is None or msg.get("type") != "status":
-            raise WorkerLostError(f"worker {node} gave no status")
-        return {int(k): v for k, v in msg.get("slots", {}).items()}
-
     def kill(self, node: str, pid: int) -> None:
         try:
             with self._connect(node) as sock:
@@ -384,55 +365,3 @@ def remote_runner(transport: TcpTransport):
     run.kill = transport.kill
     run.close = transport.close
     return run
-
-
-@dataclass
-class PollOutcome:
-    reachable: list[str] = field(default_factory=list)
-    lost: dict[str, list[str]] = field(default_factory=dict)  # node -> requeue-needed job names
-    quarantined: list[tuple[str, int]] = field(default_factory=list)
-
-
-def poll_workers(
-    transport,
-    workers: list[WorkerDescriptor],
-    store: SlotStore,
-    *,
-    lost_after_s: float = 10.0,
-    now: float | None = None,
-) -> PollOutcome:
-    """Reconcile worker-reported slot occupancy into the store.
-
-    A slot the worker reports busy with a job this run does not own is
-    quarantined (someone else is using that GPU); a worker unreachable for
-    longer than ``lost_after_s`` has its slots marked lost and its in-flight
-    jobs reported for requeue.
-    """
-    if not workers:
-        raise WorkerLostError("worker registry is empty")
-    now = time.monotonic() if now is None else now
-    outcome = PollOutcome()
-    ours = {(s.node, s.slot_id): s for s in store.snapshot()}
-    for worker in workers:
-        try:
-            reported = transport.poll(worker.node)
-        except WorkerLostError:
-            last = max(
-                (s.last_poll for s in ours.values() if s.node == worker.node), default=0.0
-            )
-            if now - last > lost_after_s:
-                outcome.lost[worker.node] = store.mark_lost(worker.node)
-            continue
-        outcome.reachable.append(worker.node)
-        store.touch(worker.node, now)
-        for slot_id, job_name in reported.items():
-            state = ours.get((worker.node, slot_id))
-            if state is None:
-                continue
-            if job_name is None:
-                if state.status is SlotStatus.QUARANTINED:
-                    store.clear_quarantine(worker.node, slot_id)
-            elif not (state.status is SlotStatus.BUSY and state.job_name == job_name):
-                store.quarantine(worker.node, slot_id, job_name)
-                outcome.quarantined.append((worker.node, slot_id))
-    return outcome

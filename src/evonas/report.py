@@ -23,9 +23,8 @@ from .arch import flop_count, param_count
 from .backends import decode_from_settings
 from .bus import DURATIONS_FILE
 from .errors import ReportError
-from .evaluator import job_seed
+from .evaluator import job_spec
 from .evo.individual import Individual
-from .jobs import JobSpec
 from .runner import RunState, SETTINGS_FILE, list_generations, load_latest_population
 
 logger = logging.getLogger(__name__)
@@ -151,17 +150,7 @@ def retrain_best(run_dir: Path | str, retrain_settings: dict[str, str], engine, 
         raise ReportError(f"{run_dir} has no completed run to retrain from")
     _, pop = load_latest_population(run_dir)
     best = pop.best()
-    from .arch import canonical_text
-
-    job = JobSpec(
-        name=best.name + RETRAIN_SUFFIX,
-        identifier=best.identifier,
-        payload=canonical_text(best.genotype),
-        backend=retrain_settings.get("backend", "surrogate"),
-        settings=retrain_settings,
-        seed=job_seed(master_seed, best.identifier),
-        epochs=int(retrain_settings.get("total_epoch", 600)),
-    )
+    job = job_spec(best.name + RETRAIN_SUFFIX, best.identifier, best.genotype, retrain_settings, master_seed)
     result = engine.run_jobs([job])[job.name]
     if not result.ok:
         raise ReportError(f"retrain job failed: {result.error}")

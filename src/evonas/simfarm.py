@@ -26,7 +26,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
 from .engine import RETRY_BUDGET, AttemptLedger
@@ -59,7 +59,7 @@ def parse_fault_script(entries: Iterable[Mapping | FaultEvent]) -> tuple[FaultEv
                 raise ConfigError(f"malformed fault entry {entry!r}: {exc}") from exc
         if fault.kind != "crash":
             raise ConfigError(f"unknown fault kind {fault.kind!r}")
-        if fault.at < 0:
+        if not fault.at >= 0:  # also refuses NaN, which would disorder the event heap
             raise ConfigError(f"fault time must be non-negative, got {fault.at}")
         faults.append(fault)
     return tuple(faults)
@@ -95,7 +95,7 @@ class SimulatedFarm:
         bus: InProcessBus,
         listener: Listener,
         *,
-        duration: float | Callable[[JobSpec], float] | None = None,
+        duration: float | None = None,
         dispatch_overhead: float = 0.0,
         faults: Iterable[Mapping | FaultEvent] = (),
         retry_budget: int = RETRY_BUDGET,
@@ -133,13 +133,6 @@ class SimulatedFarm:
     @property
     def now(self) -> float:
         return self._now
-
-    def _job_duration(self, job: JobSpec, backend_duration: float) -> float:
-        if self.duration is None:
-            return backend_duration
-        if callable(self.duration):
-            return float(self.duration(job))
-        return float(self.duration)
 
     def submit(self, job: JobSpec) -> None:
         self._queue.append((job, 0))
@@ -181,7 +174,7 @@ class SimulatedFarm:
             if grant is None:
                 self._maybe_idle = 0
                 if not self.store.has_live():
-                    # every slot is lost or quarantined: nothing can run anymore
+                    # every slot is lost: nothing can run anymore
                     while self._queue:
                         job, tries = self._queue.pop(0)
                         self._terminal_fail(job, "no live worker slots remain")
@@ -196,7 +189,7 @@ class SimulatedFarm:
                 self._release(node, slot)
                 self._retry_or_fail(job, tries, str(exc), 0.0)  # placement takes no virtual time
                 continue
-            duration = self._job_duration(job, backend_dur)
+            duration = backend_dur if self.duration is None else self.duration
             token = next(self._seq)
             pid = _SYNTHETIC_PID_BASE + token
             attempt = _Attempt(job, tries, node, slot, self._now, duration, pid)

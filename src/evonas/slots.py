@@ -20,8 +20,7 @@ from .errors import InvariantViolation
 class SlotStatus(Enum):
     IDLE = "idle"
     BUSY = "busy"
-    LOST = "lost"          # node unreachable; never scheduled
-    QUARANTINED = "quarantined"  # externally occupied; never scheduled
+    LOST = "lost"  # node unreachable; never scheduled
 
 
 @dataclass
@@ -30,18 +29,6 @@ class SlotState:
     slot_id: int
     status: SlotStatus = SlotStatus.IDLE
     job_name: str | None = None
-    last_poll: float = 0.0
-
-
-@dataclass(frozen=True)
-class WorkerDescriptor:
-    node: str
-    slot_count: int
-    backends: tuple[str, ...] = ("surrogate",)
-
-    def __post_init__(self) -> None:
-        if self.slot_count < 1:
-            raise InvariantViolation(f"worker {self.node} needs at least one slot")
 
 
 class SlotStore:
@@ -81,7 +68,7 @@ class SlotStore:
                 if key is not None:
                     return key
                 if not self._live_locked():
-                    return None  # every slot lost or quarantined; waiting is hopeless
+                    return None  # every slot lost; waiting is hopeless
                 if timeout is not None:
                     if deadline is None:
                         deadline = time.monotonic() + timeout
@@ -116,44 +103,12 @@ class SlotStore:
             self._idle.notify_all()
             return orphans
 
-    def quarantine(self, node: str, slot_id: int, job_name: str | None = None) -> None:
-        with self._idle:
-            state = self._slots.get((node, slot_id))
-            if state is None:
-                raise InvariantViolation(f"unknown slot ({node}, {slot_id})")
-            state.status = SlotStatus.QUARANTINED
-            state.job_name = job_name
-
-    def clear_quarantine(self, node: str, slot_id: int) -> None:
-        with self._idle:
-            state = self._slots.get((node, slot_id))
-            if state is not None and state.status is SlotStatus.QUARANTINED:
-                state.status = SlotStatus.IDLE
-                state.job_name = None
-                self._idle.notify_all()
-
-    def touch(self, node: str, when: float) -> None:
-        with self._lock:
-            for state in self._slots.values():
-                if state.node == node:
-                    state.last_poll = when
-
     def snapshot(self) -> list[SlotState]:
         with self._lock:
-            return [
-                SlotState(s.node, s.slot_id, s.status, s.job_name, s.last_poll)
-                for s in self._slots.values()
-            ]
-
-    def counts(self) -> dict[SlotStatus, int]:
-        with self._lock:
-            out = {status: 0 for status in SlotStatus}
-            for state in self._slots.values():
-                out[state.status] += 1
-            return out
+            return [SlotState(s.node, s.slot_id, s.status, s.job_name) for s in self._slots.values()]
 
     def has_live(self) -> bool:
-        """True while some slot is idle or busy, i.e. not every slot is lost or quarantined."""
+        """True while some slot is idle or busy, i.e. not every slot is lost."""
         with self._lock:
             return self._live_locked()
 

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier
-from evonas.arch.spaces import CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
+from evonas.arch.spaces import DECODE_KEYS, CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.backends import (
     CommandBackend,
     LookupBackend,
@@ -102,19 +102,25 @@ def test_settings_override_instance_defaults():
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "space",
-    [FixedBinarySpace(stage_channels=(24, 48)), VariableBlocksSpace(), CellGraphSpace(cell_channels=20)],
-    ids=type,
-)
+SPACES = [FixedBinarySpace(stage_channels=(24, 48)), VariableBlocksSpace(), CellGraphSpace(cell_channels=20)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=type)
 def test_settings_decode_agrees_with_the_space_decode(space):
-    """Workers and reports decode from settings; the evaluator decodes through the space."""
+    """Decoding from a run's settings, as workers, the evaluator and reports do, gives
+    the IR that ``space.decode`` gives."""
     settings = {"dataset": "cifar10", **space.decode_settings()}
     shape, classes = dataset_spec("cifar10")
     rng = random.Random(5)
     for _ in range(10):
         g = space.sample(rng)
         assert decode_from_settings(g, settings) == space.decode(g, shape, classes)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=type)
+def test_every_decode_setting_is_a_decode_key(space):
+    """``evonas retrain`` carries only the ``DECODE_KEYS`` over from the run's settings."""
+    assert set(space.decode_settings()) <= set(DECODE_KEYS)
 
 
 # ----------------------------------------------------------------- lookup

@@ -122,6 +122,60 @@ def test_malformed_workers_are_refused_before_writing(tmp_path, capsys, workers)
     assert not (tmp_path / "runs").exists()
 
 
+def test_duplicate_worker_address_is_refused_before_writing(tmp_path, capsys):
+    g, t = write_configs(tmp_path)
+    workers = "127.0.0.1:7070=2,127.0.0.1:7070=3"
+    code = run_cli(
+        "run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs", "--workers", workers
+    )
+    assert code == 2
+    assert "'127.0.0.1:7070' is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def exit_code(*argv):
+    """``main``'s return code, or the code argparse exits with."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [
+        ("run", "--local-slots"),
+        ("retrain", "--local-slots"),
+        ("simulate", "--worker-count"),
+        ("simulate", "--slots-per-worker"),
+        ("worker", "--slots"),
+    ],
+)
+def test_slot_counts_below_one_are_refused_before_writing(tmp_path, capsys, verb, flag):
+    g, t = write_configs(tmp_path)
+    required = {
+        "run": ["--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs"],
+        "retrain": ["--run-dir", tmp_path / "runs" / "demo", "--train-config", t],
+        "simulate": [],
+        "worker": ["--listen", "127.0.0.1:0"],
+    }[verb]
+    assert exit_code(verb, *required, flag, 0) == 2
+    assert "at least 1, got '0'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "crash, message",
+    [("w0", "needs node@time"), ("w0@x", "needs node@time"), ("@7.0", "needs node@time"),
+     ("w0@-1", "must be non-negative"), ("w0@nan", "must be non-negative")],
+)
+def test_malformed_crash_is_refused_with_a_message(capsys, crash, message):
+    assert exit_code("simulate", "--jobs", 4, "--crash", crash) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_missing_lookup_table_is_refused_before_writing(tmp_path, capsys):
     table = tmp_path / "table.csv"
     backend = f"\n[backend]\nkind = lookup\ntable = {table}\nfallback = surrogate\n"

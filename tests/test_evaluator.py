@@ -15,9 +15,14 @@ from evonas.backends import (
 )
 from evonas.bus import InProcessBus, Listener
 from evonas.cache import ResultCache
+from evonas.cli import main
+from evonas.config import BackendConfig, TrainerSettings, settings_map
 from evonas.evaluator import Evaluator, job_seed
 from evonas.evo import Population, make_individual
 from evonas.evo.individual import individual_name
+from evonas.jobs import JobResult
+from evonas.report import retrain_best
+from evonas.runner import derive_rng, save_population
 from evonas.simfarm import SimulatedFarm
 
 SETTINGS = {
@@ -160,6 +165,44 @@ def test_job_seed_is_stable_and_identifier_specific():
     assert job_seed(1, "a" * 56) == job_seed(1, "a" * 56)
     assert job_seed(1, "a" * 56) != job_seed(2, "a" * 56)
     assert job_seed(1, "a" * 56) != job_seed(1, "b" * 56)
+
+
+class RecordingEngine:
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, job):
+        self.jobs.append(job)
+
+    def run_jobs(self, jobs):
+        self.jobs.extend(jobs)
+        return {job.name: JobResult(job.name, job.identifier, 90.0, 1.0) for job in jobs}
+
+
+def test_search_retrain_and_simulate_jobs_match_pinned_fields(tmp_path, monkeypatch):
+    """One genotype's search, retrain and ``simulate`` jobs, field for field."""
+    engine = RecordingEngine()
+    monkeypatch.setattr(SimulatedFarm, "run_jobs", lambda farm, jobs: engine.run_jobs(jobs))
+    assert main(["simulate", "--jobs", "1", "--seed", "3"]) == 0
+    # simulate --seed 3 samples its first genotype from this stream
+    g = FixedBinarySpace().sample(derive_rng(3, "simulate"))
+    settings = settings_map(TrainerSettings(), BackendConfig(), FixedBinarySpace().decode_settings())
+    member = make_individual("indi_gen00_no00", g)
+    Evaluator(engine, None, settings, FixedBinarySpace(), master_seed=3).submit([member])
+    member.assign_fitness((0.5,))
+    save_population(tmp_path, 0, Population(0, [member]))
+    retrain_best(tmp_path, {**settings, "total_epoch": "600"}, engine, master_seed=3)
+
+    ident = "c30c162a394459c3671d199e5f238124e46124f74f7d5bd3a6283e4c"
+    payload = "FB:4,5:010101,1110001100"
+    assert [(j.name, j.identifier, j.payload, j.backend, j.seed, j.epochs) for j in engine.jobs] == [
+        ("job000", ident, payload, "surrogate", 2216035203, 1),
+        ("indi_gen00_no00", ident, payload, "surrogate", 2216035203, 50),
+        ("indi_gen00_no00_retrain", ident, payload, "surrogate", 2216035203, 600),
+    ]
+    assert engine.jobs[0].settings == {"dataset": "cifar10", "stage_channels": "32,64"}
+    assert engine.jobs[1].settings == settings
+    assert engine.jobs[2].settings == {**settings, "total_epoch": "600"}
 
 
 def test_wall_time_scales_with_slot_count(tmp_path, closing):

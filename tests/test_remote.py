@@ -110,10 +110,6 @@ def test_unreachable_worker_raises_worker_lost():
         TcpTransport(connect_timeout=0.2).run_job(job(), f"127.0.0.1:{port}", 0, InProcessBus())
 
 
-def test_poll_reports_idle_slots(worker):
-    assert TcpTransport().poll(f"127.0.0.1:{worker.port}") == {0: None, 1: None}
-
-
 def test_kill_message_is_accepted(worker):
     TcpTransport().kill(f"127.0.0.1:{worker.port}", 999_999)  # no such pid: harmless no-op
 
