@@ -42,6 +42,14 @@ from .slots import SlotStore
 logger = logging.getLogger(__name__)
 
 
+def _host_port(addr: str, label: str, lowest: int = 1) -> tuple[str, int]:
+    """``host:port`` -> (host, port), the port in ``lowest``..65535; the error names ``label``."""
+    host, _, port = addr.rpartition(":")
+    if not host or not port.isdecimal() or not lowest <= int(port) < 65536:
+        raise ConfigError(f"{label} needs host:port with a port in {lowest}..65535")
+    return host, int(port)
+
+
 def _parse_workers(spec: str) -> dict[str, int]:
     """``host:port=slots,host:port=slots`` -> worker map; ``=slots`` defaults to 1."""
     workers: dict[str, int] = {}
@@ -50,9 +58,7 @@ def _parse_workers(spec: str) -> dict[str, int]:
         if not part:
             continue
         addr, _, slots = part.partition("=")
-        host, _, port = addr.rpartition(":")
-        if not host or not port.isdecimal() or not 0 < int(port) < 65536:
-            raise ConfigError(f"worker {part!r} needs host:port with a port in 1..65535")
+        _host_port(addr, f"worker {part!r}")
         if slots and not (slots.isdecimal() and int(slots) >= 1):
             raise ConfigError(f"worker {part!r} needs a whole slot count of at least 1")
         if addr in workers:
@@ -64,7 +70,7 @@ def _parse_workers(spec: str) -> dict[str, int]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a slot or worker count: a whole number of at least 1."""
+    """argparse type of a slot, worker or job count: a whole number of at least 1."""
     if not (text.isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"needs a whole number of at least 1, got {text!r}")
     return int(text)
@@ -157,8 +163,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    host, _, port = args.listen.rpartition(":")
-    agent = WorkerAgent(host or "127.0.0.1", int(port), args.slots, tuple(args.backend))
+    host, port = _host_port(args.listen, f"--listen {args.listen!r}", lowest=0)
+    agent = WorkerAgent(host, port, args.slots, tuple(args.backend))
     try:
         agent.serve_forever()
     except KeyboardInterrupt:
@@ -247,7 +253,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("simulate", help="exercise the virtual-time farm on synthetic jobs")
-    p.add_argument("--jobs", type=int, default=10)
+    p.add_argument("--jobs", type=_positive_int, default=10)
     p.add_argument("--worker-count", type=_positive_int, default=1)
     p.add_argument("--slots-per-worker", type=_positive_int, default=4)
     p.add_argument("--duration", type=float, default=1.0)

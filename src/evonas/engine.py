@@ -7,26 +7,30 @@ drains the listener once, and hands each ``JobResult`` out exactly once.
 ``run_jobs(jobs)`` is "submit each, then wait for all". The engines assign no
 fitness; the evaluator does, from what ``wait`` returns.
 
-``AttemptLedger`` is the one place that knows the retry budget and the slot
-seconds each job has consumed. Both engines report every attempt to it: a
-placement, a failed attempt (and whether the budget allows another), a success
-or a terminal failure. It publishes the job's one ``FitnessRecord`` -- the
-value with a duration that sums every attempt, or the fitness-0.00
-convention for a job that exhausted its budget -- and keeps ``EngineStats``
-under one lock. Slot runners and the simulated farm publish only process and
-log records.
+``AttemptLedger`` owns the attempt policy of both engines and builds every
+``JobResult`` they hand out. It holds the one tuple of attempt failures
+(``ATTEMPT_FAILURES``), the retry budget, the cancel flag and the slot
+seconds each job has consumed. An engine reports each placement, success
+and failed attempt to it, and ``failed`` alone decides what a failure
+means: retry, give up with the fitness-0.00 convention, or, after a cancel,
+resolve as ``cancelled``. The ledger publishes the job's one
+``FitnessRecord`` -- the value with a duration that sums every attempt, or
+0.00 for a job that exhausted its budget -- and keeps ``EngineStats`` under
+one lock. Slot runners and the simulated farm publish only process and log
+records.
 
 ``cancel()`` is the interrupt path: no job starts another attempt after it,
-a failed attempt (a killed trainer) is not retried, and a job stopped this
-way resolves as ``cancelled`` without a fitness record, so a resumed run
-trains it again instead of reading fitness 0.00 from the cache.
+a failed or killed attempt is not retried, and a job stopped this way
+resolves as ``cancelled`` without a fitness record, charged the seconds its
+attempts held a slot, so a resumed run trains it again instead of reading
+fitness 0.00 from the cache.
 
 ``ThreadedEngine`` gives real concurrency over local or remote slots: one
 dispatch thread per in-flight job blocks for a slot, runs the job through a
-slot runner (an in-process backend or a TCP worker connection), and asks the
-ledger whether to retry on worker loss or job failure. The slot runner
-carries what it holds: its ``kill(node, pid)`` is the engine's terminator and
-its ``close()`` runs when the engine closes.
+slot runner (an in-process backend or a TCP worker connection), and reports
+the outcome to the ledger. The slot runner carries what it holds: its
+``kill(node, pid)`` is the engine's terminator and its ``close()`` runs when
+the engine closes.
 
 Each engine owns one dispatch pool of at most one thread per slot, shared by
 all its jobs: no thread starts before the first job, and a thread that has
@@ -61,7 +65,8 @@ logger = logging.getLogger(__name__)
 #: runner may carry ``kill(node, pid)`` and ``close()`` attributes.
 SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
-_RETRYABLE = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
+#: What a failed attempt raises; the ledger decides whether the job retries.
+ATTEMPT_FAILURES = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
 
 #: Retries a job gets after its first failed attempt.
 RETRY_BUDGET = 1
@@ -82,7 +87,7 @@ class EngineStats:
 
 
 class AttemptLedger:
-    """Retry budget, consumed seconds per job, stats and the fitness record of each job."""
+    """Attempt policy of both engines: retry budget, cancel flag, consumed seconds, stats and results."""
 
     def __init__(self, bus: InProcessBus, retry_budget: int = RETRY_BUDGET):
         self.bus = bus
@@ -90,18 +95,31 @@ class AttemptLedger:
         self.stats = EngineStats()
         self._lock = threading.Lock()
         self._consumed: dict[str, float] = {}  # job name -> seconds of its failed attempts
+        # the cancel flag: once set, a job that fails or is about to start resolves as cancelled
+        self.stopping = threading.Event()
 
     def placed(self) -> None:
         """Count one attempt on a slot."""
         with self._lock:
             self.stats.attempts += 1
 
-    def failed(self, job: JobSpec, tries: int, seconds: float) -> bool:
-        """Charge a failed attempt (``tries`` earlier ones); True when the job may retry."""
+    def failed(self, job: JobSpec, tries: int, seconds: float, reason: str) -> JobResult | None:
+        """Charge a failed attempt that held a slot ``seconds``, after ``tries`` earlier ones.
+
+        Returns None when the job may retry, its cancelled result after a
+        cancel, and otherwise the fitness-0.00 give-up. A failure no retry can
+        mend passes ``tries=retry_budget``.
+        """
+        if self.stopping.is_set():
+            return self.cancelled(job, seconds)
+        if tries >= self.retry_budget:
+            line = f"evaluation failed: {reason}; assigning fitness 0.00"
+            self.bus.publish(LogRecord(job_name=job.name, line=line))
+            return self._resolve(job, 0.0, seconds, reason)
         with self._lock:
             self.stats.busy_seconds += seconds
             self._consumed[job.name] = self._consumed.get(job.name, 0.0) + seconds
-        return tries < self.retry_budget
+        return None
 
     def succeeded(self, job: JobSpec, value: float, seconds: float) -> JobResult:
         """Resolve a job whose last attempt took ``seconds``."""
@@ -113,11 +131,6 @@ class AttemptLedger:
             self.stats.busy_seconds += seconds
             total = self._consumed.pop(job.name, 0.0) + seconds
         return JobResult(job.name, job.identifier, 0.0, total, ok=False, error="cancelled")
-
-    def give_up(self, job: JobSpec, reason: str) -> JobResult:
-        """Resolve a job with the fitness-0.00 convention for untrainable or unlucky jobs."""
-        self.bus.publish(LogRecord(job_name=job.name, line=f"evaluation failed: {reason}; assigning fitness 0.00"))
-        return self._resolve(job, 0.0, 0.0, reason)
 
     def _resolve(self, job: JobSpec, value: float, seconds: float, failure: str | None) -> JobResult:
         """Publish the job's one fitness record, whose duration sums every attempt."""
@@ -253,7 +266,6 @@ class ThreadedEngine:
         self.stats = self.ledger.stats
         self._pool = DispatchPool(max(1, len(store)))
         self._futures: dict[str, Future] = {}
-        self._cancelled = threading.Event()
 
     def terminate(self, node: str, pid: int) -> None:
         if self.terminator is not None:
@@ -261,37 +273,35 @@ class ThreadedEngine:
 
     def cancel(self) -> None:
         """Start no further attempt: queued jobs and killed attempts resolve as cancelled."""
-        self._cancelled.set()
+        self.ledger.stopping.set()
 
     def _execute(self, job: JobSpec) -> JobResult:
+        ledger = self.ledger
         reason = "no live worker slots available"
         for tries in itertools.count():
-            if self._cancelled.is_set():
-                return self.ledger.cancelled(job)
+            if ledger.stopping.is_set():
+                return ledger.cancelled(job)
             grant = self.store.acquire_wait(job.name, timeout=ACQUIRE_TIMEOUT_S)
             if grant is None:
-                break
+                return ledger.failed(job, ledger.retry_budget, 0.0, reason)
             node, slot = grant
-            if self._cancelled.is_set():  # the cancel came while this job waited for a slot
+            if ledger.stopping.is_set():  # the cancel came while this job waited for a slot
                 self.store.release(node, slot)
-                return self.ledger.cancelled(job)
-            self.ledger.placed()
+                return ledger.cancelled(job)
+            ledger.placed()
             started = time.monotonic()
             try:
                 value, duration = self.runner(job, node, slot, self.bus)
-            except _RETRYABLE as exc:
+            except ATTEMPT_FAILURES as exc:
                 reason = str(exc)
                 logger.warning("job %s attempt %d failed on %s:%d: %s", job.name, tries, node, slot, exc)
-                seconds = time.monotonic() - started
-                if self._cancelled.is_set():  # killed by the cancel: never retried
-                    return self.ledger.cancelled(job, seconds)
-                if self.ledger.failed(job, tries, seconds):
+                result = ledger.failed(job, tries, time.monotonic() - started, reason)
+                if result is None:
                     continue
-                break
+                return result
             finally:
                 self.store.release(node, slot)
-            return self.ledger.succeeded(job, value, duration)
-        return self.ledger.give_up(job, reason)
+            return ledger.succeeded(job, value, duration)
 
     def submit(self, job: JobSpec) -> None:
         self._futures[job.name] = self._pool.submit(self._execute, job)

@@ -7,6 +7,12 @@ concurrently on the execution engine. With caching disabled (``cache=None``)
 every unevaluated member is submitted as its own job, making the backend-call
 count equal the raw evaluation budget.
 
+One job table, ``_inflight``, maps each job key (the identifier, or the
+member name without a cache) to the name of its job, from the moment the job
+is started until ``evaluate_population`` hands its result out. ``_start`` is
+the one place that enters jobs into it, for ``submit`` and
+``evaluate_population`` alike, and it picks their start order.
+
 Jobs start in submission order, with one exception. When the run scores the
 parameter-count objective (``objectives >= 2``) and a batch holds more jobs
 than the engine has slots, the batch is handed over longest job first: a
@@ -20,14 +26,14 @@ costs no extra decode; single-objective runs decode nothing here, because
 ordering them would add one decode per job next to the backend's own.
 
 Members can also be started ahead of their evaluation: ``submit(members)``
-starts a job for each cache miss whose identifier is not already in flight
-(without caching, for each member), and a member whose identifier is in
-flight joins that job, so two equal children submitted at different times
-cost one backend job. ``submit`` assigns no fitness, not even to cache hits:
-a later ``evaluate_population`` call that contains the member assigns it,
-waiting through ``engine.wait`` for the jobs already in flight and starting
-the rest itself through ``engine.run_jobs``. ``resolved(member)`` tells
-without blocking whether that call would wait for a submitted member.
+starts a job for each cache miss whose key is not already in the table, and a
+member whose key is in the table joins that job, so two equal children
+submitted at different times cost one backend job. ``submit`` assigns no
+fitness, not even to cache hits: a later ``evaluate_population`` call that
+contains the member assigns it. That call hands the jobs it starts itself to
+one ``engine.run_jobs`` call, then waits through ``engine.wait`` for the jobs
+started earlier. ``resolved(member)`` tells without blocking whether that
+call would wait for a submitted member.
 
 A failed job (after the engine's retries) is assigned fitness 0.00: the
 convention for untrainable architectures, which keeps the evaluation budget
@@ -45,7 +51,6 @@ from .arch import Genotype, canonical_text, flop_count, param_count
 from .arch.spaces import EncodingSpace
 from .backends import decode_from_settings
 from .cache import ResultCache
-from .errors import EvoNasError
 from .evo.individual import Individual, Population
 from .jobs import JobSpec
 
@@ -92,7 +97,8 @@ class Evaluator:
         # identifier -> (params, FLOPs), one decode each; per instance, so no
         # decode is shared across runs
         self._costs: dict[str, tuple[int, int]] = {}
-        # identifier (member name without a cache) -> name of the submitted job
+        # the job table: key (identifier, member name without a cache) -> name
+        # of the job started for it, until evaluate_population hands it out
         self._inflight: dict[str, str] = {}
         self._key = attrgetter("identifier" if cache is not None else "name")
 
@@ -118,28 +124,34 @@ class Evaluator:
             return (accuracy, float(self.params_of(member)))
         return (accuracy,)
 
-    def submit(self, members: Iterable[Individual]) -> None:
-        """Start the jobs these members need, joining jobs already in flight; assign no fitness."""
+    def _lookup(self, member: Individual) -> float | None:
+        return self.cache.lookup(member.identifier) if self.cache is not None else None
+
+    def _start(self, members: Iterable[Individual]) -> list[JobSpec]:
+        """Enter a job into the job table for each member whose key is not in it yet;
+        return the new jobs in start order."""
+        leads = []
         for member in members:
             key = self._key(member)
-            if member.fitness is not None or key in self._inflight:
-                continue
-            if self.cache is not None and self.cache.lookup(member.identifier) is not None:
-                continue
-            self._inflight[key] = member.name
-            self.engine.submit(
-                job_spec(member.name, member.identifier, member.genotype, self.settings, self.master_seed)
-            )
+            if key not in self._inflight:
+                self._inflight[key] = member.name
+                leads.append(member)
+        if self.objectives >= 2 and len(leads) > self.width:
+            leads.sort(key=lambda member: -self._cost(member)[1])
+        return [job_spec(m.name, m.identifier, m.genotype, self.settings, self.master_seed) for m in leads]
+
+    def submit(self, members: Iterable[Individual]) -> None:
+        """Start the jobs these members need, joining jobs already in flight; assign no fitness."""
+        for job in self._start(
+            m for m in members
+            if m.fitness is None and self._key(m) not in self._inflight and self._lookup(m) is None
+        ):
+            self.engine.submit(job)
 
     def resolved(self, member: Individual) -> bool:
         """Whether evaluating this submitted member would not wait for its job."""
         name = self._inflight.get(self._key(member))
         return name is None or self.engine.done(name)
-
-    def _apply(self, member: Individual, result) -> None:
-        if not result.ok:
-            logger.warning("job %s failed (%s); fitness 0.00", result.name, result.error)
-        member.assign_fitness(self.fitness_vector(member, result.value))
 
     def evaluate_population(self, members: Population | Iterable[Individual]) -> None:
         """Assign fitness to every member; returns only when all are evaluated.
@@ -153,53 +165,29 @@ class Evaluator:
         if not todo:
             return
 
-        waiting: list[Individual] = []
         pending: list[Individual] = []
         for member in todo:
             if self._key(member) in self._inflight:
-                waiting.append(member)
                 continue
-            hit = self.cache.lookup(member.identifier) if self.cache is not None else None
+            hit = self._lookup(member)
             if hit is not None:
                 member.assign_fitness(self.fitness_vector(member, hit))
             else:
                 pending.append(member)
-        if pending:
-            self._dispatch(pending)
-        if waiting:
-            keys = dict.fromkeys(self._key(member) for member in waiting)
-            results = self.engine.wait([self._inflight[key] for key in keys])
-            by_key = {key: results[self._inflight.pop(key)] for key in keys}
-            for member in waiting:
-                self._apply(member, by_key[self._key(member)])
-
-        still = [m.name for m in todo if m.fitness is None]
-        if still:
-            raise EvoNasError(f"members left unevaluated after dispatch: {still}")
-
-    def _dispatch(self, pending: list[Individual]) -> None:
-        """Run one job per distinct identifier (per member without a cache) and assign the results."""
-        if self.cache is not None:
-            # one job per distinct identifier; duplicates share the result
-            groups: dict[str, list[Individual]] = {}
-            for member in pending:
-                groups.setdefault(member.identifier, []).append(member)
-            leads = [group[0] for group in groups.values()]
-        else:
-            groups = {}
-            leads = pending
-        if self.objectives >= 2 and len(leads) > self.width:
-            leads = sorted(leads, key=lambda member: -self._cost(member)[1])
-        jobs = [job_spec(m.name, m.identifier, m.genotype, self.settings, self.master_seed) for m in leads]
-
-        logger.debug("dispatching %d jobs for %d unevaluated members", len(jobs), len(pending))
-        results = self.engine.run_jobs(jobs)
-
-        if self.cache is not None:
-            for group in groups.values():
-                result = results[group[0].name]
-                for member in group:
-                    self._apply(member, result)
-        else:
-            for member in pending:
-                self._apply(member, results[member.name])
+        jobs = self._start(pending)
+        results = {}
+        if jobs:
+            logger.debug("starting %d jobs for %d unevaluated members", len(jobs), len(todo))
+            results = self.engine.run_jobs(jobs)
+        names = {self._key(m): self._inflight[self._key(m)] for m in todo if m.fitness is None}
+        earlier = [name for name in names.values() if name not in results]
+        if earlier:
+            results = {**results, **self.engine.wait(earlier)}
+        for key in names:
+            del self._inflight[key]
+        for member in todo:
+            if member.fitness is None:
+                result = results[names[self._key(member)]]
+                if not result.ok:
+                    logger.warning("job %s failed (%s); fitness 0.00", result.name, result.error)
+                member.assign_fitness(self.fitness_vector(member, result.value))

@@ -18,7 +18,9 @@ first) costs ``pop_size * max_gen`` evaluations when every job misses the cache.
 The runner drives a strategy through ``generations``, which yields each next
 generation once all its members have fitness. The generational strategies
 make one ``advance`` call per generation and evaluate a whole generation at
-once; they do not depend on the slot count.
+once; they do not depend on the slot count. They share one breeding loop,
+``_breed``, and differ only in how a parent is picked (a tournament, or a
+uniform draw for nsga2) and in the final selection.
 
 Aging evolution keeps one history list of every member ever created: the
 initial population, then every child in child order. After ``m`` children
@@ -122,6 +124,22 @@ class SearchStrategy(ABC):
     def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
         """Produce the next generation from an evaluated population."""
 
+    def _breed(self, pop: Population, pick: Callable[[], Individual], rng: random.Random) -> Population:
+        """``pop_size`` children of the next generation: each pair of parents from ``pick``
+        is crossed over, then each child is mutated, all drawing from ``rng`` in that order."""
+        cfg = self.cfg
+        gen = pop.generation + 1
+        children: list[Individual] = []
+        while len(children) < cfg.pop_size:
+            pa, pb = pick(), pick()
+            ga, gb = crossover(self.space, pa.genotype, pb.genotype, cfg.crossover_prob, rng)
+            for g in (ga, gb):
+                if len(children) >= cfg.pop_size:
+                    break
+                g = mutate(self.space, g, cfg.mutation_prob, rng)
+                children.append(make_individual(individual_name(gen, len(children)), g, age=gen))
+        return Population(generation=pop.generation, members=children)
+
 
 class GenerationalGA(SearchStrategy):
     """Tournament mating, scheme crossover/mutation, elitist truncation."""
@@ -134,23 +152,9 @@ class GenerationalGA(SearchStrategy):
         super().__init__(cfg, space)
 
     def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
-        cfg = self.cfg
-        gen = pop.generation + 1
-        children: list[Individual] = []
-        while len(children) < cfg.pop_size:
-            pa = tournament_select(pop, cfg.tournament_size, rng)
-            pb = tournament_select(pop, cfg.tournament_size, rng)
-            ga, gb = crossover(self.space, pa.genotype, pb.genotype, cfg.crossover_prob, rng)
-            for g in (ga, gb):
-                if len(children) >= cfg.pop_size:
-                    break
-                g = mutate(self.space, g, cfg.mutation_prob, rng)
-                children.append(
-                    make_individual(individual_name(gen, len(children)), g, age=gen)
-                )
-        offspring = Population(generation=pop.generation, members=children)
+        offspring = self._breed(pop, lambda: tournament_select(pop, self.cfg.tournament_size, rng), rng)
         evaluate(offspring.members)
-        return environmental_select_elitist(pop, offspring, cfg.pop_size)
+        return environmental_select_elitist(pop, offspring, self.cfg.pop_size)
 
 
 class VariableGA(GenerationalGA):
@@ -253,23 +257,9 @@ class ParetoGA(SearchStrategy):
     objectives = 2
 
     def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
-        cfg = self.cfg
-        gen = pop.generation + 1
-        children: list[Individual] = []
-        while len(children) < cfg.pop_size:
-            pa = pop.members[rng.randrange(len(pop))]
-            pb = pop.members[rng.randrange(len(pop))]
-            ga, gb = crossover(self.space, pa.genotype, pb.genotype, cfg.crossover_prob, rng)
-            for g in (ga, gb):
-                if len(children) >= cfg.pop_size:
-                    break
-                g = mutate(self.space, g, cfg.mutation_prob, rng)
-                children.append(
-                    make_individual(individual_name(gen, len(children)), g, age=gen)
-                )
-        offspring = Population(generation=pop.generation, members=children)
+        offspring = self._breed(pop, lambda: pop.members[rng.randrange(len(pop))], rng)
         evaluate(offspring.members)
-        return crowding_select(pop, offspring, cfg.pop_size, n_obj=self.objectives)
+        return crowding_select(pop, offspring, self.cfg.pop_size, n_obj=self.objectives)
 
 
 STRATEGIES: dict[str, type[SearchStrategy]] = {

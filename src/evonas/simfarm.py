@@ -14,10 +14,13 @@ farm. A result is handed out once and then forgotten.
 
 Scripted faults crash a worker at a given virtual time; in-flight jobs on the
 dead node are requeued until their retry budget runs out. The farm keeps only
-the clock and the slots: it reports each placement, failure and completion to
-the same ``AttemptLedger`` as the threaded engine, which decides on retries,
-keeps the stats and publishes each job's fitness record (fitness 0.00 for a
-job that exhausted its budget).
+the clock and the slots. The same ``AttemptLedger`` as the threaded engine
+owns the attempt policy and builds every result: the farm reports each
+placement, completion, failed placement, crashed attempt and killed attempt
+to it, and the ledger decides on retries and cancels, keeps the stats and
+publishes each job's fitness record (fitness 0.00 for a job that exhausted
+its budget). A killed attempt resolves as ``cancelled`` and is charged its
+virtual seconds, as on the threaded engine.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
-from .engine import RETRY_BUDGET, AttemptLedger
-from .errors import ConfigError, DecodeError, EvoNasError, JobFailed, LookupMiss
+from .engine import ATTEMPT_FAILURES, RETRY_BUDGET, AttemptLedger
+from .errors import ConfigError, EvoNasError
 from .jobs import JobResult, JobSpec
 from .slots import SlotStore
 
@@ -46,23 +49,15 @@ class FaultEvent:
     at: float
 
 
-def parse_fault_script(entries: Iterable[Mapping | FaultEvent]) -> tuple[FaultEvent, ...]:
+def parse_fault_script(faults: Iterable[FaultEvent]) -> tuple[FaultEvent, ...]:
     """Validate a fault script; only worker crashes are scriptable."""
-    faults = []
-    for entry in entries:
-        if isinstance(entry, FaultEvent):
-            fault = entry
-        else:
-            try:
-                fault = FaultEvent(kind=str(entry["kind"]), node=str(entry["node"]), at=float(entry["at"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed fault entry {entry!r}: {exc}") from exc
+    faults = tuple(faults)
+    for fault in faults:
         if fault.kind != "crash":
             raise ConfigError(f"unknown fault kind {fault.kind!r}")
         if not fault.at >= 0:  # also refuses NaN, which would disorder the event heap
             raise ConfigError(f"fault time must be non-negative, got {fault.at}")
-        faults.append(fault)
-    return tuple(faults)
+    return faults
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,16 @@ class SimulatedFarm:
         *,
         duration: float | None = None,
         dispatch_overhead: float = 0.0,
-        faults: Iterable[Mapping | FaultEvent] = (),
+        faults: Iterable[FaultEvent] = (),
         retry_budget: int = RETRY_BUDGET,
     ):
         if not workers:
             raise ConfigError("farm needs at least one worker")
-        if dispatch_overhead < 0:
-            raise ConfigError("dispatch overhead must be non-negative")
+        # written as not-(x >= 0), so NaN is refused too: it would disorder the event heap
+        if duration is not None and not duration >= 0:
+            raise ConfigError(f"job duration must be non-negative, got {duration}")
+        if not dispatch_overhead >= 0:
+            raise ConfigError(f"dispatch overhead must be non-negative, got {dispatch_overhead}")
         self.workers = dict(workers)
         self.backend = backend
         self.bus = bus
@@ -122,7 +120,6 @@ class SimulatedFarm:
         self._inflight: dict[int, _Attempt] = {}
         self._results: dict[str, JobResult] = {}  # resolved, not yet handed out
         self._unresolved: set[str] = set()  # names the current wait call waits for
-        self._cancelled = False
         # upper bound on the idle slots of the store, which only this farm
         # changes: a release adds one, a grant takes one, a refused acquire
         # proves there are none
@@ -144,7 +141,7 @@ class SimulatedFarm:
 
     def cancel(self) -> None:
         """Start no queued job: each resolves as cancelled. In-flight attempts end through terminate."""
-        self._cancelled = True
+        self.ledger.stopping.set()
         self._fill()
 
     def _emit_log(self, job: JobSpec):
@@ -165,7 +162,7 @@ class SimulatedFarm:
         it would be refused, and that job's completion fills again. With
         nothing in flight a refused acquire is what finds that no slot is live.
         """
-        if self._cancelled:
+        if self.ledger.stopping.is_set():
             while self._queue:
                 self._resolve(self.ledger.cancelled(self._queue.pop(0)[0]))
             return
@@ -176,8 +173,8 @@ class SimulatedFarm:
                 if not self.store.has_live():
                     # every slot is lost: nothing can run anymore
                     while self._queue:
-                        job, tries = self._queue.pop(0)
-                        self._terminal_fail(job, "no live worker slots remain")
+                        job, _ = self._queue.pop(0)
+                        self._failed(job, self.ledger.retry_budget, 0.0, "no live worker slots remain")
                 return
             self._maybe_idle = max(self._maybe_idle - 1, 0)
             node, slot = grant
@@ -185,9 +182,9 @@ class SimulatedFarm:
             self.ledger.placed()
             try:
                 value, backend_dur = self.backend.evaluate(job, self._emit_log(job), slot_id=slot)
-            except (JobFailed, LookupMiss, DecodeError) as exc:
+            except ATTEMPT_FAILURES as exc:
                 self._release(node, slot)
-                self._retry_or_fail(job, tries, str(exc), 0.0)  # placement takes no virtual time
+                self._failed(job, tries, 0.0, str(exc))  # placement takes no virtual time
                 continue
             duration = backend_dur if self.duration is None else self.duration
             token = next(self._seq)
@@ -201,16 +198,15 @@ class SimulatedFarm:
             )
             self.trace.append(TraceEvent(self._now, "start", job.name, node, slot))
 
-    def _retry_or_fail(self, job: JobSpec, tries: int, reason: str, seconds: float) -> None:
-        if self.ledger.failed(job, tries, seconds):
+    def _failed(self, job: JobSpec, tries: int, seconds: float, reason: str) -> None:
+        """Report a failed attempt to the ledger: requeue the job, or resolve it as the ledger says."""
+        result = self.ledger.failed(job, tries, seconds, reason)
+        if result is None:
             self.trace.append(TraceEvent(self._now, "requeue", job.name))
             self._queue.append((job, tries + 1))
         else:
-            self._terminal_fail(job, reason)
-
-    def _terminal_fail(self, job: JobSpec, reason: str) -> None:
-        self._resolve(self.ledger.give_up(job, reason))
-        self.trace.append(TraceEvent(self._now, "fail", job.name))
+            self._resolve(result)
+            self.trace.append(TraceEvent(self._now, "fail", job.name))
 
     def _handle_complete(self, token: int, value: float) -> None:
         attempt = self._inflight.pop(token, None)
@@ -229,9 +225,7 @@ class SimulatedFarm:
         for token in dead:
             attempt = self._inflight.pop(token)
             self.bus.process_ended(attempt.node, attempt.pid, attempt.job.name)
-            self._retry_or_fail(
-                attempt.job, attempt.tries, f"worker {fault.node} crashed", self._now - attempt.started
-            )
+            self._failed(attempt.job, attempt.tries, self._now - attempt.started, f"worker {fault.node} crashed")
         self.store.mark_lost(fault.node)
         self._fill()
 
@@ -273,13 +267,11 @@ class SimulatedFarm:
         """Nothing to release: the farm holds no threads or connections."""
 
     def terminate(self, node: str, pid: int) -> None:
-        """Kill the attempt owning (node, pid): slot released, no requeue."""
+        """Kill the attempt owning (node, pid): slot released, no requeue; the job resolves as cancelled."""
         for token, attempt in list(self._inflight.items()):
             if attempt.node == node and attempt.pid == pid:
                 del self._inflight[token]
                 self.bus.process_ended(node, pid, attempt.job.name)
                 self._release(attempt.node, attempt.slot)
                 self.trace.append(TraceEvent(self._now, "kill", attempt.job.name, node, attempt.slot))
-                self._resolve(
-                    JobResult(attempt.job.name, attempt.job.identifier, 0.0, 0.0, ok=False, error="killed")
-                )
+                self._resolve(self.ledger.cancelled(attempt.job, self._now - attempt.started))

@@ -148,6 +148,7 @@ def exit_code(*argv):
         ("retrain", "--local-slots"),
         ("simulate", "--worker-count"),
         ("simulate", "--slots-per-worker"),
+        ("simulate", "--jobs"),
         ("worker", "--slots"),
     ],
 )
@@ -173,6 +174,28 @@ def test_malformed_crash_is_refused_with_a_message(capsys, crash, message):
     assert exit_code("simulate", "--jobs", 4, "--crash", crash) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--duration", "-1", "job duration must be non-negative, got -1.0"),
+     ("--duration", "nan", "job duration must be non-negative, got nan"),
+     ("--overhead", "nan", "dispatch overhead must be non-negative, got nan"),
+     ("--jobs", "-2", "at least 1, got '-2'")],
+)
+def test_simulate_refuses_negative_or_nan_times_and_job_counts(capsys, flag, value, message):
+    assert exit_code("simulate", "--jobs", 3, flag, value) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "virtual makespan" not in captured.out
+
+
+@pytest.mark.parametrize("listen", ["localhost", "localhost:", "localhost:http", "localhost:65536"])
+def test_worker_listen_address_without_a_valid_port_is_refused_with_a_message(capsys, listen):
+    assert exit_code("worker", "--listen", listen) == 2
+    err = capsys.readouterr().err
+    assert f"--listen {listen!r} needs host:port with a port in 0..65535" in err
     assert "Traceback" not in err
 
 

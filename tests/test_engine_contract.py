@@ -6,7 +6,8 @@ fitness record per job must agree. A failed attempt costs what the engine's
 clock measured: wall time on the threaded engine, and nothing on the farm,
 where a failure at placement takes no virtual time. Jobs submitted one by one
 and waited for in groups give what one ``run_jobs`` call gives, and a cancel
-starts no queued job on either engine.
+starts no queued job on either engine. An attempt killed after a cancel
+resolves as cancelled on both, charged the seconds it held its slot.
 """
 
 import random
@@ -20,7 +21,7 @@ import pytest
 from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
 from evonas.backends import SurrogateBackend
-from evonas.bus import DURATIONS_FILE, FitnessRecord, InProcessBus, Listener
+from evonas.bus import DURATIONS_FILE, FitnessRecord, InProcessBus, Listener, ProcessRecord, kill_all
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed
 from evonas.jobs import JobSpec
@@ -238,3 +239,74 @@ class SlowBackend(SurrogateBackend):
         if self.block and len(self.started) > 1:
             self.release.wait(10.0)
         return super().evaluate(job, emit_log, slot_id)
+
+
+@pytest.mark.parametrize("engine_kind", ENGINES)
+def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, engine_kind):
+    """cancel() then kill_all on an in-flight attempt: the job resolves as cancelled with no
+    fitness record, and the seconds the killed attempt held its slot join the busy time."""
+    bus = FitnessTallyBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    long_job, short_job = make_jobs(2)
+    if engine_kind == "farm":
+        backend = TimedBackend({long_job.name: 100.0, short_job.name: 4.0})
+        engine = SimulatedFarm({"w": 2}, backend, bus, listener)
+    else:
+        runner = KillableRunner(long_job.name, short_s=4.0)
+        engine = ThreadedEngine(SlotStore([("local", 0), ("local", 1)]), bus, listener, runner)
+    closing(engine)
+    engine.submit(long_job)
+    assert engine.run_jobs([short_job])[short_job.name].ok  # on the farm the clock reaches 4 s
+    deadline = time.monotonic() + 10
+    while not bus.live_processes():  # the long job holds its slot
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert engine.stats.busy_seconds == 4.0
+    engine.cancel()
+    assert kill_all(bus, engine.terminate) == 1
+    killed = engine.wait([long_job.name])[long_job.name]
+    assert (killed.ok, killed.error) == (False, "cancelled")
+    assert killed.duration_s > 0
+    if engine_kind == "farm":
+        assert killed.duration_s == 4.0  # virtual seconds from placement to the kill
+    assert engine.stats.busy_seconds == pytest.approx(4.0 + killed.duration_s)
+    assert [r.job_name for r in bus.fitness] == [short_job.name]
+    assert engine.stats.jobs == 1
+    assert bus.live_processes() == []
+
+
+class TimedBackend(SurrogateBackend):
+    """Surrogate values, with the duration of each job given by name."""
+
+    def __init__(self, seconds):
+        super().__init__()
+        self.seconds = seconds
+
+    def evaluate(self, job, emit_log=None, slot_id=0):
+        value, _ = super().evaluate(job, emit_log, slot_id)
+        return value, self.seconds[job.name]
+
+
+class KillableRunner:
+    """Slot runner: the ``blocking`` job runs as a trainer process until ``kill``; any other
+    job succeeds at once, reporting ``short_s`` seconds."""
+
+    PID = 424242
+
+    def __init__(self, blocking, short_s):
+        self.blocking = blocking
+        self.short_s = short_s
+        self.killed = threading.Event()
+
+    def __call__(self, job, node, slot, bus):
+        if job.name != self.blocking:
+            return SurrogateBackend().evaluate(job)[0], self.short_s
+        bus.process_started(ProcessRecord(node=node, pid=self.PID, job_name=job.name, started_at=time.time()))
+        try:
+            self.killed.wait(10.0)
+        finally:
+            bus.process_ended(node, self.PID, job.name)
+        raise JobFailed("trainer terminated", "")
+
+    def kill(self, node, pid):
+        self.killed.set()

@@ -6,7 +6,7 @@ from evonas.backends import SurrogateBackend
 from evonas.bus import InProcessBus, Listener, kill_all
 from evonas.errors import ConfigError
 from evonas.jobs import JobSpec
-from evonas.simfarm import SimulatedFarm, parse_fault_script
+from evonas.simfarm import FaultEvent, SimulatedFarm, parse_fault_script
 from evonas.slots import SlotStatus
 
 import random
@@ -121,7 +121,7 @@ def test_crashed_worker_requeues_job_on_survivor(tmp_path, make_farm):
         tmp_path,
         {"w1": 1, "w2": 1},
         duration=10.0,
-        faults=[{"kind": "crash", "node": "w1", "at": 7.0}],
+        faults=[FaultEvent("crash", "w1", 7.0)],
     )
     results = farm.run_jobs(make_jobs(2))
     assert all(r.ok for r in results.values())
@@ -142,7 +142,7 @@ def test_job_requeued_exactly_once_per_retry_budget(tmp_path, make_farm):
         {"w1": 1},
         duration=10.0,
         retry_budget=1,
-        faults=[{"kind": "crash", "node": "w1", "at": 3.0}],
+        faults=[FaultEvent("crash", "w1", 3.0)],
     )
     results = farm.run_jobs(make_jobs(1))
     job = make_jobs(1)[0]
@@ -157,7 +157,7 @@ def test_job_requeued_exactly_once_per_retry_budget(tmp_path, make_farm):
 def test_failed_job_resolves_with_zero_fitness_record(tmp_path, make_farm):
     farm, bus, listener = make_farm(
         tmp_path, {"w1": 1}, duration=4.0, retry_budget=0,
-        faults=[{"kind": "crash", "node": "w1", "at": 2.0}],
+        faults=[FaultEvent("crash", "w1", 2.0)],
     )
     results = farm.run_jobs(make_jobs(1))
     (result,) = results.values()
@@ -196,13 +196,13 @@ def test_kill_all_during_race_over_many_interleavings(tmp_path, make_farm):
 
 
 def test_fault_script_validation():
-    with pytest.raises(ConfigError):
-        parse_fault_script([{"kind": "meteor", "node": "w", "at": 1.0}])
-    with pytest.raises(ConfigError):
-        parse_fault_script([{"kind": "crash", "node": "w"}])
-    with pytest.raises(ConfigError):
-        parse_fault_script([{"kind": "crash", "node": "w", "at": -3}])
-    assert parse_fault_script([{"kind": "crash", "node": "w", "at": 3}])[0].at == 3.0
+    with pytest.raises(ConfigError, match="unknown fault kind"):
+        parse_fault_script([FaultEvent("meteor", "w", 1.0)])
+    for at in (-3.0, float("nan")):
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            parse_fault_script([FaultEvent("crash", "w", at)])
+    fault = FaultEvent("crash", "w", 3.0)
+    assert parse_fault_script(iter([fault])) == (fault,)
 
 
 def test_farm_requires_workers(tmp_path):
