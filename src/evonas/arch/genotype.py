@@ -8,7 +8,8 @@ Every genotype has a canonical serialization -- a deterministic, scheme-tagged
 text form that is injective per scheme. The SHA-224 digest of those bytes is
 the genotype's identifier, used as the key of the fitness cache and in all
 population logs. The text is computed once per genotype, on first use, and
-kept on the immutable genotype.
+kept on the immutable genotype; so is its decoded IR, which
+``spaces.decode_under`` keeps on it together with the decode inputs.
 """
 
 from __future__ import annotations

@@ -27,15 +27,28 @@ def decode_under(
     g: Genotype, input_shape: tuple[int, int, int], head_classes: int, settings: Mapping[str, str]
 ) -> ir.ArchIR:
     """Decode ``g`` under the ``DECODE_KEYS`` of ``settings``, read back as
-    ``decode_settings`` writes them; an absent key takes the decoder default."""
+    ``decode_settings`` writes them; an absent key takes the decoder default.
+
+    The IR is kept on ``g`` with every decode input it was built from, so a
+    second call for the same genotype object under the same inputs returns it
+    (costs already walked) without decoding again. It lives as long as ``g``.
+    Key and IR are stored as one tuple, so threads that decode one genotype
+    at once may each decode it, but none reads an IR under another's key.
+    """
+    key = (input_shape, head_classes, *map(settings.get, DECODE_KEYS))
+    kept = g.__dict__.get("_decoded")
+    if kept is not None and kept[0] == key:
+        return kept[1]
     stage_channels = settings.get("stage_channels")
-    return ir.decode(
+    arch = ir.decode(
         g,
         input_shape,
         head_classes,
         stage_channels=tuple(int(c) for c in stage_channels.split(",")) if stage_channels else None,
         cell_channels=int(settings.get("cell_channels", ir.DEFAULT_CELL_CHANNELS)),
     )
+    g.__dict__["_decoded"] = (key, arch)
+    return arch
 
 
 class EncodingSpace(ABC):

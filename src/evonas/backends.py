@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .arch import Conv, Genotype, flop_count, param_count, parse_canonical
+from .arch import Conv, Genotype, flop_count, param_count
 from .arch.ir import ArchIR
 from .arch.spaces import decode_under
 from .datasets import dataset_spec
@@ -108,7 +108,7 @@ class SurrogateBackend:
         return float(raw) if raw is not None else default
 
     def evaluate(self, job: JobSpec, emit_log: EmitLog | None = None, slot_id: int = 0) -> tuple[float, float]:
-        ir = decode_from_settings(parse_canonical(job.payload), job.settings)
+        ir = decode_from_settings(job.genotype, job.settings)
         tau = self._setting(job, "tau", self.tau)
         sigma = self._setting(job, "sigma", self.sigma)
         a = self.fixed_asymptote

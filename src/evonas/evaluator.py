@@ -22,8 +22,12 @@ batch makespan at (4/3 - 1/(3m)) x optimal on m slots and cuts the straggler
 tail that submission order leaves. Only the start order changes: results are
 applied per member, so the search trajectory is the same. The FLOPs come from
 the same per-identifier decode that yields the parameter count, so ordering
-costs no extra decode; single-objective runs decode nothing here, because
-ordering them would add one decode per job next to the backend's own.
+costs no extra decode. That decode is also the backend's: a job built here
+carries its genotype, which keeps its IR, so an in-process backend reads the
+IR decoded here and a multi-objective job is decoded once per run.
+Single-objective runs decode nothing here: their backend decodes each job
+once, and ordering them would add a decode per job on a remote worker, which
+receives only the canonical text and decodes it again.
 
 Members can also be started ahead of their evaluation: ``submit(members)``
 starts a job for each cache miss whose key is not already in the table, and a
@@ -75,6 +79,7 @@ def job_spec(
         settings=settings,
         seed=job_seed(master_seed, identifier),
         epochs=int(settings.get("total_epoch", 1)),
+        built_from=genotype,
     )
 
 
@@ -94,8 +99,9 @@ class Evaluator:
         self.space = space
         self.master_seed = master_seed
         self.objectives = objectives
-        # identifier -> (params, FLOPs), one decode each; per instance, so no
-        # decode is shared across runs
+        # identifier -> (params, FLOPs), one decode each, also for equal
+        # genotypes held in distinct objects, which do not share the IR each
+        # keeps; per instance, so no decode is shared across runs
         self._costs: dict[str, tuple[int, int]] = {}
         # the job table: key (identifier, member name without a cache) -> name
         # of the job started for it, until evaluate_population hands it out

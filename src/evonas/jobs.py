@@ -4,14 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arch.genotype import Genotype, parse_canonical
+
 
 @dataclass(frozen=True)
 class JobSpec:
     """One fitness evaluation: a genotype payload plus the trainer snapshot.
 
-    ``payload`` is the canonical genotype text (workers decode it themselves),
+    ``payload`` is the canonical genotype text, the only form of the genotype
+    that leaves the process (workers and external trainers parse it),
     ``settings`` the flattened trainer/backend/decode parameters, and
-    ``epochs`` the phase's epoch budget.
+    ``epochs`` the phase's epoch budget. ``built_from`` is the genotype
+    ``payload`` was written from, when the job was built in this process; it
+    is never sent, so a job rebuilt by ``from_message`` has none.
     """
 
     name: str
@@ -21,6 +26,12 @@ class JobSpec:
     settings: dict[str, str] = field(default_factory=dict)
     seed: int = 0
     epochs: int = 1
+    built_from: Genotype | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def genotype(self) -> Genotype:
+        """The job's genotype: ``built_from``, else ``payload`` parsed anew."""
+        return self.built_from if self.built_from is not None else parse_canonical(self.payload)
 
     def to_message(self) -> dict:
         return {

@@ -143,7 +143,8 @@ def retrain_best(run_dir: Path | str, retrain_settings: dict[str, str], engine, 
     """Re-dispatch the best individual of a completed run under retrain settings.
 
     The retrain phase bypasses the fitness cache (its epoch budget differs
-    from the search phase) and appends its outcome to ``retrain.txt``.
+    from the search phase) and writes its outcome to ``retrain.txt``,
+    replacing the outcome of any earlier retrain.
     """
     run_dir = Path(run_dir)
     if not list_generations(run_dir):

@@ -2,10 +2,16 @@ import math
 import random
 import sys
 import textwrap
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
-from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier
+import evonas.arch.ir as ir_module
+import evonas.arch.spaces as spaces_module
+from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier, parse_canonical
 from evonas.arch.spaces import DECODE_KEYS, CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.backends import (
     CommandBackend,
@@ -16,7 +22,8 @@ from evonas.backends import (
     decode_from_settings,
 )
 from evonas.datasets import dataset_spec
-from evonas.errors import ConfigError, JobFailed, LookupMiss
+from evonas.errors import ConfigError, DecodeError, JobFailed, LookupMiss
+from evonas.evaluator import job_spec
 from evonas.jobs import JobSpec
 
 
@@ -114,13 +121,114 @@ def test_settings_decode_agrees_with_the_space_decode(space):
     rng = random.Random(5)
     for _ in range(10):
         g = space.sample(rng)
-        assert decode_from_settings(g, settings) == space.decode(g, shape, classes)
+        fresh = parse_canonical(canonical_text(g))  # an equal genotype that has kept no IR
+        assert decode_from_settings(g, settings) == space.decode(fresh, shape, classes)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=type)
 def test_every_decode_setting_is_a_decode_key(space):
     """``evonas retrain`` carries only the ``DECODE_KEYS`` over from the run's settings."""
     assert set(space.decode_settings()) <= set(DECODE_KEYS)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=type)
+def test_a_genotype_keeps_its_ir_only_for_the_same_object_and_decode_inputs(space, monkeypatch):
+    """The kept IR is keyed by every decode input and lives on one genotype object:
+    other inputs, or an equal genotype parsed again as a resumed run would, decode anew."""
+    decodes = []
+    decode = ir_module.decode
+
+    def counting_decode(*args, **kwargs):
+        decodes.append(args[0])
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(ir_module, "decode", counting_decode)
+    settings = {"dataset": "cifar10", **space.decode_settings()}
+    g = space.sample(random.Random(3))
+    kept = decode_from_settings(g, settings)
+    assert decode_from_settings(g, settings) is kept and len(decodes) == 1
+    for change in ({"stage_channels": "8,16"}, {"cell_channels": "12"}, {"dataset": "mnist"}, {"dataset": "cifar100"}):
+        other = {**settings, **change}
+        decode_from_settings(g, settings)  # g keeps its IR under the run's settings again
+        before = len(decodes)
+        assert decode_from_settings(g, other) == decode_from_settings(parse_canonical(canonical_text(g)), other)
+        assert len(decodes) == before + 2, change
+    equal = parse_canonical(canonical_text(g))
+    assert decode_from_settings(equal, settings) == kept
+    assert decodes[-1] is equal
+    # a decode key added later is part of the key without further change
+    monkeypatch.setattr(spaces_module, "DECODE_KEYS", (*DECODE_KEYS, "depth_multiplier"))
+    decode_from_settings(g, settings)
+    before = len(decodes)
+    decode_from_settings(g, {**settings, "depth_multiplier": "2"})
+    assert len(decodes) == before + 1
+
+
+def test_threads_decoding_shared_genotypes_under_two_datasets_each_read_their_own_ir():
+    """Concurrent decodes of one genotype object under two class counts each get their own head."""
+    genotypes = [space.sample(random.Random(i)) for i in range(12) for space in SPACES]
+    runs = [{"dataset": name, **space.decode_settings()} for name in ("cifar10", "cifar100") for space in SPACES]
+    wrong = []
+
+    def work(settings):
+        classes = dataset_spec(settings["dataset"])[1]
+        for _ in range(20):
+            for g in genotypes:
+                try:
+                    head = decode_from_settings(g, settings).layers[-1]
+                except DecodeError:
+                    continue
+                if head.n_out != classes:
+                    wrong.append((settings["dataset"], head.n_out))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(runs[i % len(runs)],)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.fixture(scope="module")
+def miss_table(tmp_path_factory):
+    """A lookup table that holds no identifier a sampled genotype has."""
+    path = tmp_path_factory.mktemp("lookup") / "bench.csv"
+    path.write_text(f"identifier,fitness\n{'f' * 56},50.0\n", encoding="utf-8")
+    return path
+
+
+WIRE_KEYS = {"type", "name", "identifier", "payload", "backend", "settings", "seed", "epochs"}
+
+
+@given(st.sampled_from(SPACES), st.integers(0, 2**32 - 1), st.booleans())
+@hypothesis_settings(max_examples=60, deadline=None)
+def test_a_job_gives_the_same_fitness_and_duration_after_crossing_the_wire(miss_table, space, seed, predecoded):
+    g = space.sample(random.Random(seed))
+    run_settings = {"dataset": "cifar10", "total_epoch": "8", "sigma": "0.5", **space.decode_settings()}
+    if predecoded:  # as the evaluator does for the params objective
+        try:
+            decode_from_settings(g, run_settings)
+        except DecodeError:
+            pass
+    job = job_spec("indi_gen00_no00", identifier(g), g, run_settings, seed)
+    message = job.to_message()
+    assert set(message) == WIRE_KEYS
+    wired = JobSpec.from_message(message)
+    assert wired == job and wired.built_from is None and job.built_from is g
+    for backend in (SurrogateBackend(), LookupBackend(str(miss_table), fallback="surrogate")):
+        outcomes = []
+        for each in (job, wired):
+            try:
+                outcomes.append(backend.evaluate(each))
+            except DecodeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 # ----------------------------------------------------------------- lookup

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -347,11 +348,14 @@ def test_nsga2_trajectory_does_not_depend_on_the_slot_count(make_harness):
     assert logs[0] == logs[1]
 
 
-def test_one_nsga2_generation_walks_each_ir_once_and_serializes_each_genotype_once(make_harness, monkeypatch):
-    """Guards the cost of the genotype -> cost path: no extra consistency walk or serialization."""
-    counts = {"decodes": 0, "walks": 0}
-    serialized = []  # the genotype objects, held so that their ids stay unique
-    build, walk, serialize = ir_module._Builder.build, ir_module._consistency_walk, genotype_module._serialize
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count decodes, consistency walks and ``parse_canonical`` calls from here on.
+
+    ``parse_canonical`` is counted at every ``evonas`` module name bound to it,
+    wherever its callers look it up.
+    """
+    counts = {"decodes": 0, "walks": 0, "parses": 0}
+    build, walk, parse = ir_module._Builder.build, ir_module._consistency_walk, genotype_module.parse_canonical
 
     def counting_build(self):
         counts["decodes"] += 1
@@ -361,20 +365,49 @@ def test_one_nsga2_generation_walks_each_ir_once_and_serializes_each_genotype_on
         counts["walks"] += 1
         return walk(ir)
 
+    def counting_parse(text):
+        counts["parses"] += 1
+        return parse(text)
+
+    monkeypatch.setattr(ir_module._Builder, "build", counting_build)
+    monkeypatch.setattr(ir_module, "_consistency_walk", counting_walk)
+    for name, module in list(sys.modules.items()):
+        if name == "evonas" or name.startswith("evonas."):
+            for attr, value in list(vars(module).items()):
+                if value is parse:
+                    monkeypatch.setattr(module, attr, counting_parse)
+    return counts
+
+
+def test_one_nsga2_generation_walks_each_ir_once_and_serializes_each_genotype_once(make_harness, monkeypatch):
+    """Guards the cost of the genotype -> cost path: no extra decode, walk or serialization."""
+    counts = _count_work(monkeypatch)
+    serialized = []  # the genotype objects, held so that their ids stay unique
+    serialize = genotype_module._serialize
+
     def recording_serialize(g):
         serialized.append(g)
         return serialize(g)
 
-    monkeypatch.setattr(ir_module._Builder, "build", counting_build)
-    monkeypatch.setattr(ir_module, "_consistency_walk", counting_walk)
     monkeypatch.setattr(genotype_module, "_serialize", recording_serialize)
     harness = make_harness(strategy="nsga2", pop_size=12, max_gen=2, slots=4)
     runner, farm = harness.build()
     runner.run()
-    # nsga2 decodes each job twice: once for its params objective, once in the backend
-    assert counts["decodes"] == 2 * farm.stats.jobs > 0
+    # the evaluator decodes each job for its params objective; the backend
+    # reads the IR the job's genotype keeps
+    assert counts["decodes"] == farm.stats.jobs > 0
     assert counts["walks"] == counts["decodes"]
+    assert counts["parses"] == 0
     assert len({id(g) for g in serialized}) == len(serialized) >= 24
+
+
+def test_an_aging_run_decodes_each_job_once_and_parses_no_genotype(make_harness, monkeypatch):
+    counts = _count_work(monkeypatch)
+    harness = make_harness(strategy="aging_evolution", pop_size=8, max_gen=4, slots=3, sample_size=3)
+    runner, farm = harness.build()
+    runner.run()
+    assert counts["decodes"] == counts["walks"] == farm.stats.jobs > 8
+    assert counts["parses"] == 0
 
 
 @pytest.mark.parametrize("lead_first", [True, False], ids=["lead_first", "joiner_first"])

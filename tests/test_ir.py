@@ -17,10 +17,12 @@ from evonas.arch import (
     PoolType,
     Ref,
     Skip,
+    canonical_text,
     check_shapes,
     decode,
     flop_count,
     param_count,
+    parse_canonical,
 )
 from evonas.arch.spaces import CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.errors import DecodeError, InvariantViolation
@@ -145,8 +147,9 @@ def test_costs_and_shapes_survive_rebuilding_from_fresh_layers(space, seed):
     assert fresh == ir
     assert (param_count(ir), flop_count(ir)) == _oracle_costs(fresh) == (param_count(fresh), flop_count(fresh))
     assert check_shapes(ir) == check_shapes(fresh)
-    # decoding the same genotype again shares the interned layer objects
-    again = space.decode(g, (3, 32, 32), 10)
+    # decoding an equal genotype afresh shares the interned layer objects
+    again = space.decode(parse_canonical(canonical_text(g)), (3, 32, 32), 10)
+    assert again is not ir
     assert again == ir and all(a is b for a, b in zip(again.layers, ir.layers))
 
 
