@@ -10,7 +10,7 @@ identical data and trainer settings.
 
 from . import arch, evo
 from .backends import CommandBackend, LookupBackend, SurrogateBackend, build_backend
-from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord, kill_all
+from .bus import InProcessBus, Listener, LogRecord, ProcessRecord, kill_all
 from .cache import ResultCache
 from .config import BackendConfig, GlobalConfig, TrainerSettings
 from .engine import ThreadedEngine, local_runner
@@ -27,7 +27,6 @@ __all__ = [
     "BackendConfig",
     "CommandBackend",
     "Evaluator",
-    "FitnessRecord",
     "GlobalConfig",
     "InProcessBus",
     "JobResult",

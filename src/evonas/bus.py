@@ -1,9 +1,10 @@
 """Record bus: the channel between running jobs and the run directory.
 
 Jobs publish two families of records. Process records are presence state (a
-job's node and pid while it runs); run records -- Log lines and one
-FitnessRecord per completed job -- are queued in memory for a single
-listener, which routes them to the cache, result, log, and duration files.
+trainer process's node and pid while it runs); run records -- log lines and
+each job's one ``JobResult``, which a cancelled job never publishes -- are
+queued in memory for a single listener, which routes them to the cache,
+result, log, and duration files.
 
 Delivery is exactly-once without record ids: ``publish`` appends each record
 once and ``take`` pops it under the same lock, so no record is handed to the
@@ -22,6 +23,7 @@ from typing import Callable
 
 from .cache import ResultCache
 from .errors import PersistError
+from .jobs import JobResult
 
 RESULT_FILE = "results.txt"
 RUN_LOG_FILE = "run.log"
@@ -42,15 +44,7 @@ class LogRecord:
     line: str
 
 
-@dataclass(frozen=True)
-class FitnessRecord:
-    job_name: str
-    identifier: str
-    value: float  # percent, 2-decimal quantized
-    duration_s: float
-
-
-RunRecord = LogRecord | FitnessRecord
+RunRecord = LogRecord | JobResult
 
 
 class InProcessBus:
@@ -90,7 +84,7 @@ class InProcessBus:
 class Listener:
     """The single consumer that routes run records to the run-directory files.
 
-    Routing: Log -> ``run.log`` (prefixed with the job name); FitnessRecord ->
+    Routing: Log -> ``run.log`` (prefixed with the job name); JobResult ->
     one cache entry (first write wins), one ``name=value`` line in
     ``results.txt`` and one duration line in ``durations.txt``. A job name
     already in ``results.txt`` (a job re-run after a restart) gets no second
@@ -149,10 +143,10 @@ class Listener:
         else:
             if self.cache is not None:
                 self.cache.insert(record.identifier, record.value, flush=False)
-            if record.job_name not in self._routed_names:
-                self._append(RESULT_FILE, f"{record.job_name}={record.value:.2f}")
-                self._append(DURATIONS_FILE, f"{record.job_name} {record.identifier} {record.duration_s:.6f}")
-                self._routed_names.add(record.job_name)
+            if record.name not in self._routed_names:
+                self._append(RESULT_FILE, f"{record.name}={record.value:.2f}")
+                self._append(DURATIONS_FILE, f"{record.name} {record.identifier} {record.duration_s:.6f}")
+                self._routed_names.add(record.name)
 
     def drain(self) -> int:
         """Apply every pending record; returns the number routed."""

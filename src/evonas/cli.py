@@ -18,7 +18,7 @@ from pathlib import Path
 from . import report as report_mod
 from .arch import identifier
 from .arch.spaces import DECODE_KEYS, FixedBinarySpace
-from .backends import SurrogateBackend, build_backend
+from .backends import BACKEND_KINDS, SurrogateBackend, build_backend
 from .bus import InProcessBus, Listener, kill_all
 from .cache import ResultCache
 from .config import (
@@ -247,8 +247,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", required=True, help="host:port (port 0 picks a free port)")
     p.add_argument("--slots", type=_positive_int, default=1)
     p.add_argument(
-        "--backend", action="append", default=None,
-        help="allowed backend kind (repeatable); default: surrogate,command,lookup",
+        "--backend", action="append", default=None, choices=BACKEND_KINDS,
+        help="allowed backend kind (repeatable); default: all of them",
     )
     p.set_defaults(func=cmd_worker)
 
@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     if args.command == "worker" and args.backend is None:
-        args.backend = ["surrogate", "command", "lookup"]
+        args.backend = list(BACKEND_KINDS)
     try:
         return args.func(args)
     except EvoNasError as exc:

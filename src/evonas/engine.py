@@ -13,24 +13,24 @@ fitness; the evaluator does, from what ``wait`` returns.
 seconds each job has consumed. An engine reports each placement, success
 and failed attempt to it, and ``failed`` alone decides what a failure
 means: retry, give up with the fitness-0.00 convention, or, after a cancel,
-resolve as ``cancelled``. The ledger publishes the job's one
-``FitnessRecord`` -- the value with a duration that sums every attempt, or
-0.00 for a job that exhausted its budget -- and keeps ``EngineStats`` under
-one lock. Slot runners and the simulated farm publish only process and log
-records.
+resolve as ``cancelled``. The ledger publishes the ``JobResult`` it returns
+-- the value with a duration that sums every attempt, or 0.00 for a job
+that exhausted its budget -- and keeps ``EngineStats`` under one lock. Slot
+runners and the simulated farm publish only process and log records.
 
 ``cancel()`` is the interrupt path: no job starts another attempt after it,
 a failed or killed attempt is not retried, and a job stopped this way
-resolves as ``cancelled`` without a fitness record, charged the seconds its
+resolves as ``cancelled``, unpublished, charged the seconds its
 attempts held a slot, so a resumed run trains it again instead of reading
 fitness 0.00 from the cache.
 
 ``ThreadedEngine`` gives real concurrency over local or remote slots: one
-dispatch thread per in-flight job blocks for a slot, runs the job through a
-slot runner (an in-process backend or a TCP worker connection), and reports
-the outcome to the ledger. The slot runner carries what it holds: its
-``kill(node, pid)`` is the engine's terminator and its ``close()`` runs when
-the engine closes.
+dispatch thread per in-flight job takes a slot, runs the job through a slot
+runner (an in-process backend or a TCP worker connection), and reports the
+outcome to the ledger. The pool has at most one thread per slot and a thread
+holds one slot at a time, so a slot is always free for the thread asking.
+The slot runner carries what it holds: its ``kill(node, pid)`` is the
+engine's terminator and its ``close()`` runs when the engine closes.
 
 Each engine owns one dispatch pool of at most one thread per slot, shared by
 all its jobs: no thread starts before the first job, and a thread that has
@@ -53,16 +53,17 @@ from concurrent.futures import Future
 from typing import Callable
 
 from .backends import CommandBackend
-from .bus import FitnessRecord, InProcessBus, Listener, LogRecord, ProcessRecord
+from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
 from .errors import DecodeError, JobFailed, LookupMiss, WorkerLostError
 from .jobs import JobResult, JobSpec
 from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
 
-#: Runs one job on one slot, publishing its process and log records; returns
-#: (value, duration). The engine's ledger publishes the fitness record. A
-#: runner may carry ``kill(node, pid)`` and ``close()`` attributes.
+#: Runs one job on one slot, publishing its log records and a process record
+#: for each trainer process it spawns; returns (value, duration). The engine's
+#: ledger publishes the result. A runner may carry ``kill(node, pid)`` and
+#: ``close()`` attributes.
 SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
 #: What a failed attempt raises; the ledger decides whether the job retries.
@@ -70,9 +71,6 @@ ATTEMPT_FAILURES = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
 
 #: Retries a job gets after its first failed attempt.
 RETRY_BUDGET = 1
-
-#: Seconds a dispatch thread waits for a slot before its job fails.
-ACQUIRE_TIMEOUT_S = 120.0
 
 #: Seconds an idle dispatch thread waits for the next job before it exits.
 DISPATCH_IDLE_S = 1.0
@@ -126,60 +124,63 @@ class AttemptLedger:
         return self._resolve(job, value, seconds, None)
 
     def cancelled(self, job: JobSpec, seconds: float = 0.0) -> JobResult:
-        """Resolve a job that a cancel stopped; no fitness record, so no cache entry."""
+        """Resolve a job that a cancel stopped; unpublished, so no cache entry."""
         with self._lock:
             self.stats.busy_seconds += seconds
             total = self._consumed.pop(job.name, 0.0) + seconds
         return JobResult(job.name, job.identifier, 0.0, total, ok=False, error="cancelled")
 
     def _resolve(self, job: JobSpec, value: float, seconds: float, failure: str | None) -> JobResult:
-        """Publish the job's one fitness record, whose duration sums every attempt."""
+        """Publish and return the job's one result, whose duration sums every attempt."""
         with self._lock:
             self.stats.jobs += 1
             self.stats.failures += failure is not None
             self.stats.busy_seconds += seconds
             total = self._consumed.pop(job.name, 0.0) + seconds
-        self.bus.publish(FitnessRecord(job_name=job.name, identifier=job.identifier, value=value, duration_s=total))
-        return JobResult(job.name, job.identifier, value, total, ok=failure is None, error=failure or "")
+        result = JobResult(job.name, job.identifier, value, total, ok=failure is None, error=failure or "")
+        self.bus.publish(result)
+        return result
 
 
 def local_runner(backend) -> SlotRunner:
     """Slot runner that executes a backend in this process.
 
-    Command backends register the spawned trainer's pid in the process record
-    (that is the killable unit); other backends register this process. The
-    backend is copied per job, so concurrent slots share no mutable state.
+    A command backend's spawned trainer gets a process record while it runs:
+    that is the unit a kill can stop. An in-process backend gets none, since
+    no terminator signals this process. A command backend is copied per job,
+    so concurrent slots share no mutable state.
     """
 
     def run(job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
-        pid_box = {"pid": os.getpid()}
+        def emit_log(line: str) -> None:
+            bus.publish(LogRecord(job_name=job.name, line=line))
+
+        if not isinstance(backend, CommandBackend):
+            return backend.evaluate(job, emit_log=emit_log, slot_id=slot)
+        pids: list[int] = []
 
         def announce(pid: int) -> None:
-            pid_box["pid"] = pid
+            pids.append(pid)
             bus.process_started(ProcessRecord(node=node, pid=pid, job_name=job.name, started_at=time.time()))
 
-        if isinstance(backend, CommandBackend):
-            job_backend = dataclasses.replace(backend, on_spawn=announce)
-        else:
-            job_backend = backend
-            announce(os.getpid())
         try:
-            value, duration = job_backend.evaluate(
-                job,
-                emit_log=lambda line: bus.publish(LogRecord(job_name=job.name, line=line)),
-                slot_id=slot,
-            )
+            return dataclasses.replace(backend, on_spawn=announce).evaluate(job, emit_log=emit_log, slot_id=slot)
         finally:
-            bus.process_ended(node, pid_box["pid"], job.name)
-        return value, duration
+            for pid in pids:
+                bus.process_ended(node, pid, job.name)
 
     run.kill = local_terminator
     return run
 
 
 def local_terminator(node: str, pid: int) -> None:
-    """Terminate a locally spawned trainer process; never this process itself."""
-    if pid == os.getpid():
+    """Terminate a locally spawned trainer process.
+
+    Never this process, and never a pid that ``os.kill`` reads as a group
+    (0 is this process group, a negative pid a group or every process the
+    user owns): a pid may arrive from the network.
+    """
+    if pid <= 0 or pid == os.getpid():
         return
     try:
         os.kill(pid, signal.SIGTERM)
@@ -279,13 +280,11 @@ class ThreadedEngine:
         ledger = self.ledger
         reason = "no live worker slots available"
         for tries in itertools.count():
-            if ledger.stopping.is_set():
-                return ledger.cancelled(job)
-            grant = self.store.acquire_wait(job.name, timeout=ACQUIRE_TIMEOUT_S)
+            grant = self.store.acquire_wait(job.name)
             if grant is None:
                 return ledger.failed(job, ledger.retry_budget, 0.0, reason)
             node, slot = grant
-            if ledger.stopping.is_set():  # the cancel came while this job waited for a slot
+            if ledger.stopping.is_set():
                 self.store.release(node, slot)
                 return ledger.cancelled(job)
             ledger.placed()

@@ -3,13 +3,15 @@
 Messages are length-delimited JSON over a TCP byte stream: a 4-byte big-endian
 length prefix followed by a UTF-8 JSON object. The center sends one ``job``
 message per dispatch (the job fields plus the assigned ``slot``); the worker
-answers with a stream of ``process_start``, ``log``, one ``fitness``
+answers with a stream of ``log`` frames, one ``fitness``
 (``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or one
 ``error``, and always a final ``process_end``, which ends the job's stream.
-A ``kill`` message supports run interruption. The center republishes the
-process and log frames on its bus and returns the fitness frame's value and
-duration to the engine, whose attempt ledger publishes the job's one fitness
-record.
+A job whose backend spawns a trainer process (the command backend) also gets
+a ``process_start`` naming the trainer's pid, the unit a ``kill`` message can
+stop at run interruption; an in-process backend gets none. The center
+republishes the process and log frames on its bus and returns the fitness
+frame's value and duration to the engine, whose attempt ledger publishes the
+job's one result.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after a clean ``process_end`` and sends the
@@ -29,7 +31,6 @@ import json
 import logging
 import os
 import select
-import signal
 import socket
 import struct
 import threading
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field, replace
 
 from .backends import CommandBackend, build_backend
 from .bus import InProcessBus, LogRecord, ProcessRecord
+from .engine import local_terminator
 from .errors import JobFailed, WorkerLostError
 from .jobs import JobSpec
 
@@ -142,21 +144,13 @@ class WorkerAgent:
                     if kind == "job":
                         self._run_job(conn, msg, backends)
                     elif kind == "kill":
-                        self._kill(int(msg.get("pid", -1)))
+                        local_terminator(self.address, int(msg.get("pid", -1)))
                         send_msg(conn, {"type": "ok"})
         except (WorkerLostError, json.JSONDecodeError, OSError):
             pass
         finally:
             with self._lock:
                 self._conns.discard(conn)
-
-    def _kill(self, pid: int) -> None:
-        if pid <= 0 or pid == os.getpid():
-            return
-        try:
-            os.kill(pid, signal.SIGTERM)
-        except (ProcessLookupError, PermissionError):
-            pass
 
     def _run_job(self, conn: socket.socket, msg: dict, backends: dict[tuple, object]) -> None:
         job = JobSpec.from_message(msg)
@@ -165,7 +159,7 @@ class WorkerAgent:
             send_msg(conn, {"type": "error", "message": f"backend {job.backend!r} not supported here"})
             send_msg(conn, {"type": "process_end", "node": self.address, "pid": os.getpid(), "job": job.name})
             return
-        pid_box = {"pid": os.getpid()}
+        pid_box = {"pid": os.getpid()}  # process_end names the trainer, else this worker
 
         def announce(pid: int) -> None:
             pid_box["pid"] = pid
@@ -178,8 +172,6 @@ class WorkerAgent:
                 backend = backends[key] = build_backend(job.backend, job.settings)
             if isinstance(backend, CommandBackend):
                 backend = replace(backend, on_spawn=announce)
-            else:
-                announce(os.getpid())
             value, duration = backend.evaluate(
                 job,
                 emit_log=lambda line: send_msg(conn, {"type": "log", "job": job.name, "line": line}),
@@ -323,8 +315,6 @@ class TcpTransport:
                 elif kind == "fitness":
                     result = (float(msg["value"]), float(msg["duration_s"]))
                 elif kind == "process_end":
-                    bus.process_ended(msg["node"], int(msg["pid"]), job.name)
-                    procs = [p for p in procs if p != (msg["node"], int(msg["pid"]))]
                     break
                 elif kind == "error":
                     error = JobFailed(msg.get("message", "worker error"), msg.get("log_tail", ""))
@@ -337,13 +327,13 @@ class TcpTransport:
             sock.close()
             raise
         finally:
-            for proc_node, pid in procs:  # connection died before process_end arrived
+            for proc_node, pid in procs:  # the stream ended, or the connection died before it did
                 bus.process_ended(proc_node, pid, job.name)
         self._checkin(node, sock)
         if error is not None:
             raise error
         if result is None:
-            raise WorkerLostError(f"worker {node} ended job {job.name} without a fitness record")
+            raise WorkerLostError(f"worker {node} ended job {job.name} without a fitness frame")
         return result
 
     def kill(self, node: str, pid: int) -> None:

@@ -84,18 +84,14 @@ class RunState:
         if not path.exists():
             return state
         # unknown keys are skipped: older files carry a ``generation`` line
-        for line in path.read_text(encoding="utf-8").splitlines():
+        types = {"is_running": int, "algorithm": str, "strategy": str, "width": int, "lag": int}
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             key, _, value = line.partition("=")
-            if key == "is_running":
-                state.is_running = int(value)
-            elif key == "algorithm":
-                state.algorithm = value
-            elif key == "strategy":
-                state.strategy = value
-            elif key == "width":
-                state.width = int(value)
-            elif key == "lag":
-                state.lag = int(value)
+            if key in types:
+                try:
+                    setattr(state, key, types[key](value))
+                except ValueError:
+                    raise RestartError(f"{path} line {number} is malformed: {line!r}") from None
         return state
 
     def save(self, run_dir: Path) -> None:

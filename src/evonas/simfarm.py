@@ -3,7 +3,8 @@
 Workers, slots, job durations, and faults all live in simulated time: a
 single-threaded event loop places queued jobs greedily on the lowest idle
 slot (so no job ever waits while an idle, healthy slot exists), publishes the
-same process and log records a real farm would, and advances a virtual clock.
+log records and trainer process records (with modelled pids) a real farm
+would, and advances a virtual clock.
 Event order is deterministic: ties break on submission sequence.
 
 The farm offers the engines' streaming API: ``submit`` places a job at the
@@ -18,8 +19,8 @@ the clock and the slots. The same ``AttemptLedger`` as the threaded engine
 owns the attempt policy and builds every result: the farm reports each
 placement, completion, failed placement, crashed attempt and killed attempt
 to it, and the ledger decides on retries and cancels, keeps the stats and
-publishes each job's fitness record (fitness 0.00 for a job that exhausted
-its budget). A killed attempt resolves as ``cancelled`` and is charged its
+publishes each job's result (fitness 0.00 for a job that exhausted its
+budget). A killed attempt resolves as ``cancelled`` and is charged its
 virtual seconds, as on the threaded engine.
 """
 
@@ -160,7 +161,9 @@ class SimulatedFarm:
 
         No acquire is tried while no slot can be idle and a job is in flight:
         it would be refused, and that job's completion fills again. With
-        nothing in flight a refused acquire is what finds that no slot is live.
+        nothing in flight a refused acquire is what finds that no slot is live:
+        every busy slot holds an attempt, and a crash pops every attempt on
+        the node it marks lost.
         """
         if self.ledger.stopping.is_set():
             while self._queue:
@@ -170,8 +173,7 @@ class SimulatedFarm:
             grant = self.store.acquire(self._queue[0][0].name)
             if grant is None:
                 self._maybe_idle = 0
-                if not self.store.has_live():
-                    # every slot is lost: nothing can run anymore
+                if not self._inflight:  # every slot is lost: nothing can run anymore
                     while self._queue:
                         job, _ = self._queue.pop(0)
                         self._failed(job, self.ledger.retry_budget, 0.0, "no live worker slots remain")

@@ -9,7 +9,6 @@ in (node, slot) order, so a scan of it visits slots lowest first.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -59,9 +58,8 @@ class SlotStore:
         with self._lock:
             return self._claim_locked(job_name)
 
-    def acquire_wait(self, job_name: str | None = None, timeout: float | None = None) -> tuple[str, int] | None:
-        """Block until a slot can be claimed; None only on timeout or no live slots."""
-        deadline = None
+    def acquire_wait(self, job_name: str | None = None) -> tuple[str, int] | None:
+        """Block until a slot can be claimed; None once no slot is live."""
         with self._idle:
             while True:
                 key = self._claim_locked(job_name)
@@ -69,15 +67,7 @@ class SlotStore:
                     return key
                 if not self._live_locked():
                     return None  # every slot lost; waiting is hopeless
-                if timeout is not None:
-                    if deadline is None:
-                        deadline = time.monotonic() + timeout
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._idle.wait(remaining)
-                else:
-                    self._idle.wait()
+                self._idle.wait()
 
     def release(self, node: str, slot_id: int) -> None:
         with self._idle:
@@ -106,11 +96,6 @@ class SlotStore:
     def snapshot(self) -> list[SlotState]:
         with self._lock:
             return [SlotState(s.node, s.slot_id, s.status, s.job_name) for s in self._slots.values()]
-
-    def has_live(self) -> bool:
-        """True while some slot is idle or busy, i.e. not every slot is lost."""
-        with self._lock:
-            return self._live_locked()
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # sha224_reference import
+# the package from this checkout, also for the trainers and workers tests start as subprocesses
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 from evonas.backends import SurrogateBackend
 from evonas.bus import InProcessBus, Listener

@@ -4,7 +4,6 @@ import pytest
 
 from evonas.bus import (
     DURATIONS_FILE,
-    FitnessRecord,
     InProcessBus,
     Listener,
     LogRecord,
@@ -14,13 +13,14 @@ from evonas.bus import (
     kill_all,
 )
 from evonas.cache import ResultCache
+from evonas.jobs import JobResult
 
 DIGEST = "0" * 56
 
 
 def fit_record(i, value=90.5):
-    return FitnessRecord(
-        job_name=f"indi_gen00_no{i:02d}",
+    return JobResult(
+        name=f"indi_gen00_no{i:02d}",
         identifier=format(i, "x").rjust(56, "0"),
         value=value,
         duration_s=1.5,

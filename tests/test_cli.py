@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import evonas
+import evonas.cli
 from evonas.cli import main
 from evonas.report import CSV_HEADER
 
@@ -197,6 +198,28 @@ def test_worker_listen_address_without_a_valid_port_is_refused_with_a_message(ca
     err = capsys.readouterr().err
     assert f"--listen {listen!r} needs host:port with a port in 0..65535" in err
     assert "Traceback" not in err
+
+
+def test_worker_with_an_unknown_backend_is_refused_before_serving(capsys, monkeypatch):
+    served = []
+    monkeypatch.setattr(evonas.cli.WorkerAgent, "serve_forever", lambda self: served.append(self))
+    assert exit_code("worker", "--listen", "127.0.0.1:0", "--backend", "bogus") == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert served == []
+
+
+def test_malformed_run_state_is_refused_before_writing(tmp_path, capsys):
+    g, t = write_configs(tmp_path)
+    argv = ("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs")
+    assert run_cli(*argv) == 0
+    state = tmp_path / "runs" / "demo" / "run_state.txt"
+    state.write_text(state.read_text(encoding="utf-8").replace("lag=0", "lag=zz"), encoding="utf-8")
+    before = run_files(tmp_path / "runs" / "demo")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{state} line 5 is malformed: 'lag=zz'" in err
+    assert "Traceback" not in err
+    assert run_files(tmp_path / "runs" / "demo") == before
 
 
 def test_missing_lookup_table_is_refused_before_writing(tmp_path, capsys):

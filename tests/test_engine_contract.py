@@ -2,7 +2,7 @@
 
 The same retry scenarios run through ``SimulatedFarm`` and through
 ``ThreadedEngine(local_runner(...))``: the results, the stats and the one
-fitness record per job must agree. A failed attempt costs what the engine's
+published result per job must agree. A failed attempt costs what the engine's
 clock measured: wall time on the threaded engine, and nothing on the farm,
 where a failure at placement takes no virtual time. Jobs submitted one by one
 and waited for in groups give what one ``run_jobs`` call gives, and a cancel
@@ -21,10 +21,10 @@ import pytest
 from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
 from evonas.backends import SurrogateBackend
-from evonas.bus import DURATIONS_FILE, FitnessRecord, InProcessBus, Listener, ProcessRecord, kill_all
+from evonas.bus import DURATIONS_FILE, InProcessBus, Listener, ProcessRecord, kill_all
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed
-from evonas.jobs import JobSpec
+from evonas.jobs import JobResult, JobSpec
 from evonas.simfarm import SimulatedFarm
 from evonas.slots import SlotStore
 
@@ -50,14 +50,14 @@ class FlakyBackend(SurrogateBackend):
 
 
 class FitnessTallyBus(InProcessBus):
-    """Keeps every fitness record published on it."""
+    """Keeps every job result published on it."""
 
     def __init__(self):
         super().__init__()
-        self.fitness: list[FitnessRecord] = []
+        self.fitness: list[JobResult] = []
 
     def publish(self, record):
-        if isinstance(record, FitnessRecord):
+        if isinstance(record, JobResult):
             self.fitness.append(record)
         super().publish(record)
 
@@ -122,13 +122,13 @@ def test_both_engines_account_retries_alike(tmp_path, closing, scenario):
             jobs * (failed_attempts + ok),
             0 if ok else jobs,
         ), engine_kind
-        assert sorted(r.job_name for r in bus.fitness) == sorted(results), engine_kind  # one record per job
+        assert sorted(r.name for r in bus.fitness) == sorted(results), engine_kind  # one record per job
         for record in bus.fitness:
-            result = results[record.job_name]
-            success_s = SUCCESS_S[record.job_name] if ok else 0.0
+            result = results[record.name]
+            success_s = SUCCESS_S[record.name] if ok else 0.0
+            assert record == result, engine_kind  # the ledger publishes the result it returns
             # the recorded duration sums every attempt: each failed one and the success
-            assert record.duration_s == result.duration_s, engine_kind
-            assert recorded[record.job_name] == pytest.approx(result.duration_s, abs=1e-6), engine_kind
+            assert recorded[record.name] == pytest.approx(result.duration_s, abs=1e-6), engine_kind
             assert result.duration_s >= success_s + failed_attempts * failed_cost, engine_kind
             if failed_cost == 0.0:
                 assert result.duration_s == pytest.approx(success_s), engine_kind
@@ -156,10 +156,30 @@ def test_dispatch_threads_lose_no_count(tmp_path, closing):
     assert engine.stats.busy_seconds == pytest.approx(sum(r.duration_s for r in results.values()))
 
 
+def test_dispatch_threads_never_wait_for_a_slot(tmp_path, closing):
+    """The pool runs at most one thread per slot and each holds one slot at a time, so
+    every acquire_wait grants at once: N jobs on K slots never reach the condition wait."""
+    bus = InProcessBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    store = SlotStore([("local", i) for i in range(3)])
+    waits = []
+    store._idle.wait = lambda timeout=None: waits.append(timeout)
+    engine = closing(ThreadedEngine(store, bus, listener, local_runner(FlakyBackend(1, fail_s=0.0))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = engine.run_jobs(make_jobs(60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.ok for r in results.values())
+    assert engine.stats.attempts == 120
+    assert waits == []
+
+
 @pytest.mark.parametrize("engine_kind", ENGINES)
 def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
     """Jobs submitted one by one and waited for in two groups give the results, stats
-    and one fitness record per job that one run_jobs call gives; each result is handed
+    and one published result per job that one run_jobs call gives; each result is handed
     out once."""
     outcomes = []
     for mode in ("run_jobs", "submit_wait"):
@@ -181,7 +201,7 @@ def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
             assert bus.pending() == 0  # wait drains the listener
             results.update(engine.wait([job.name for job in jobs[:3]]))
             assert not any(engine.done(job.name) for job in jobs)  # each result is handed out once
-        assert sorted(r.job_name for r in bus.fitness) == sorted(results)
+        assert sorted(r.name for r in bus.fitness) == sorted(results)
         lines = (tmp_path / f"{engine_kind}_{mode}" / DURATIONS_FILE).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 5
         outcomes.append((
@@ -194,8 +214,8 @@ def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
 
 @pytest.mark.parametrize("engine_kind", ENGINES)
 def test_cancel_starts_no_queued_job_and_records_no_fitness(tmp_path, closing, engine_kind):
-    """After cancel, a job that has not started resolves as cancelled without a fitness
-    record (a resumed run trains it again); a job that finished keeps its record."""
+    """After cancel, a job that has not started resolves as cancelled and unpublished
+    (a resumed run trains it again); a job that finished keeps its published result."""
     bus = FitnessTallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
     backend = SlowBackend(block=engine_kind == "threaded")  # the farm runs a backend at placement
@@ -217,7 +237,7 @@ def test_cancel_starts_no_queued_job_and_records_no_fitness(tmp_path, closing, e
     results = engine.wait([job.name for job in rest])
     started = backend.started
     assert done[first.name].ok
-    assert [r.job_name for r in bus.fitness] == [first.name] + [n for n in started if n != first.name]
+    assert [r.name for r in bus.fitness] == [first.name] + [n for n in started if n != first.name]
     assert started == [first.name, rest[0].name]  # the second job took the slot before the cancel
     assert results[rest[0].name].ok
     for job in rest[1:]:
@@ -243,8 +263,8 @@ class SlowBackend(SurrogateBackend):
 
 @pytest.mark.parametrize("engine_kind", ENGINES)
 def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, engine_kind):
-    """cancel() then kill_all on an in-flight attempt: the job resolves as cancelled with no
-    fitness record, and the seconds the killed attempt held its slot join the busy time."""
+    """cancel() then kill_all on an in-flight attempt: the job resolves as cancelled and
+    unpublished, and the seconds the killed attempt held its slot join the busy time."""
     bus = FitnessTallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
     long_job, short_job = make_jobs(2)
@@ -270,7 +290,7 @@ def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, 
     if engine_kind == "farm":
         assert killed.duration_s == 4.0  # virtual seconds from placement to the kill
     assert engine.stats.busy_seconds == pytest.approx(4.0 + killed.duration_s)
-    assert [r.job_name for r in bus.fitness] == [short_job.name]
+    assert [r.name for r in bus.fitness] == [short_job.name]
     assert engine.stats.jobs == 1
     assert bus.live_processes() == []
 

@@ -1,3 +1,5 @@
+import os
+import signal
 import socket
 import sys
 import threading
@@ -6,10 +8,11 @@ from collections import Counter
 
 import pytest
 
+import evonas.remote as remote
 from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier
 from evonas.backends import LookupBackend, SurrogateBackend
 from evonas.bus import InProcessBus, Listener
-from evonas.engine import ThreadedEngine, local_runner
+from evonas.engine import ThreadedEngine, local_runner, local_terminator
 from evonas.errors import JobFailed, WorkerLostError
 from evonas.jobs import JobSpec
 from evonas.remote import TcpTransport, WorkerAgent, recv_msg, remote_runner
@@ -59,6 +62,24 @@ class TallyBus(InProcessBus):
         super().publish(record)
 
 
+class ProcessTallyBus(InProcessBus):
+    """Keeps every process record announced on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = []
+
+    def process_started(self, record):
+        self.started.append(record)
+        super().process_started(record)
+
+
+TOY_TRAINER = (
+    f"{sys.executable} -m evonas.toy_trainer --payload {{payload_path}} "
+    f"--settings {{settings_path}} --seed {{seed}} --slot {{slot_id}}"
+)
+
+
 def test_surrogate_job_round_trip_matches_in_process(worker, closing):
     bus = InProcessBus()
     value, duration = closing(TcpTransport()).run_job(job(), f"127.0.0.1:{worker.port}", 0, bus)
@@ -70,29 +91,25 @@ def test_surrogate_job_round_trip_matches_in_process(worker, closing):
 
 
 def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
-    template = (
-        f"{sys.executable} -m evonas.toy_trainer --payload {{payload_path}} "
-        f"--settings {{settings_path}} --seed {{seed}} --slot {{slot_id}}"
-    )
     node = f"127.0.0.1:{worker.port}"
     transport = closing(TcpTransport())
     bus = InProcessBus()
-    the_job = job(backend="command", settings={"command": template}, epochs=5)
+    the_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=5)
     value, _ = transport.run_job(the_job, node, 1, bus)
     expected_value, _ = SurrogateBackend().evaluate(the_job)
     assert value == expected_value
-    # 5 epoch lines streamed back as log records, and no fitness record from the transport
+    # 5 epoch lines streamed back as log records, and no job result from the transport
     kinds = []
     while (record := bus.take()) is not None:
         kinds.append(type(record).__name__)
     assert kinds == ["LogRecord"] * 5
-    # through an engine the job gets exactly one fitness record, from the engine's ledger
+    # through an engine the job gets exactly one published result, from the engine's ledger
     bus = TallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
     engine = closing(ThreadedEngine(SlotStore([(node, 1)]), bus, listener, remote_runner(transport)))
     (result,) = engine.run_jobs([the_job]).values()
     assert result.ok and result.value == expected_value
-    assert bus.published == {"LogRecord": 5, "FitnessRecord": 1}
+    assert bus.published == {"LogRecord": 5, "JobResult": 1}
 
 
 def test_unsupported_backend_is_job_failure(worker, closing):
@@ -112,6 +129,58 @@ def test_unreachable_worker_raises_worker_lost():
 
 def test_kill_message_is_accepted(worker):
     TcpTransport().kill(f"127.0.0.1:{worker.port}", 999_999)  # no such pid: harmless no-op
+
+
+def test_no_pid_that_names_a_group_or_this_process_is_signalled(worker, monkeypatch):
+    """The center's terminator and the worker's kill message share one rule: 0 (this
+    process group), -1 (every process the user owns) and the process's own pid signal
+    nothing; any other pid gets SIGTERM."""
+    signalled = []
+    monkeypatch.setattr(os, "kill", lambda pid, sig: signalled.append((pid, sig)))
+    node = f"127.0.0.1:{worker.port}"
+    for kill in (local_terminator, TcpTransport().kill):
+        for pid in (0, -1, os.getpid()):
+            kill(node, pid)
+        assert signalled == [], kill
+        kill(node, 999_999)
+        assert signalled == [(999_999, signal.SIGTERM)], kill
+        signalled.clear()
+
+
+def test_in_process_jobs_announce_no_process_record(worker, tmp_path, closing, monkeypatch):
+    """No terminator signals the center or a worker itself, so an in-process backend's
+    job gets no process record, locally or over TCP (no process_start frame); a command
+    job over TCP announces its trainer, and every job's stream still ends with process_end."""
+    frames = []
+    recv = remote.recv_msg
+
+    def recording(sock):
+        msg = recv(sock)
+        if msg is not None:
+            frames.append(msg["type"])
+        return msg
+
+    monkeypatch.setattr(remote, "recv_msg", recording)
+    node = f"127.0.0.1:{worker.port}"
+    jobs = [job(name=f"indi_gen00_no{i:02d}") for i in range(3)]
+    runners = {
+        "local": (SlotStore([("local", 0)]), local_runner(SurrogateBackend())),
+        "tcp": (SlotStore([(node, 0), (node, 1)]), remote_runner(closing(TcpTransport()))),
+    }
+    for where, (store, runner) in runners.items():
+        bus = ProcessTallyBus()
+        listener = closing(Listener(bus, tmp_path / where, cache=None))
+        results = closing(ThreadedEngine(store, bus, listener, runner)).run_jobs(jobs)
+        assert all(r.ok for r in results.values()), where
+        assert bus.started == [], where
+    assert frames.count("process_start") == 0
+    assert frames.count("process_end") == len(jobs)
+    bus = ProcessTallyBus()
+    command_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=2)
+    closing(TcpTransport()).run_job(command_job, node, 0, bus)
+    assert [record.pid != os.getpid() for record in bus.started] == [True]
+    assert bus.live_processes() == []
+    assert frames[-1] == "process_end" and frames.count("process_start") == 1
 
 
 def test_threaded_engine_over_remote_workers(worker, tmp_path, closing):
@@ -163,11 +232,9 @@ def test_threaded_engine_local_matches_simulated_values(tmp_path, closing):
 def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path, closing):
     """kill-all must target the trainer subprocess, so its pid (not the
     center's) goes into the process record."""
-    import os
     import textwrap
 
     from evonas.backends import CommandBackend
-    from evonas.bus import ProcessRecord
 
     script = tmp_path / "echo_pid.py"
     script.write_text(
@@ -182,16 +249,7 @@ def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path, closing):
     )
     backend = CommandBackend(template=f"{sys.executable} {script}")
 
-    class RecordingBus(InProcessBus):
-        def __init__(self):
-            super().__init__()
-            self.started: list[ProcessRecord] = []
-
-        def process_started(self, record):
-            self.started.append(record)
-            super().process_started(record)
-
-    bus = RecordingBus()
+    bus = ProcessTallyBus()
     store = SlotStore([("local", 0)])
     listener = closing(Listener(bus, tmp_path, cache=None))
     engine = closing(ThreadedEngine(store, bus, listener, local_runner(backend)))
@@ -387,16 +445,12 @@ def test_idle_dispatch_threads_exit_and_later_batches_still_run(tmp_path, monkey
 
 
 def test_no_live_process_record_after_any_job(worker):
-    template = (
-        f"{sys.executable} -m evonas.toy_trainer --payload {{payload_path}} "
-        f"--settings {{settings_path}} --seed {{seed}} --slot {{slot_id}}"
-    )
     transport = TcpTransport()
     node = f"127.0.0.1:{worker.port}"
     bus = InProcessBus()
     for the_job in (
         job(),
-        job(backend="command", settings={"command": template}, epochs=2),
+        job(backend="command", settings={"command": TOY_TRAINER}, epochs=2),
         job(backend="command", settings={"command": f"{sys.executable} -c 'import sys; sys.exit(3)'"}),
         job(backend="lookup", settings={"table": "x.csv"}),
         job(),

@@ -47,18 +47,6 @@ def test_mark_lost_reports_orphans_and_blocks_scheduling():
     assert store.acquire("more") is None  # n1 slots never granted while lost
 
 
-def test_has_live_false_once_every_slot_lost_or_quarantined():
-    store = SlotStore([("n1", 0), ("n2", 0), ("n2", 1)])
-    store.acquire("a")
-    store.acquire("b")
-    store.acquire("c")
-    assert store.has_live()  # busy slots are live
-    store.mark_lost("n1")
-    assert store.has_live()
-    store.mark_lost("n2")
-    assert not store.has_live()
-
-
 def test_slots_scan_in_key_order_whatever_the_input_order():
     store = SlotStore([("n2", 1), ("n1", 1), ("n2", 0), ("n1", 0)])
     assert [(s.node, s.slot_id) for s in store.snapshot()] == [
@@ -82,7 +70,7 @@ def test_acquire_wait_blocks_until_release():
     got = []
 
     def waiter():
-        got.append(store.acquire_wait("second", timeout=5.0))
+        got.append(store.acquire_wait("second"))
 
     thread = threading.Thread(target=waiter)
     thread.start()
@@ -94,4 +82,4 @@ def test_acquire_wait_blocks_until_release():
 def test_acquire_wait_gives_up_when_no_live_slots():
     store = SlotStore([("n", 0)])
     store.mark_lost("n")
-    assert store.acquire_wait("j", timeout=0.5) is None
+    assert store.acquire_wait("j") is None
