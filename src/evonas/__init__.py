@@ -10,7 +10,7 @@ identical data and trainer settings.
 
 from . import arch, evo
 from .backends import CommandBackend, LookupBackend, SurrogateBackend, build_backend
-from .bus import InProcessBus, Listener, LogRecord, ProcessRecord, kill_all
+from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
 from .cache import ResultCache
 from .config import BackendConfig, GlobalConfig, TrainerSettings
 from .engine import ThreadedEngine, local_runner
@@ -47,7 +47,6 @@ __all__ = [
     "arch",
     "build_backend",
     "evo",
-    "kill_all",
     "load_latest_population",
     "local_runner",
     "save_population",

@@ -1,7 +1,8 @@
 """Record bus: the channel between running jobs and the run directory.
 
 Jobs publish two families of records. Process records are presence state (a
-trainer process's node and pid while it runs); run records -- log lines and
+trainer process's node and pid while it runs, the unit a threaded engine's
+``cancel()`` terminates); run records -- log lines and
 each job's one ``JobResult``, which a cancelled job never publishes -- are
 queued in memory for a single listener, which routes them to the cache,
 result, log, and duration files.
@@ -19,7 +20,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .cache import ResultCache
 from .errors import PersistError
@@ -35,7 +35,6 @@ class ProcessRecord:
     node: str
     pid: int
     job_name: str
-    started_at: float
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,3 @@ class Listener:
                 self._flush()  # one write per file per drain, not one per line
         return routed
 
-
-def kill_all(bus: InProcessBus, terminate: Callable[[str, int], None]) -> int:
-    """Send a termination command for every live process record; returns the count."""
-    live = bus.live_processes()
-    for proc in live:
-        terminate(proc.node, proc.pid)
-    return len(live)

@@ -14,12 +14,13 @@ import logging
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from . import report as report_mod
 from .arch import identifier
 from .arch.spaces import DECODE_KEYS, FixedBinarySpace
 from .backends import BACKEND_KINDS, SurrogateBackend, build_backend
-from .bus import InProcessBus, Listener, kill_all
+from .bus import InProcessBus, Listener
 from .cache import ResultCache
 from .config import (
     BackendConfig,
@@ -107,6 +108,24 @@ def build_engine(
     return SimulatedFarm({"sim": local_slots}, backend, bus, listener)
 
 
+def _session(engine, listener: Listener, work: Callable[[], int], resumes_from: Path | None = None) -> int:
+    """Return ``work()``'s exit status, or 130 after Ctrl-C, which stops the engine's work first.
+
+    The engine and listener close either way; the listener's last drain keeps
+    the results that finished before an interrupt in the run files.
+    """
+    try:
+        return work()
+    except KeyboardInterrupt:
+        resume = f"; run resumes from {resumes_from}" if resumes_from is not None else ""
+        print(f"interrupted: sent {engine.cancel()} termination command(s){resume}", file=sys.stderr)
+        return 130
+    finally:
+        engine.close()
+        listener.drain()
+        listener.close()
+
+
 def cmd_run(args) -> int:
     global_cfg = parse_global(args.global_config)
     train, backend_cfg = parse_train(args.train_config)
@@ -141,25 +160,17 @@ def cmd_run(args) -> int:
         master_seed=global_cfg.seed, objectives=strategy.objectives,
     )
     runner = Runner(run_dir, strategy, evaluator, label=global_cfg.name, master_seed=global_cfg.seed)
-    try:
+
+    def search() -> int:
         best = runner.run()
-    except KeyboardInterrupt:
-        # free every GPU before dying: start nothing more, then one termination
-        # command per live job; killed jobs are not retried
-        engine.cancel()
-        count = kill_all(bus, engine.terminate)
-        print(f"interrupted: sent {count} termination command(s); run resumes from {run_dir}", file=sys.stderr)
-        return 130
-    finally:
-        engine.close()
-        listener.drain()  # results that finished before an interrupt stay in cache.txt
-        listener.close()
-    stats = engine.stats
-    print(f"run {global_cfg.name}: best {best.name} fitness {100 * best.fitness0:.2f}")
-    print(f"  identifier {best.identifier}")
-    print(f"  backend jobs {stats.jobs}, busy {stats.busy_seconds:.1f}s, failures {stats.failures}")
-    print(f"  run directory {run_dir}")
-    return 0
+        stats = engine.stats
+        print(f"run {global_cfg.name}: best {best.name} fitness {100 * best.fitness0:.2f}")
+        print(f"  identifier {best.identifier}")
+        print(f"  backend jobs {stats.jobs}, busy {stats.busy_seconds:.1f}s, failures {stats.failures}")
+        print(f"  run directory {run_dir}")
+        return 0
+
+    return _session(engine, listener, search, resumes_from=run_dir)
 
 
 def cmd_worker(args) -> int:
@@ -211,13 +222,13 @@ def cmd_retrain(args) -> int:
     bus = InProcessBus()
     listener = Listener(bus, run_dir, cache=None)
     engine = build_engine(backend_cfg, settings, bus, listener, args.workers, args.local_slots)
-    try:
+
+    def retrain() -> int:
         name, value = report_mod.retrain_best(run_dir, settings, engine, master_seed=args.seed)
-    finally:
-        engine.close()
-        listener.close()
-    print(f"retrained {name}: {value:.2f} ({settings.get('total_epoch')} epochs)")
-    return 0
+        print(f"retrained {name}: {value:.2f} ({settings.get('total_epoch')} epochs)")
+        return 0
+
+    return _session(engine, listener, retrain)
 
 
 def cmd_compare(args) -> int:

@@ -18,11 +18,13 @@ resolve as ``cancelled``. The ledger publishes the ``JobResult`` it returns
 that exhausted its budget -- and keeps ``EngineStats`` under one lock. Slot
 runners and the simulated farm publish only process and log records.
 
-``cancel()`` is the interrupt path: no job starts another attempt after it,
-a failed or killed attempt is not retried, and a job stopped this way
-resolves as ``cancelled``, unpublished, charged the seconds its
-attempts held a slot, so a resumed run trains it again instead of reading
-fitness 0.00 from the cache.
+``cancel()`` is the interrupt path and the one call that stops an engine: no
+job starts another attempt after it, the attempts in flight are stopped, a
+failed or killed attempt is not retried, and a job stopped this way resolves
+as ``cancelled``, unpublished, charged the seconds its attempts held a slot,
+so a resumed run trains it again instead of reading fitness 0.00 from the
+cache. It returns how many it stopped: attempts on the farm, trainer
+processes signalled on ``ThreadedEngine``.
 
 ``ThreadedEngine`` gives real concurrency over local or remote slots: one
 dispatch thread per in-flight job takes a slot, runs the job through a slot
@@ -30,7 +32,9 @@ runner (an in-process backend or a TCP worker connection), and reports the
 outcome to the ledger. The pool has at most one thread per slot and a thread
 holds one slot at a time, so a slot is always free for the thread asking.
 The slot runner carries what it holds: its ``kill(node, pid)`` is the
-engine's terminator and its ``close()`` runs when the engine closes.
+engine's terminator, which ``cancel()`` calls once per live process record,
+and its ``close()`` runs when the engine closes. An in-process job has no
+process record and runs to its end.
 
 Each engine owns one dispatch pool of at most one thread per slot, shared by
 all its jobs: no thread starts before the first job, and a thread that has
@@ -161,7 +165,7 @@ def local_runner(backend) -> SlotRunner:
 
         def announce(pid: int) -> None:
             pids.append(pid)
-            bus.process_started(ProcessRecord(node=node, pid=pid, job_name=job.name, started_at=time.time()))
+            bus.process_started(ProcessRecord(node=node, pid=pid, job_name=job.name))
 
         try:
             return dataclasses.replace(backend, on_spawn=announce).evaluate(job, emit_log=emit_log, slot_id=slot)
@@ -268,13 +272,15 @@ class ThreadedEngine:
         self._pool = DispatchPool(max(1, len(store)))
         self._futures: dict[str, Future] = {}
 
-    def terminate(self, node: str, pid: int) -> None:
-        if self.terminator is not None:
-            self.terminator(node, pid)
-
-    def cancel(self) -> None:
-        """Start no further attempt: queued jobs and killed attempts resolve as cancelled."""
+    def cancel(self) -> int:
+        """Start no further attempt and send one termination command per live process record;
+        returns the number sent. Queued jobs and killed attempts resolve as cancelled."""
         self.ledger.stopping.set()
+        live = self.bus.live_processes()
+        if self.terminator is not None:
+            for proc in live:
+                self.terminator(proc.node, proc.pid)
+        return len(live)
 
     def _execute(self, job: JobSpec) -> JobResult:
         ledger = self.ledger
@@ -313,11 +319,7 @@ class ThreadedEngine:
     def wait(self, names: list[str]) -> dict[str, JobResult]:
         """Block until every named job has resolved; drain the listener once; hand the results out."""
         futures = [self._futures.pop(name) for name in names]
-        try:
-            results = {name: future.result() for name, future in zip(names, futures)}
-        except BaseException:
-            self.cancel()  # an interrupt must not start the jobs still queued
-            raise
+        results = {name: future.result() for name, future in zip(names, futures)}
         self.listener.drain()
         return results
 

@@ -7,11 +7,11 @@ answers with a stream of ``log`` frames, one ``fitness``
 (``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or one
 ``error``, and always a final ``process_end``, which ends the job's stream.
 A job whose backend spawns a trainer process (the command backend) also gets
-a ``process_start`` naming the trainer's pid, the unit a ``kill`` message can
-stop at run interruption; an in-process backend gets none. The center
-republishes the process and log frames on its bus and returns the fitness
-frame's value and duration to the engine, whose attempt ledger publishes the
-job's one result.
+a ``process_start`` naming the trainer's pid, the unit the engine's
+``cancel()`` stops with a ``kill`` message; an in-process backend gets none.
+The center republishes the process and log frames on its bus and returns the
+fitness frame's value and duration to the engine, whose attempt ledger
+publishes the job's one result.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after a clean ``process_end`` and sends the
@@ -34,7 +34,6 @@ import select
 import socket
 import struct
 import threading
-import time
 from dataclasses import dataclass, field, replace
 
 from .backends import CommandBackend, build_backend
@@ -305,11 +304,7 @@ class TcpTransport:
                 kind = msg.get("type")
                 if kind == "process_start":
                     procs.append((msg["node"], int(msg["pid"])))
-                    bus.process_started(
-                        ProcessRecord(
-                            node=msg["node"], pid=int(msg["pid"]), job_name=job.name, started_at=time.time()
-                        )
-                    )
+                    bus.process_started(ProcessRecord(node=msg["node"], pid=int(msg["pid"]), job_name=job.name))
                 elif kind == "log":
                     bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
                 elif kind == "fitness":

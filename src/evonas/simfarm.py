@@ -3,8 +3,7 @@
 Workers, slots, job durations, and faults all live in simulated time: a
 single-threaded event loop places queued jobs greedily on the lowest idle
 slot (so no job ever waits while an idle, healthy slot exists), publishes the
-log records and trainer process records (with modelled pids) a real farm
-would, and advances a virtual clock.
+log records a real farm would, and advances a virtual clock.
 Event order is deterministic: ties break on submission sequence.
 
 The farm offers the engines' streaming API: ``submit`` places a job at the
@@ -17,11 +16,12 @@ Scripted faults crash a worker at a given virtual time; in-flight jobs on the
 dead node are requeued until their retry budget runs out. The farm keeps only
 the clock and the slots. The same ``AttemptLedger`` as the threaded engine
 owns the attempt policy and builds every result: the farm reports each
-placement, completion, failed placement, crashed attempt and killed attempt
+placement, completion, failed placement, crashed attempt and stopped attempt
 to it, and the ledger decides on retries and cancels, keeps the stats and
 publishes each job's result (fitness 0.00 for a job that exhausted its
-budget). A killed attempt resolves as ``cancelled`` and is charged its
-virtual seconds, as on the threaded engine.
+budget). ``cancel()`` stops every attempt in flight and every queued job: each
+resolves as ``cancelled``, an attempt charged its virtual seconds, as on the
+threaded engine.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
+from .bus import InProcessBus, Listener, LogRecord
 from .engine import ATTEMPT_FAILURES, RETRY_BUDGET, AttemptLedger
 from .errors import ConfigError, EvoNasError
 from .jobs import JobResult, JobSpec
 from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
-
-_SYNTHETIC_PID_BASE = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class _Attempt:
     slot: int
     started: float
     duration: float
-    pid: int
 
 
 class SimulatedFarm:
@@ -140,10 +137,17 @@ class SimulatedFarm:
         """Whether the job has resolved and its result is still to be handed out."""
         return name in self._results
 
-    def cancel(self) -> None:
-        """Start no queued job: each resolves as cancelled. In-flight attempts end through terminate."""
+    def cancel(self) -> int:
+        """Stop every attempt in flight, charged its virtual seconds, and start no queued job;
+        each resolves as cancelled. Returns the attempts stopped."""
         self.ledger.stopping.set()
+        stopped, self._inflight = self._inflight, {}
+        for attempt in stopped.values():
+            self._release(attempt.node, attempt.slot)
+            self.trace.append(TraceEvent(self._now, "kill", attempt.job.name, attempt.node, attempt.slot))
+            self._resolve(self.ledger.cancelled(attempt.job, self._now - attempt.started))
         self._fill()
+        return len(stopped)
 
     def _emit_log(self, job: JobSpec):
         return lambda line: self.bus.publish(LogRecord(job_name=job.name, line=line))
@@ -190,10 +194,7 @@ class SimulatedFarm:
                 continue
             duration = backend_dur if self.duration is None else self.duration
             token = next(self._seq)
-            pid = _SYNTHETIC_PID_BASE + token
-            attempt = _Attempt(job, tries, node, slot, self._now, duration, pid)
-            self._inflight[token] = attempt
-            self.bus.process_started(ProcessRecord(node=node, pid=pid, job_name=job.name, started_at=self._now))
+            self._inflight[token] = _Attempt(job, tries, node, slot, self._now, duration)
             heapq.heappush(
                 self._events,
                 (self._now + self.dispatch_overhead + duration, next(self._seq), "complete", (token, value)),
@@ -213,9 +214,8 @@ class SimulatedFarm:
     def _handle_complete(self, token: int, value: float) -> None:
         attempt = self._inflight.pop(token, None)
         if attempt is None:
-            return  # stale completion of a crashed or killed attempt
+            return  # stale completion of a crashed or stopped attempt
         job = attempt.job
-        self.bus.process_ended(attempt.node, attempt.pid, job.name)
         self._resolve(self.ledger.succeeded(job, value, attempt.duration))
         self.trace.append(TraceEvent(self._now, "finish", job.name, attempt.node, attempt.slot))
         self._release(attempt.node, attempt.slot)
@@ -226,7 +226,6 @@ class SimulatedFarm:
         dead = [tok for tok, a in self._inflight.items() if a.node == fault.node]
         for token in dead:
             attempt = self._inflight.pop(token)
-            self.bus.process_ended(attempt.node, attempt.pid, attempt.job.name)
             self._failed(attempt.job, attempt.tries, self._now - attempt.started, f"worker {fault.node} crashed")
         self.store.mark_lost(fault.node)
         self._fill()
@@ -267,13 +266,3 @@ class SimulatedFarm:
 
     def close(self) -> None:
         """Nothing to release: the farm holds no threads or connections."""
-
-    def terminate(self, node: str, pid: int) -> None:
-        """Kill the attempt owning (node, pid): slot released, no requeue; the job resolves as cancelled."""
-        for token, attempt in list(self._inflight.items()):
-            if attempt.node == node and attempt.pid == pid:
-                del self._inflight[token]
-                self.bus.process_ended(node, pid, attempt.job.name)
-                self._release(attempt.node, attempt.slot)
-                self.trace.append(TraceEvent(self._now, "kill", attempt.job.name, node, attempt.slot))
-                self._resolve(self.ledger.cancelled(attempt.job, self._now - attempt.started))

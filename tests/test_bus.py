@@ -10,10 +10,11 @@ from evonas.bus import (
     ProcessRecord,
     RESULT_FILE,
     RUN_LOG_FILE,
-    kill_all,
 )
 from evonas.cache import ResultCache
+from evonas.engine import ThreadedEngine
 from evonas.jobs import JobResult
+from evonas.slots import SlotStore
 
 DIGEST = "0" * 56
 
@@ -42,7 +43,7 @@ def test_publish_take_ack_cycle(bus):
 
 
 def test_process_records_present_exactly_while_running(bus):
-    bus.process_started(ProcessRecord(node="n1", pid=4242, job_name="j1", started_at=time.time()))
+    bus.process_started(ProcessRecord(node="n1", pid=4242, job_name="j1"))
     live = bus.live_processes()
     assert [(p.node, p.pid) for p in live] == [("n1", 4242)]
     bus.process_ended("n1", 4242, "j1")
@@ -84,18 +85,31 @@ def test_thousand_publishes_consumed_exactly_once(tmp_path, bus, closing):
     assert len(set(result_lines)) == 500  # none duplicated
 
 
-def test_kill_all_sends_one_termination_per_live_process(bus):
-    for i in range(3):
-        bus.process_started(ProcessRecord(node=f"n{i}", pid=100 + i, job_name=f"j{i}", started_at=0.0))
+def cancelling_engine(tmp_path, bus, closing, killed):
+    """A ThreadedEngine whose runner records each termination command instead of sending it."""
+
+    def runner(job, node, slot, bus):
+        raise AssertionError("no job runs")
+
+    runner.kill = lambda node, pid: killed.append((node, pid))
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    return closing(ThreadedEngine(SlotStore([("local", 0)]), bus, listener, runner))
+
+
+def test_kill_all_sends_one_termination_per_live_process(tmp_path, bus, closing):
+    """ThreadedEngine.cancel: one terminator call per live process record; returns the count."""
     killed = []
-    count = kill_all(bus, lambda node, pid: killed.append((node, pid)))
-    assert count == 3
+    engine = cancelling_engine(tmp_path, bus, closing, killed)
+    for i in range(3):
+        bus.process_started(ProcessRecord(node=f"n{i}", pid=100 + i, job_name=f"j{i}"))
+    assert engine.cancel() == 3
     assert sorted(killed) == [("n0", 100), ("n1", 101), ("n2", 102)]
 
 
-def test_kill_all_noop_without_live_processes(bus):
+def test_kill_all_noop_without_live_processes(tmp_path, bus, closing):
     killed = []
-    assert kill_all(bus, lambda node, pid: killed.append((node, pid))) == 0
+    engine = cancelling_engine(tmp_path, bus, closing, killed)
+    assert engine.cancel() == 0
     assert killed == []
 
 
@@ -114,7 +128,7 @@ def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path, closing):
 def test_bus_empty_at_quiescence(tmp_path, bus, closing):
     listener = closing(Listener(bus, tmp_path, cache=None))
     for i in range(10):
-        bus.process_started(ProcessRecord(node="n", pid=i, job_name=f"j{i}", started_at=0.0))
+        bus.process_started(ProcessRecord(node="n", pid=i, job_name=f"j{i}"))
         bus.publish(fit_record(i))
         bus.process_ended("n", i, f"j{i}")
     listener.drain()

@@ -12,6 +12,7 @@ import evonas
 import evonas.cli
 from evonas.cli import main
 from evonas.report import CSV_HEADER
+from evonas.slots import SlotStatus
 
 GLOBAL_INI = """\
 [algorithm]
@@ -394,3 +395,86 @@ def test_interrupt_kills_trainers_without_retrying_and_keeps_finished_results(tm
     assert len(starts.read_text().splitlines()) == 4  # no trainer started after SIGINT
     entries = (tmp_path / "runs" / "interrupted" / "cache.txt").read_text().splitlines()[1:]
     assert len(entries) == 1 and entries[0].endswith(" = 50.00")
+
+
+def test_interrupted_farm_run_frees_every_slot_and_keeps_finished_results(tmp_path, capsys, monkeypatch):
+    """Ctrl-C while aging evolution keeps the farm's slots busy: ``run`` exits 130 after one
+    termination command per attempt in flight, no slot stays busy, every finished result
+    is in cache.txt, and the run then resumes to its end."""
+    g, t = write_configs(tmp_path, name="aging")
+    g.write_text(GLOBAL_INI.format(name="aging", seed=11).replace("elitist_ga", "aging_evolution"), encoding="utf-8")
+    engines = []
+    build_engine = evonas.cli.build_engine
+    monkeypatch.setattr(evonas.cli, "build_engine", lambda *a, **k: engines.append(build_engine(*a, **k)) or engines[-1])
+    save = evonas.cli.Runner._save
+    saves = []
+
+    def interrupting_save(runner, t, pop):
+        save(runner, t, pop)
+        saves.append(t)
+        if len(saves) == 2:
+            raise KeyboardInterrupt
+
+    runs = tmp_path / "runs"
+    argv = ("run", "--global-config", g, "--train-config", t, "--run-root", runs)
+    with monkeypatch.context() as patch:
+        patch.setattr(evonas.cli.Runner, "_save", interrupting_save)
+        assert run_cli(*argv) == 130
+    assert capsys.readouterr().err == f"interrupted: sent 4 termination command(s); run resumes from {runs / 'aging'}\n"
+    (farm,) = engines
+    assert {s.status for s in farm.store.snapshot()} == {SlotStatus.IDLE}
+    finished = {line.split()[1] for line in (runs / "aging" / "durations.txt").read_text().splitlines()}
+    cached = {line.split(" = ")[0] for line in (runs / "aging" / "cache.txt").read_text().splitlines()[1:]}
+    assert len(finished) > 4 and cached == finished
+    assert run_cli(*argv) == 0
+    assert "best indi_gen" in capsys.readouterr().out
+
+
+RETRAIN_TRAINER = """\
+import os, sys, time
+with open(sys.argv[1], "w") as pid_file:
+    pid_file.write(str(os.getpid()))
+time.sleep(30)
+print("FITNESS=50.00")
+"""
+
+
+def test_interrupted_retrain_stops_its_trainer_promptly(tmp_path):
+    """SIGINT to ``retrain`` while its one trainer runs: status 130 within 10 s after one
+    termination command, no traceback or ResourceWarning, and the trainer is gone."""
+    g, t = write_configs(tmp_path)
+    runs = tmp_path / "runs"
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", runs) == 0
+    trainer = tmp_path / "trainer.py"
+    trainer.write_text(RETRAIN_TRAINER, encoding="utf-8")
+    pid_file = tmp_path / "trainer.pid"
+    retrain_ini = tmp_path / "retrain_train.ini"
+    retrain_ini.write_text(
+        TRAIN_INI.format(epochs=600) + f"\n[backend]\nkind = command\ncommand = {sys.executable} {trainer} {pid_file}\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "evonas.cli",
+         "retrain", "--run-dir", str(runs / "demo"), "--train-config", str(retrain_ini)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text().isdecimal()):
+            assert time.monotonic() < deadline, "the trainer never started"
+            time.sleep(0.05)
+        trainer_pid = int(pid_file.read_text())
+        signalled = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - signalled
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert elapsed < 10
+    assert "sent 1 termination command(s)" in err
+    assert "Traceback" not in err and "ResourceWarning" not in err, err
+    with pytest.raises(ProcessLookupError):  # the retrain reaped its trainer before it exited
+        os.kill(trainer_pid, 0)

@@ -6,8 +6,8 @@ published result per job must agree. A failed attempt costs what the engine's
 clock measured: wall time on the threaded engine, and nothing on the farm,
 where a failure at placement takes no virtual time. Jobs submitted one by one
 and waited for in groups give what one ``run_jobs`` call gives, and a cancel
-starts no queued job on either engine. An attempt killed after a cancel
-resolves as cancelled on both, charged the seconds it held its slot.
+starts no queued job on either engine. The attempts a cancel stops resolve
+as cancelled on both, charged the seconds they held their slots.
 """
 
 import random
@@ -21,7 +21,7 @@ import pytest
 from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
 from evonas.backends import SurrogateBackend
-from evonas.bus import DURATIONS_FILE, InProcessBus, Listener, ProcessRecord, kill_all
+from evonas.bus import DURATIONS_FILE, InProcessBus, Listener, ProcessRecord
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed
 from evonas.jobs import JobResult, JobSpec
@@ -215,7 +215,9 @@ def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
 @pytest.mark.parametrize("engine_kind", ENGINES)
 def test_cancel_starts_no_queued_job_and_records_no_fitness(tmp_path, closing, engine_kind):
     """After cancel, a job that has not started resolves as cancelled and unpublished
-    (a resumed run trains it again); a job that finished keeps its published result."""
+    (a resumed run trains it again); a job that finished keeps its published result.
+    The farm's attempt in flight is stopped and charged its virtual seconds; an
+    in-process threaded job has no process to stop and finishes."""
     bus = FitnessTallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
     backend = SlowBackend(block=engine_kind == "threaded")  # the farm runs a backend at placement
@@ -232,17 +234,23 @@ def test_cancel_starts_no_queued_job_and_records_no_fitness(tmp_path, closing, e
     while len(backend.started) < 2:  # the second job holds the one slot
         assert time.monotonic() < deadline
         time.sleep(0.01)
-    engine.cancel()
+    assert engine.cancel() == (1 if engine_kind == "farm" else 0)
     backend.release.set()
     results = engine.wait([job.name for job in rest])
-    started = backend.started
     assert done[first.name].ok
-    assert [r.name for r in bus.fitness] == [first.name] + [n for n in started if n != first.name]
-    assert started == [first.name, rest[0].name]  # the second job took the slot before the cancel
-    assert results[rest[0].name].ok
+    assert backend.started == [first.name, rest[0].name]  # the second job took the slot before the cancel
+    if engine_kind == "farm":
+        stopped = results[rest[0].name]
+        assert (stopped.ok, stopped.error) == (False, "cancelled")
+        assert stopped.duration_s == 0.0  # stopped at the virtual time it was placed
+        assert [r.name for r in bus.fitness] == [first.name]
+        assert engine.stats.jobs == 1
+    else:
+        assert results[rest[0].name].ok
+        assert [r.name for r in bus.fitness] == [first.name, rest[0].name]
+        assert engine.stats.jobs == 2
     for job in rest[1:]:
         assert (results[job.name].ok, results[job.name].error) == (False, "cancelled")
-    assert engine.stats.jobs == 2
 
 
 class SlowBackend(SurrogateBackend):
@@ -263,8 +271,8 @@ class SlowBackend(SurrogateBackend):
 
 @pytest.mark.parametrize("engine_kind", ENGINES)
 def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, engine_kind):
-    """cancel() then kill_all on an in-flight attempt: the job resolves as cancelled and
-    unpublished, and the seconds the killed attempt held its slot join the busy time."""
+    """cancel() stops an in-flight attempt: the job resolves as cancelled and unpublished,
+    and the seconds the killed attempt held its slot join the busy time."""
     bus = FitnessTallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
     long_job, short_job = make_jobs(2)
@@ -277,13 +285,13 @@ def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, 
     closing(engine)
     engine.submit(long_job)
     assert engine.run_jobs([short_job])[short_job.name].ok  # on the farm the clock reaches 4 s
-    deadline = time.monotonic() + 10
-    while not bus.live_processes():  # the long job holds its slot
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
+    if engine_kind == "threaded":
+        deadline = time.monotonic() + 10
+        while not bus.live_processes():  # the long job's trainer runs
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
     assert engine.stats.busy_seconds == 4.0
-    engine.cancel()
-    assert kill_all(bus, engine.terminate) == 1
+    assert engine.cancel() == 1
     killed = engine.wait([long_job.name])[long_job.name]
     assert (killed.ok, killed.error) == (False, "cancelled")
     assert killed.duration_s > 0
@@ -321,7 +329,7 @@ class KillableRunner:
     def __call__(self, job, node, slot, bus):
         if job.name != self.blocking:
             return SurrogateBackend().evaluate(job)[0], self.short_s
-        bus.process_started(ProcessRecord(node=node, pid=self.PID, job_name=job.name, started_at=time.time()))
+        bus.process_started(ProcessRecord(node=node, pid=self.PID, job_name=job.name))
         try:
             self.killed.wait(10.0)
         finally:

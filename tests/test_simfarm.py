@@ -3,7 +3,7 @@ import pytest
 from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
 from evonas.backends import SurrogateBackend
-from evonas.bus import InProcessBus, Listener, kill_all
+from evonas.bus import InProcessBus, Listener
 from evonas.errors import ConfigError
 from evonas.jobs import JobSpec
 from evonas.simfarm import FaultEvent, SimulatedFarm, parse_fault_script
@@ -169,30 +169,37 @@ def test_failed_job_resolves_with_zero_fitness_record(tmp_path, make_farm):
 
 
 def test_kill_all_leaves_no_orphan_processes(tmp_path, make_farm):
-    farm, bus, _ = make_farm(tmp_path, {"w": 2}, duration=50.0)
+    """cancel() stops both attempts in flight and frees their slots; every job resolves as cancelled."""
+    farm, _, _ = make_farm(tmp_path, {"w": 2}, duration=50.0)
     jobs = make_jobs(4)
     for job in jobs:
         farm.submit(job)
-    assert len(bus.live_processes()) == 2  # two placed, two queued
-    count = kill_all(bus, farm.terminate)
-    assert count == 2
-    assert bus.live_processes() == []
+    assert farm.cancel() == 2  # two placed, two queued
     assert all(s.status is SlotStatus.IDLE for s in farm.store.snapshot())
+    results = farm.wait([job.name for job in jobs])
+    assert {(r.ok, r.error) for r in results.values()} == {(False, "cancelled")}
+    assert [e.kind for e in farm.trace] == ["start", "start", "kill", "kill"]
 
 
 def test_kill_all_during_race_over_many_interleavings(tmp_path, make_farm):
-    # interrupt after each event step in turn; no orphan may survive any cut
+    # interrupt after each event step in turn; no slot may stay busy after any cut
     for cut in range(8):
-        farm, bus, _ = make_farm(tmp_path / str(cut), {"w": 2}, duration=3.0)
-        for job in make_jobs(6, seed=cut):
+        farm, _, _ = make_farm(tmp_path / str(cut), {"w": 2}, duration=3.0)
+        jobs = make_jobs(6, seed=cut)
+        for job in jobs:
             farm.submit(job)
         for _ in range(cut):
             if not farm.step():
                 break
-        kill_all(bus, farm.terminate)
-        assert bus.live_processes() == []
-        busy = [s for s in farm.store.snapshot() if s.status is SlotStatus.BUSY]
-        assert busy == []
+        in_flight = sum(s.status is SlotStatus.BUSY for s in farm.store.snapshot())
+        assert farm.cancel() == in_flight
+        assert all(s.status is SlotStatus.IDLE for s in farm.store.snapshot())
+        results = farm.wait([job.name for job in jobs])
+        assert all(r.ok or r.error == "cancelled" for r in results.values())
+        traced = len(farm.trace)
+        while farm.step():  # the stopped attempts' completion events are stale
+            pass
+        assert len(farm.trace) == traced
 
 
 def test_fault_script_validation():
