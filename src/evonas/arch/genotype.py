@@ -147,11 +147,15 @@ class CellGraphPayload:
         sources = {src for src, _ in self.edges}
         return next(i for i in range(len(self.ops)) if i not in sources)
 
-    def predecessors(self, node: int) -> list[int]:
-        return [s for s, d in self.edges if d == node]
-
 
 Payload = FixedBinaryPayload | tuple[BlockGene, ...] | CellGraphPayload
+
+#: The payload type each scheme takes.
+_PAYLOAD_TYPES = {
+    Scheme.FIXED_BINARY: FixedBinaryPayload,
+    Scheme.VARIABLE_BLOCKS: tuple,
+    Scheme.CELL_GRAPH: CellGraphPayload,
+}
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,7 @@ class Genotype:
     payload: Payload
 
     def __post_init__(self) -> None:
-        expected = {
-            Scheme.FIXED_BINARY: FixedBinaryPayload,
-            Scheme.VARIABLE_BLOCKS: tuple,
-            Scheme.CELL_GRAPH: CellGraphPayload,
-        }[self.scheme]
-        if not isinstance(self.payload, expected):
+        if not isinstance(self.payload, _PAYLOAD_TYPES[self.scheme]):
             raise InvariantViolation(f"{self.scheme.value} payload has wrong type")
         if self.scheme is Scheme.VARIABLE_BLOCKS:
             if not self.payload or not all(isinstance(g, BlockGene) for g in self.payload):

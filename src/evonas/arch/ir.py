@@ -18,7 +18,11 @@ multiply-accumulates, not 2x MACs.
 Costs are counted once per IR, by the consistency pass that re-derives every
 shape: the first read of an IR's shapes, parameters or FLOPs runs it, and the
 result is kept on the immutable IR. Layers are immutable values, and the
-decoder shares one object per distinct value across IRs.
+decoder shares one object per distinct value across IRs. A convolution keeps
+its own constants (channels, stride, weight and parameter counts) on first
+use, so the pass over an IR reads each shared layer's constants rather than
+recomputing them, and it resolves the three wiring markers' sources in one
+branch.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ class Conv:
     c_out: int
     stride: int = 1
     bias: bool = True
+
+    @functools.cached_property
+    def _consts(self) -> tuple[int, int, int, int, int]:
+        """(c_in, c_out, stride, weights, own params), read by the consistency pass."""
+        weights = self.kernel * self.kernel * self.c_in * self.c_out
+        own = weights + self.c_out if self.bias else weights
+        return self.c_in, self.c_out, self.stride, weights, own
 
 
 @dataclass(frozen=True)
@@ -112,25 +123,35 @@ def _consistency_walk(ir: ArchIR) -> _Walk:
     shapes: list[Shape] = []
     cur = network_input
     params = macs = 0
-
-    def resolve(src: int, at: int) -> Shape:
-        if src == -1:
-            return network_input
-        if not 0 <= src < at:
-            raise InvariantViolation(f"layer {at} references out-of-range layer {src}")
-        return shapes[src]
-
     for idx, layer in enumerate(ir.layers):
         kind = type(layer)
         if kind is Conv:
-            if len(cur) != 3 or cur[0] != layer.c_in:
-                raise InvariantViolation(f"conv at {idx} expects {layer.c_in} channels, has {cur}")
-            cur = (layer.c_out, -(-cur[1] // layer.stride), -(-cur[2] // layer.stride))
-            if min(cur) <= 0:
+            c_in, c_out, stride, weights, own = layer._consts
+            if len(cur) != 3 or cur[0] != c_in:
+                raise InvariantViolation(f"conv at {idx} expects {c_in} channels, has {cur}")
+            oh, ow = -(-cur[1] // stride), -(-cur[2] // stride)
+            cur = (c_out, oh, ow)
+            if c_out <= 0 or oh <= 0 or ow <= 0:
                 raise InvariantViolation(f"layer {idx} produced non-positive shape {cur}")
-            weights = layer.kernel * layer.kernel * layer.c_in * layer.c_out
-            params += weights + layer.c_out if layer.bias else weights
-            macs += weights * cur[1] * cur[2]
+            params += own
+            macs += weights * oh * ow
+        elif kind is Ref or kind is Skip or kind is Concat:
+            src = layer.src
+            if src == -1:
+                other = network_input
+            elif 0 <= src < idx:
+                other = shapes[src]
+            else:
+                raise InvariantViolation(f"layer {idx} references out-of-range layer {src}")
+            if kind is Ref:
+                cur = other
+            elif kind is Skip:
+                if other != cur:
+                    raise InvariantViolation(f"skip at {idx} sums shapes {other} and {cur}")
+            elif len(cur) != 3 or len(other) != 3 or other[1:] != cur[1:]:
+                raise InvariantViolation(f"concat at {idx} joins shapes {other} and {cur}")
+            else:
+                cur = (cur[0] + other[0], cur[1], cur[2])
         elif kind is Pool:
             if len(cur) != 3:
                 raise InvariantViolation(f"pool at {idx} after flattening")
@@ -148,17 +169,6 @@ def _consistency_walk(ir: ArchIR) -> _Walk:
             weights = layer.n_in * layer.n_out
             params += weights + layer.n_out if layer.bias else weights
             macs += weights
-        elif kind is Ref:
-            cur = resolve(layer.src, idx)
-        elif kind is Skip:
-            other = resolve(layer.src, idx)
-            if other != cur:
-                raise InvariantViolation(f"skip at {idx} sums shapes {other} and {cur}")
-        elif kind is Concat:
-            other = resolve(layer.src, idx)
-            if len(cur) != 3 or len(other) != 3 or other[1:] != cur[1:]:
-                raise InvariantViolation(f"concat at {idx} joins shapes {other} and {cur}")
-            cur = (cur[0] + other[0], cur[1], cur[2])
         else:
             raise InvariantViolation(f"unknown layer kind {layer!r}")
         # only Conv and Dense bring new dimensions; the other kinds reuse or
@@ -200,52 +210,59 @@ _concat = functools.cache(Concat)
 
 
 class _Builder:
-    """Tracks the current tensor while appending layers; raises DecodeError on collapse."""
+    """Tracks the current tensor while appending layers; raises DecodeError on collapse.
+
+    ``shapes[0]`` is the input's shape and ``shapes[i + 1]`` layer ``i``'s
+    output shape, so ``shapes[src + 1]`` resolves every source, the input's
+    -1 included, and the current tensor is always ``shapes[-1]``.
+    """
 
     def __init__(self, input_shape: tuple[int, int, int]):
         self.input_shape = input_shape
         self.layers: list[LayerSpec] = []
-        self.shapes: list[Shape] = []
-        self.cur: Shape = input_shape
-        self.cur_idx = -1  # layer index producing the current tensor; -1 = input
+        self.shapes: list[Shape] = [input_shape]
 
-    def shape_of(self, idx: int) -> Shape:
-        return self.input_shape if idx == -1 else self.shapes[idx]
-
-    def _push(self, layer: LayerSpec, shape: Shape) -> int:
-        self.layers.append(layer)
-        self.shapes.append(shape)
-        self.cur, self.cur_idx = shape, len(self.layers) - 1
-        return self.cur_idx
+    @property
+    def cur_idx(self) -> int:
+        """Index of the layer producing the current tensor; -1 = input."""
+        return len(self.layers) - 1
 
     def ref(self, src: int) -> None:
-        if src != self.cur_idx:
-            self._push(_ref(src), self.shape_of(src))
+        if src != len(self.layers) - 1:
+            self.layers.append(_ref(src))
+            self.shapes.append(self.shapes[src + 1])
 
     def conv(self, kernel: int, c_out: int, stride: int = 1) -> int:
-        c, h, w = self.cur
-        return self._push(
-            _conv(kernel, c, c_out, stride), (c_out, -(-h // stride), -(-w // stride))
-        )
+        c, h, w = self.shapes[-1]
+        self.layers.append(_conv(kernel, c, c_out, stride))
+        self.shapes.append((c_out, -(-h // stride), -(-w // stride)))
+        return len(self.layers) - 1
 
     def pool(self, kind: str, kernel: int, stride: int) -> int:
-        c, h, w = self.cur
+        c, h, w = self.shapes[-1]
         oh, ow = h // stride, w // stride
         if oh < 1 or ow < 1:
             raise DecodeError(f"pooling collapses spatial size {h}x{w} below 1x1")
-        return self._push(_pool(kind, kernel, stride), (c, oh, ow))
+        self.layers.append(_pool(kind, kernel, stride))
+        self.shapes.append((c, oh, ow))
+        return len(self.layers) - 1
 
     def skip(self, src: int) -> int:
-        if self.shape_of(src) != self.cur:
-            raise DecodeError(f"skip joins incompatible shapes {self.shape_of(src)} vs {self.cur}")
-        return self._push(_skip(src), self.cur)
+        other, cur = self.shapes[src + 1], self.shapes[-1]
+        if other != cur:
+            raise DecodeError(f"skip joins incompatible shapes {other} vs {cur}")
+        self.layers.append(_skip(src))
+        self.shapes.append(cur)
+        return len(self.layers) - 1
 
     def concat(self, src: int) -> int:
-        oc, oh, ow = self.shape_of(src)
-        c, h, w = self.cur
+        oc, oh, ow = self.shapes[src + 1]
+        c, h, w = self.shapes[-1]
         if (oh, ow) != (h, w):
             raise DecodeError("concat joins tensors with different spatial sizes")
-        return self._push(_concat(src), (c + oc, h, w))
+        self.layers.append(_concat(src))
+        self.shapes.append((c + oc, h, w))
+        return len(self.layers) - 1
 
     def merge_sum(self, sources: list[int]) -> None:
         """Point the current tensor at the element-wise sum of the given outputs."""
@@ -254,11 +271,17 @@ class _Builder:
             self.skip(src)
 
     def head(self, classes: int) -> None:
-        n_in = math.prod(self.cur)
-        self._push(_dense(n_in, classes), (classes,))
+        self.layers.append(_dense(math.prod(self.shapes[-1]), classes))
+        self.shapes.append((classes,))
 
     def build(self) -> ArchIR:
         return ArchIR(self.input_shape, tuple(self.layers))
+
+
+@functools.cache
+def _node_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The node pairs (i, j), i < j, of a k-node stage, in the order of its bits."""
+    return tuple((i, j) for i in range(k) for j in range(i + 1, k))
 
 
 def _decode_fixed_binary(
@@ -269,18 +292,20 @@ def _decode_fixed_binary(
     channels = stage_channels or (DEFAULT_STAGE_CHANNELS,)
     for s, (k, bits) in enumerate(zip(payload.stage_sizes, payload.stage_bits())):
         ch = channels[s] if s < len(channels) else channels[-1]
-        # edge (i, j) present iff the bit for pair (i, j), i < j, is set
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        edges = {pair for pair, bit in zip(pairs, bits) if bit == "1"}
+        # edge (i, j) present iff the bit for pair (i, j), i < j, is set; each
+        # node's feeders come out in ascending order
+        feeders: list[list[int]] = [[] for _ in range(k)]
+        consumed = [False] * k
+        for (i, j), bit in zip(_node_pairs(k), bits):
+            if bit == "1":
+                feeders[j].append(i)
+                consumed[i] = True
         stage_input = b.cur_idx
         node_out: list[int] = []
         for j in range(k):
-            feeders = [node_out[i] for i in range(j) if (i, j) in edges]
-            b.merge_sum(feeders or [stage_input])
+            b.merge_sum([node_out[i] for i in feeders[j]] or [stage_input])
             node_out.append(b.conv(3, ch))
-        consumed = {i for (i, j) in edges}
-        sinks = [node_out[i] for i in range(k) if i not in consumed]
-        b.merge_sum(sinks)
+        b.merge_sum([node_out[i] for i in range(k) if not consumed[i]])
         if s < len(payload.stage_sizes) - 1:
             b.pool("max", 2, 2)
 
@@ -304,10 +329,12 @@ def _decode_blocks(genes, b: _Builder) -> None:
 def _decode_cell_graph(payload: CellGraphPayload, b: _Builder, cell_channels: int) -> None:
     b.conv(3, cell_channels)  # stem: every node then sees cell_channels
     stem = b.cur_idx
+    feeders: list[list[int]] = [[] for _ in payload.ops]
+    for src, dst in payload.edges:  # sorted, so each node's feeders ascend
+        feeders[dst].append(src)
     node_out: list[int] = []
     for j, op in enumerate(payload.ops):
-        feeders = [node_out[i] for i in payload.predecessors(j)]
-        b.merge_sum(feeders or [stem])
+        b.merge_sum([node_out[i] for i in feeders[j]] or [stem])
         if op == "conv3":
             node_out.append(b.conv(3, cell_channels))
         elif op == "conv5":
@@ -316,7 +343,8 @@ def _decode_cell_graph(payload: CellGraphPayload, b: _Builder, cell_channels: in
             node_out.append(b.pool("max", 3, 1))
         else:  # identity: the node's output is its merged input
             node_out.append(b.cur_idx)
-    b.ref(node_out[payload.output_node])
+    # the output node: edges run forward, so the one node without consumers is the last
+    b.ref(node_out[-1])
 
 
 def decode(

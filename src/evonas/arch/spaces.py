@@ -59,9 +59,26 @@ class EncodingSpace(ABC):
     @abstractmethod
     def sample(self, rng: random.Random) -> Genotype: ...
 
-    @abstractmethod
     def validate(self, g: Genotype) -> None:
-        """Raise InvariantViolation if ``g`` falls outside this space."""
+        """Raise InvariantViolation if ``g`` falls outside this space.
+
+        A genotype object is checked once per space: a pass is kept on ``g``,
+        next to the IR ``decode_under`` keeps, keyed by this space object, so
+        validating it again (a parent picked once more, a child mutated after
+        crossover) returns at once. A failure is never kept; it raises on
+        every call. Only the space that accepted ``g`` last is kept, and no
+        space changes after construction, so a kept pass stays true.
+        """
+        if g.__dict__.get("_accepted_by") is self:
+            return
+        if g.scheme is not self.scheme:
+            raise InvariantViolation(f"genotype scheme {g.scheme} not handled by {type(self).__name__}")
+        self._check(g)
+        g.__dict__["_accepted_by"] = self
+
+    @abstractmethod
+    def _check(self, g: Genotype) -> None:
+        """The space-specific part of ``validate``, for a genotype of this space's scheme."""
 
     @abstractmethod
     def mutate(self, g: Genotype, p_m: float, rng: random.Random) -> Genotype:
@@ -79,10 +96,6 @@ class EncodingSpace(ABC):
 
     def decode(self, g: Genotype, input_shape: tuple[int, int, int], head_classes: int) -> ir.ArchIR:
         return decode_under(g, input_shape, head_classes, self.decode_settings())
-
-    def _check_scheme(self, g: Genotype) -> None:
-        if g.scheme is not self.scheme:
-            raise InvariantViolation(f"genotype scheme {g.scheme} not handled by {type(self).__name__}")
 
 
 @dataclass
@@ -107,8 +120,7 @@ class FixedBinarySpace(EncodingSpace):
         bits = "".join(rng.choice("01") for _ in range(self.n_bits))
         return Genotype.fixed_binary(self.stage_sizes, bits)
 
-    def validate(self, g: Genotype) -> None:
-        self._check_scheme(g)
+    def _check(self, g: Genotype) -> None:
         if g.payload.stage_sizes != self.stage_sizes:  # type: ignore[union-attr]
             raise InvariantViolation("stage sizes differ from the configured space")
 
@@ -184,8 +196,7 @@ class VariableBlocksSpace(EncodingSpace):
                 continue
         raise ConfigError("could not sample a valid block list; space constraints infeasible")
 
-    def validate(self, g: Genotype) -> None:
-        self._check_scheme(g)
+    def _check(self, g: Genotype) -> None:
         genes = g.blocks
         if not self.min_len <= len(genes) <= self.max_len:
             raise InvariantViolation(
@@ -292,12 +303,11 @@ class CellGraphSpace(EncodingSpace):
                 edges.add((src, j))
         return self._normalize(ops, edges)
 
-    def validate(self, g: Genotype) -> None:
-        self._check_scheme(g)
+    def _check(self, g: Genotype) -> None:
         payload = g.payload
         if len(payload.ops) != self.n_nodes:  # type: ignore[union-attr]
             raise InvariantViolation(f"expected {self.n_nodes} nodes")
-        unknown = set(payload.ops) - set(self.ops)  # type: ignore[union-attr]
+        unknown = set(payload.ops).difference(self.ops)  # type: ignore[union-attr]
         if unknown:
             raise InvariantViolation(f"ops {sorted(unknown)} not in this space")
 

@@ -3,10 +3,11 @@
 All run state lives in the run directory:
 
 * ``run_state.txt``   -- ``is_running`` flag, the run's labels, ``width`` (the
-  engine's slot count) and ``lag`` (the aging pipeline's lag on that many
-  slots; 0 for strategies without one). None of these change mid-run, so it is
-  written when a run starts or resumes and when it ends; the newest
-  ``begin_<t>.txt`` is the resume point,
+  engine's slot count), ``lag`` (the aging pipeline's lag on that many
+  slots; 0 for strategies without one) and the search settings: ``max_gen``
+  and ``SEARCH_KEYS``. None of these change mid-run, so it is written when a
+  run starts or resumes and when it ends; the newest ``begin_<t>.txt`` is the
+  resume point,
 * ``begin_<t>.txt``   -- one population log per generation, written atomically
   after every member of that generation has fitness; one record per line::
 
@@ -34,6 +35,15 @@ with ``width=1`` or no ``width`` line it was the one-child loop and reads as
 lag 1; a larger ``width`` is a run of the older batched step, which cannot be
 reproduced, and is refused.
 
+A run directory keeps the search settings it was started with: a rerun whose
+strategy, seed, population size or operator settings differ from the
+recorded ones raises ``RestartError`` before anything is written, whether the
+run was interrupted or finished. ``max_gen`` only says where the trajectory
+stops, so it may be raised to extend a run (a finished run then replays its
+generations from the cache and goes on); lowering it is refused, so the logs
+never run past the recorded budget. A file without these lines was written
+before they were recorded and is not checked.
+
 ``max_gen`` counts generations including the initial one: a full run evaluates
 ``pop_size * max_gen`` candidates when nothing hits the cache.
 """
@@ -46,7 +56,7 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -54,7 +64,7 @@ from .arch import canonical_text, parse_canonical
 from .errors import CorruptLogError, EvaluationOrderError, PersistError, RestartError
 from .evaluator import Evaluator
 from .evo.individual import Individual, Population, birth_generation
-from .evo.strategies import SearchStrategy
+from .evo.strategies import SearchStrategy, StrategyConfig
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +72,9 @@ RUN_STATE_FILE = "run_state.txt"
 SETTINGS_FILE = "settings.txt"
 _LOG_RE = re.compile(r"^begin_(\d+)\.txt$")
 _RECORD_RE = re.compile(r"^name=([^;]+);enc=([^;]+);id=([0-9a-f]{56});fit=(NA|\d{1,3}\.\d{2})$")
+#: The strategy settings a run records besides its strategy and ``max_gen``;
+#: a rerun must give the same values. ``seed`` is the run's master seed.
+SEARCH_KEYS = tuple(f.name for f in fields(StrategyConfig) if f.name not in ("strategy", "max_gen"))
 
 
 def derive_rng(master_seed: int, tag) -> random.Random:
@@ -76,6 +89,8 @@ class RunState:
     strategy: str = ""
     width: int = 1
     lag: int = 0  # 0 in a file written before the lag was recorded
+    max_gen: int = 0  # 0 in a file written before the search settings were recorded
+    search: dict[str, str] = field(default_factory=dict)  # SEARCH_KEYS -> value; empty in such a file
 
     @staticmethod
     def load(run_dir: Path) -> "RunState":
@@ -84,10 +99,14 @@ class RunState:
         if not path.exists():
             return state
         # unknown keys are skipped: older files carry a ``generation`` line
-        types = {"is_running": int, "algorithm": str, "strategy": str, "width": int, "lag": int}
+        types = {
+            "is_running": int, "algorithm": str, "strategy": str, "width": int, "lag": int, "max_gen": int
+        }
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             key, _, value = line.partition("=")
-            if key in types:
+            if key in SEARCH_KEYS:
+                state.search[key] = value
+            elif key in types:
                 try:
                     setattr(state, key, types[key](value))
                 except ValueError:
@@ -102,7 +121,8 @@ class RunState:
             f"strategy={self.strategy}\n"
             f"width={self.width}\n"
             f"lag={self.lag}\n"
-        )
+            f"max_gen={self.max_gen}\n"
+        ) + "".join(f"{key}={value}\n" for key, value in self.search.items())
         tmp = path.with_suffix(".tmp")
         try:
             tmp.write_text(body, encoding="utf-8")
@@ -226,8 +246,28 @@ class Runner:
         self.on_save = on_save  # test hook, called after each persisted generation
 
     def _state(self, is_running: int) -> RunState:
-        width = self.evaluator.width
-        return RunState(is_running, self.label, self.strategy.cfg.strategy, width, self.strategy.lag(width))
+        cfg, width = self.strategy.cfg, self.evaluator.width
+        search = {key: str(self.master_seed if key == "seed" else getattr(cfg, key)) for key in SEARCH_KEYS}
+        lag = self.strategy.lag(width)
+        return RunState(is_running, self.label, cfg.strategy, width, lag, cfg.max_gen, search)
+
+    def _check_search(self, state: RunState) -> None:
+        """Refuse, before anything is written, a rerun under other search settings than recorded."""
+        given = self._state(0)
+        changed = [
+            f"{key} {state.search[key]} -> {given.search[key]}"
+            for key in SEARCH_KEYS
+            if key in state.search and state.search[key] != given.search[key]
+        ]
+        if state.strategy and state.strategy != given.strategy:
+            changed.insert(0, f"strategy {state.strategy} -> {given.strategy}")
+        if state.max_gen > given.max_gen:
+            changed.append(f"max_gen {state.max_gen} -> {given.max_gen} (it may only be raised)")
+        if changed:
+            raise RestartError(
+                f"{self.run_dir} was started under other search settings ({'; '.join(changed)}); "
+                "refusing to rerun it under changed settings"
+            )
 
     def _save(self, t: int, pop: Population) -> None:
         save_population(self.run_dir, t, pop)
@@ -254,6 +294,7 @@ class Runner:
         cfg = self.strategy.cfg
         lag = self.strategy.lag(self.evaluator.width)
         state = RunState.load(self.run_dir)
+        self._check_search(state)
         if state.is_running == 0:
             logger.info("fresh start in %s (strategy %s)", self.run_dir, cfg.strategy)
             pop = self.strategy.initial_population(derive_rng(self.master_seed, "init"))

@@ -90,6 +90,108 @@ def test_resume_under_changed_settings_is_refused_before_writing(tmp_path, capsy
     assert run_files(tmp_path / "runs" / "demo") == before  # settings.txt included
 
 
+SEARCH_INI = """\
+[algorithm]
+name = fork
+run_algorithm = {strategy}
+max_gen = {max_gen}
+pop_size = {pop_size}
+seed = {seed}
+"""
+
+
+def write_search(path, max_gen=10, pop_size=20, seed=7, strategy="elitist_ga", extra=""):
+    text = SEARCH_INI.format(max_gen=max_gen, pop_size=pop_size, seed=seed, strategy=strategy)
+    path.write_text(text + extra, encoding="utf-8")
+    return path
+
+
+def interrupt_after(monkeypatch, argv, generation):
+    """Run ``argv`` with a Ctrl-C right after ``begin_<generation>.txt`` is saved."""
+    save = evonas.cli.Runner._save
+
+    def interrupting_save(runner, t, pop):
+        save(runner, t, pop)
+        if t == generation:
+            raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evonas.cli.Runner, "_save", interrupting_save)
+        assert run_cli(*argv) == 130
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        {"seed": 8, "pop_size": 12},
+        {"seed": 8},
+        {"pop_size": 12},
+        {"extra": "crossover_prob = 0.5\n"},
+        {"extra": "mutation_prob = 0.2\n"},
+        {"extra": "tournament_size = 3\n"},
+        {"extra": "sample_size = 2\n"},
+        {"max_gen": 8},
+    ],
+    ids=["seed_and_pop_size", "seed", "pop_size", "crossover_prob", "mutation_prob", "tournament_size",
+         "sample_size", "lower_max_gen"],
+)
+def test_resume_under_changed_search_settings_is_refused_before_writing(tmp_path, capsys, monkeypatch, changed):
+    """An elitist_ga run (pop 20 x 10, seed 7) interrupted after generation 5 keeps its search settings."""
+    g, t = write_configs(tmp_path)
+    argv = ("run", "--global-config", write_search(g), "--train-config", t, "--run-root", tmp_path / "runs")
+    interrupt_after(monkeypatch, argv, 5)
+    run_dir = tmp_path / "runs" / "fork"
+    before = run_files(run_dir)
+    capsys.readouterr()
+    write_search(g, **changed)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "refusing to rerun it under changed settings" in err and "Traceback" not in err
+    for key in changed:
+        assert (key if key != "extra" else changed[key].split()[0]) in err
+    assert run_files(run_dir) == before
+    write_search(g)  # the recorded settings resume it
+    assert run_cli(*argv) == 0
+    assert [len((run_dir / f"begin_{t}.txt").read_text().splitlines()) for t in range(10)] == [20] * 10
+
+
+def test_resume_under_another_strategy_of_the_same_space_is_refused_before_writing(tmp_path, capsys, monkeypatch):
+    """variable_ga and nsga2 search one space under equal trainer settings; only run_state.txt tells them apart."""
+    g, t = write_configs(tmp_path)
+    argv = ("run", "--global-config", write_search(g, strategy="variable_ga"), "--train-config", t,
+            "--run-root", tmp_path / "runs")
+    interrupt_after(monkeypatch, argv, 2)
+    before = run_files(tmp_path / "runs" / "fork")
+    write_search(g, strategy="nsga2")
+    assert run_cli(*argv) == 2
+    assert "strategy variable_ga -> nsga2" in capsys.readouterr().err
+    assert run_files(tmp_path / "runs" / "fork") == before
+
+
+@pytest.mark.parametrize("interrupted", [False, True], ids=["finished", "interrupted"])
+def test_raising_max_gen_extends_a_run_as_if_it_had_been_set_from_the_start(tmp_path, monkeypatch, interrupted):
+    """``max_gen`` only says where the trajectory stops, so it may be raised; lowering it is refused."""
+    g, t = write_configs(tmp_path)
+    argv = ("run", "--global-config", write_search(g, max_gen=3, pop_size=6), "--train-config", t,
+            "--run-root", tmp_path / "runs")
+    if interrupted:
+        interrupt_after(monkeypatch, argv, 1)
+    else:
+        assert run_cli(*argv) == 0
+    write_search(g, max_gen=5, pop_size=6)
+    assert run_cli(*argv) == 0
+    extended = run_files(tmp_path / "runs" / "fork")
+    assert "max_gen=5\n" in extended["run_state.txt"].decode()
+    twin_argv = ("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "twin")
+    assert run_cli(*twin_argv) == 0
+    twin = run_files(tmp_path / "twin" / "fork")
+    logs = [f"begin_{t}.txt" for t in range(5)]
+    assert [extended[name] for name in logs] == [twin[name] for name in logs]
+    write_search(g, max_gen=4, pop_size=6)
+    assert run_cli(*argv) == 2
+    assert run_files(tmp_path / "runs" / "fork") == extended
+
+
 def test_run_verb_config_error_is_reported(tmp_path, capsys):
     g, t = write_configs(tmp_path)
     g.write_text(g.read_text().replace("elitist_ga", "nonsense"), encoding="utf-8")

@@ -7,7 +7,7 @@ import evonas.arch.genotype as genotype_module
 import evonas.arch.ir as ir_module
 import evonas.evaluator as evaluator_module
 from evonas.arch import flop_count, identifier, param_count
-from evonas.arch.spaces import FixedBinarySpace, VariableBlocksSpace
+from evonas.arch.spaces import CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.backends import (
     DEFAULT_TIME_BASE,
     DEFAULT_TIME_PER_MAC,
@@ -349,12 +349,15 @@ def test_nsga2_trajectory_does_not_depend_on_the_slot_count(make_harness):
 
 
 def _count_work(monkeypatch) -> dict[str, int]:
-    """Count decodes, consistency walks and ``parse_canonical`` calls from here on.
+    """Count decodes, consistency walks, ``parse_canonical`` calls and space checks from here on.
 
     ``parse_canonical`` is counted at every ``evonas`` module name bound to it,
-    wherever its callers look it up.
+    wherever its callers look it up. ``validations`` counts the space-specific
+    checks that ``EncodingSpace.validate`` runs, and ``revalidations`` those of
+    them that check a genotype object a space has checked before.
     """
-    counts = {"decodes": 0, "walks": 0, "parses": 0}
+    counts = {"decodes": 0, "walks": 0, "parses": 0, "validations": 0, "revalidations": 0}
+    checked = {}  # (id(space), id(genotype)) -> the pair, held so that the ids stay unique
     build, walk, parse = ir_module._Builder.build, ir_module._consistency_walk, genotype_module.parse_canonical
 
     def counting_build(self):
@@ -369,6 +372,17 @@ def _count_work(monkeypatch) -> dict[str, int]:
         counts["parses"] += 1
         return parse(text)
 
+    def counting_check(check):
+        def counted(space, g):
+            counts["validations"] += 1
+            counts["revalidations"] += (id(space), id(g)) in checked
+            checked[id(space), id(g)] = (space, g)
+            return check(space, g)
+
+        return counted
+
+    for cls in (FixedBinarySpace, VariableBlocksSpace, CellGraphSpace):
+        monkeypatch.setattr(cls, "_check", counting_check(cls._check))
     monkeypatch.setattr(ir_module._Builder, "build", counting_build)
     monkeypatch.setattr(ir_module, "_consistency_walk", counting_walk)
     for name, module in list(sys.modules.items()):
@@ -399,6 +413,8 @@ def test_one_nsga2_generation_walks_each_ir_once_and_serializes_each_genotype_on
     assert counts["walks"] == counts["decodes"]
     assert counts["parses"] == 0
     assert len({id(g) for g in serialized}) == len(serialized) >= 24
+    # every parent is validated again each time it is picked, unless the space keeps its pass
+    assert counts["validations"] >= 24 and counts["revalidations"] == 0
 
 
 def test_an_aging_run_decodes_each_job_once_and_parses_no_genotype(make_harness, monkeypatch):
@@ -408,6 +424,7 @@ def test_an_aging_run_decodes_each_job_once_and_parses_no_genotype(make_harness,
     runner.run()
     assert counts["decodes"] == counts["walks"] == farm.stats.jobs > 8
     assert counts["parses"] == 0
+    assert counts["validations"] > 8 and counts["revalidations"] == 0
 
 
 @pytest.mark.parametrize("lead_first", [True, False], ids=["lead_first", "joiner_first"])

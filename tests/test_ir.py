@@ -242,6 +242,45 @@ def test_check_shapes_flags_inconsistency():
             flop_count(bad)
 
 
+FLAT = 3 * 32 * 32
+
+#: One hand-built IR per refusal of the consistency pass, with the message it raises.
+INCONSISTENT = {
+    "non_positive_input": ((0, 32, 32), (Dense(0, 10),), "non-positive input shape (0, 32, 32)"),
+    "conv_channel_mismatch": ((3, 32, 32), (Conv(3, 4, 8),), "conv at 0 expects 4 channels, has (3, 32, 32)"),
+    "conv_after_dense": ((3, 32, 32), (Dense(FLAT, 10), Conv(3, 10, 8)), "conv at 1 expects 10 channels, has (10,)"),
+    "conv_c_out_zero": ((3, 32, 32), (Conv(3, 3, 0),), "layer 0 produced non-positive shape (0, 32, 32)"),
+    "pool_after_dense": ((3, 32, 32), (Dense(FLAT, 10), Pool("max", 2, 2)), "pool at 1 after flattening"),
+    "pool_collapse": ((3, 2, 3), (Pool("max", 2, 2), Pool("max", 2, 2)), "pool at 1 collapses 1x1 below 1x1"),
+    "dense_input_mismatch": ((3, 32, 32), (Dense(100, 10),), f"dense at 0 expects 100 inputs, has {FLAT}"),
+    "dense_n_out_zero": ((3, 32, 32), (Dense(FLAT, 0),), "layer 0 produced non-positive shape (0,)"),
+    **{
+        f"{marker.__name__.lower()}_{where}": (
+            (3, 32, 32), (Conv(3, 3, 3), marker(src)), f"layer 1 references out-of-range layer {src}"
+        )
+        for marker in (Ref, Skip, Concat)
+        for where, src in (("forward", 1), ("below_input", -2))
+    },
+    "skip_shape_mismatch": ((3, 32, 32), (Conv(3, 3, 8), Skip(-1)), "skip at 1 sums shapes (3, 32, 32) and (8, 32, 32)"),
+    "concat_spatial_mismatch": (
+        (3, 32, 32), (Pool("max", 2, 2), Concat(-1)), "concat at 1 joins shapes (3, 32, 32) and (3, 16, 16)"
+    ),
+    "concat_after_dense": ((3, 32, 32), (Dense(FLAT, 10), Concat(-1)), "concat at 1 joins shapes (3, 32, 32) and (10,)"),
+    "unknown_kind": ((3, 32, 32), (Conv(3, 3, 8), "relu"), "unknown layer kind 'relu'"),
+}
+
+
+@pytest.mark.parametrize("input_shape, layers, message", INCONSISTENT.values(), ids=INCONSISTENT)
+def test_every_refusal_of_the_consistency_pass_reaches_every_reader(input_shape, layers, message):
+    """Each check of the one pass refuses its IR with its message, through the shapes and both
+    costs, on every read: a refused IR keeps nothing."""
+    ir = ArchIR(input_shape, layers)
+    for read in (check_shapes, param_count, flop_count, check_shapes):
+        with pytest.raises(InvariantViolation) as refused:
+            read(ir)
+        assert str(refused.value) == message
+
+
 @given(st.integers(min_value=0, max_value=2**16 - 1))
 @settings(max_examples=150, deadline=None)
 def test_fixed_binary_decode_round_trip_never_inconsistent(bits):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from evonas.arch import BlockGene, BlockKind, Genotype
+from evonas.arch import BlockGene, BlockKind, Genotype, PoolType
 from evonas.arch.spaces import CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.errors import ConfigError, EvaluationOrderError, InvariantViolation, SchemeError
 from evonas.evo import (
@@ -223,6 +223,36 @@ def test_variable_mutation_produces_valid_genotypes():
     for _ in range(300):
         g = space.mutate(g, 1.0, rng)
         space.validate(g)
+
+
+@pytest.mark.parametrize("stricter", [{"max_len": 3}, {"max_pools": 0}], ids=["max_len", "max_pools"])
+def test_a_kept_validation_belongs_to_its_space(stricter):
+    """A pass kept by one space does not vouch for the genotype in a stricter one."""
+    genes = [BlockGene(BlockKind.RES_UNIT, out_channels=32), BlockGene(BlockKind.POOL, pool_type=PoolType.MAX)] * 2
+    g = Genotype.variable_blocks(genes)
+    loose, strict = VariableBlocksSpace(), VariableBlocksSpace(**stricter)
+    loose.validate(g)
+    loose.validate(g)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            strict.validate(g)
+    loose.validate(g)  # the refusal kept nothing either
+
+
+@pytest.mark.parametrize(
+    "space, g",
+    [
+        (VariableBlocksSpace(), Genotype.variable_blocks([BlockGene(BlockKind.POOL, pool_type=PoolType.MAX)] * 3)),
+        (FixedBinarySpace(), Genotype.fixed_binary((3,), "101")),
+        (CellGraphSpace(n_nodes=3), Genotype.cell_graph(("conv3", "identity"), ((0, 1),))),
+        (CellGraphSpace(), FixedBinarySpace().sample(random.Random(1))),
+    ],
+    ids=["pools_only", "stage_sizes", "node_count", "scheme"],
+)
+def test_an_invalid_genotype_is_refused_on_every_call(space, g):
+    for _ in range(3):
+        with pytest.raises(InvariantViolation):
+            space.validate(g)
 
 
 def test_cell_mutation_rewires_or_relabels():
