@@ -15,16 +15,19 @@ A strategy produces exactly ``pop_size`` new evaluations per generation, so a
 full run of ``max_gen`` generations (the initial population counts as the
 first) costs ``pop_size * max_gen`` evaluations when every job misses the cache.
 
-The runner drives a strategy through ``generations``, which yields each next
-generation once all its members have fitness. The generational strategies
-make one ``advance`` call per generation and evaluate a whole generation at
-once; they do not depend on the slot count. They share one breeding loop,
-``_breed``, and differ only in how a parent is picked (a tournament, or a
-uniform draw for nsga2) and in the final selection.
+The runner drives every strategy through ``generations``, its one entry,
+which yields each next generation once all its members have fitness. The
+generational strategies keep the default ``generations``: one ``advance``
+call per generation, which evaluates a whole generation at once, so they do
+not depend on the slot count. They share one breeding loop, ``_breed``, and
+differ only in how a parent is picked (a tournament, or a uniform draw for
+nsga2) and in the final selection.
 
-Aging evolution keeps one history list of every member ever created: the
-initial population, then every child in child order. After ``m`` children
-have been applied the queue is ``hist[m : m + P]`` (P the population size).
+Aging evolution has no ``advance``: its ``generations`` is its one driver
+at every slot count. It keeps one history list of every member ever
+created: the initial population, then every child in child order. After
+``m`` children have been applied the queue is ``hist[m : m + P]`` (P the
+population size).
 With K slots the lag is L = 2K - 1: global child i is drawn from the queue
 ``hist[j : j + P]`` with ``j = max(0, i - L + 1)``, so children before j
 must have fitness by then, while the L - 1 children before i may still be
@@ -42,7 +45,6 @@ resume rebuilds the history from the trailing population logs (see
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator
 
@@ -85,7 +87,7 @@ class StrategyConfig:
             raise ConfigError(f"must be >= 1, got {self.sample_size}", "sample_size")
 
 
-class SearchStrategy(ABC):
+class SearchStrategy:
     """One generation-producing search procedure over a configured space."""
 
     key: ClassVar[str]
@@ -120,9 +122,13 @@ class SearchStrategy(ABC):
             pop = self.advance(pop, evaluator.evaluate_population, rng_for(pop.generation))
             yield pop
 
-    @abstractmethod
     def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
-        """Produce the next generation from an evaluated population."""
+        """Produce the next generation from an evaluated population.
+
+        The default ``generations`` takes one such step per generation; a
+        strategy that overrides ``generations`` does not define it.
+        """
+        raise NotImplementedError
 
     def _breed(self, pop: Population, pick: Callable[[], Individual], rng: random.Random) -> Population:
         """``pop_size`` children of the next generation: each pair of parents from ``pick``
@@ -177,41 +183,22 @@ class AgingEvolution(SearchStrategy):
     def generations(
         self, history: list[Individual], t: int, evaluator, rng_for: Callable[[int], random.Random]
     ) -> Iterator[Population]:
-        return self._pipeline(
-            history, t, self.cfg.max_gen - 1, self.lag(evaluator.width), rng_for,
-            evaluator.evaluate_population, evaluator.submit, evaluator.resolved,
-        )
-
-    def advance(self, pop: Population, evaluate: EvaluateFn, rng: random.Random) -> Population:
-        """One generation of the classic loop (lag 1), each child evaluated on its own."""
-        (nxt,) = self._pipeline(pop.members, pop.generation, pop.generation + 1, 1, lambda g: rng, evaluate)
-        return nxt
-
-    def _pipeline(
-        self,
-        history: list[Individual],
-        t: int,
-        last: int,
-        lag: int,
-        rng_for: Callable[[int], random.Random],
-        evaluate: EvaluateFn,
-        submit: EvaluateFn | None = None,
-        resolved: Callable[[Individual], bool] | None = None,
-    ) -> Iterator[Population]:
-        """Yield generations t+1 .. ``last`` of aging at ``lag`` over ``history``.
+        """Yield generations t+1 .. max_gen-1 of aging at the lag of ``evaluator.width`` slots.
 
         Positions are indices into ``hist``: child c (counted from the first
         child of generation t+1, so global child i = tP + c) sits at
         ``base + c``, and its queue ends ``min(i, lag - 1)`` positions before
-        it. Each time the oldest unapplied child is needed, one ``evaluate``
-        call covers it and every later child up to the first one whose job is
-        still running, so one call serves each wait.
+        it. Each time the oldest unapplied child is needed, one
+        ``evaluate_population`` call covers it and every later child up to the
+        first one whose job is still running, so one call serves each wait.
         """
         cfg = self.cfg
         size = cfg.pop_size
+        lag = self.lag(evaluator.width)
+        submit, resolved, evaluate = evaluator.submit, evaluator.resolved, evaluator.evaluate_population
         hist = list(history)
         base = len(hist)
-        total = (last - t) * size
+        total = (cfg.max_gen - 1 - t) * size
         drawn = applied = 0
         rng = None
         while applied < total:
@@ -229,13 +216,12 @@ class AgingEvolution(SearchStrategy):
                 hist.append(child)
                 fresh.append(child)
                 drawn += 1
-            if submit is not None and fresh:
+            if fresh:
                 submit(fresh)
             head = base + applied
             stop = head + 1
-            if resolved is not None:
-                while stop < base + drawn and resolved(hist[stop]):
-                    stop += 1
+            while stop < base + drawn and resolved(hist[stop]):
+                stop += 1
             evaluate(hist[head:stop])
             if hist[head].fitness is None:
                 raise EvaluationOrderError(f"child {hist[head].name} came back unevaluated")

@@ -2,30 +2,36 @@
 
 All run state lives in the run directory:
 
-* ``run_state.txt``   -- ``is_running`` flag, the run's labels, ``width`` (the
-  engine's slot count), ``lag`` (the aging pipeline's lag on that many
-  slots; 0 for strategies without one) and the search settings: ``max_gen``
-  and ``SEARCH_KEYS``. None of these change mid-run, so it is written when a
-  run starts or resumes and when it ends; the newest ``begin_<t>.txt`` is the
-  resume point,
+* ``run_state.txt``   -- ``is_running`` flag (1 while a process runs the
+  search; ``compare`` reads it, the start path does not), the run's labels,
+  ``width`` (the engine's slot count), ``lag`` (the aging pipeline's lag on
+  that many slots; 0 for strategies without one) and the search settings:
+  ``max_gen`` and ``SEARCH_KEYS``. None of these change mid-run, so it is
+  written when a run starts or resumes and when it ends; the newest
+  ``begin_<t>.txt`` is the resume point,
 * ``begin_<t>.txt``   -- one population log per generation, written atomically
   after every member of that generation has fitness; one record per line::
 
       name=<string>;enc=<canonical serialization>;id=<56 hex>;fit=<percent 2dp or NA>
 
-A fresh start initializes generation 0 and raises the flag; a restart loads
-the newest ``begin_<t>.txt``, verifies every record's identifier against its
-re-serialized genotype, and resumes. Variation for generation ``t+1`` draws
-its RNG from ``H(master_seed, t)``, so a resumed run regenerates exactly the
-offspring the uninterrupted run would have -- the cache makes re-evaluation of
-anything already trained free, and subsequent population logs come out
-byte-identical.
+A run has one start path, and a fresh start is a resume from nothing. When
+population logs exist, it loads the newest ``begin_<t>.txt``, verifying
+every record's identifier against its re-serialized genotype, and resumes
+from it, whether the run was interrupted or finished. When none exists,
+generation 0 is rebuilt from the seed (``derive_rng(master_seed, "init")``),
+so a run stopped before its first log resumes like any other, and the cache
+supplies whatever generation 0 had already trained. Variation for generation
+``t+1`` draws its RNG from ``H(master_seed, t)``, so a resumed run
+regenerates exactly the offspring the uninterrupted run would have -- the
+cache makes re-evaluation of anything already trained free, and subsequent
+population logs come out byte-identical.
 
 Aging evolution draws children at a lag of L = 2K - 1 on K slots (see
 ``evo.strategies``), and its logs are written while children of the next
 generation are still running. Its trajectory depends on L, so a restart with
 another lag raises ``RestartError`` before anything is written, instead of
-silently forking the run. Its first draws after ``begin_<t>.txt`` read queue
+silently forking the run; this holds for a finished run as much as for an
+interrupted one. Its first draws after ``begin_<t>.txt`` read queue
 positions up to L - 1 children back, so a resume loads ``begin_<t-1>.txt``
 as well when L > 1 (more logs when L - 1 > P): generation g fills history
 positions gP .. gP+P-1. Children in flight at the crash are drawn again
@@ -39,10 +45,10 @@ A run directory keeps the search settings it was started with: a rerun whose
 strategy, seed, population size or operator settings differ from the
 recorded ones raises ``RestartError`` before anything is written, whether the
 run was interrupted or finished. ``max_gen`` only says where the trajectory
-stops, so it may be raised to extend a run (a finished run then replays its
-generations from the cache and goes on); lowering it is refused, so the logs
-never run past the recorded budget. A file without these lines was written
-before they were recorded and is not checked.
+stops, so it may be raised to extend a run (a finished run then goes on from
+its newest log); lowering it is refused, so the logs never run past the
+recorded budget. A file without these lines was written before they were
+recorded and is not checked.
 
 ``max_gen`` counts generations including the initial one: a full run evaluates
 ``pop_size * max_gen`` candidates when nothing hits the cache.
@@ -218,7 +224,7 @@ def load_latest_population(
     """Load the newest population log, verifying identifiers and log contiguity."""
     generations = list_generations(run_dir)
     if not generations:
-        raise RestartError(f"run flagged as interrupted but {run_dir} holds no population logs")
+        raise RestartError(f"{run_dir} holds no population logs")
     if generations != list(range(generations[-1] + 1)):
         raise RestartError(f"population logs are not contiguous in {run_dir}: {generations}")
     t = generations[-1]
@@ -295,27 +301,25 @@ class Runner:
         lag = self.strategy.lag(self.evaluator.width)
         state = RunState.load(self.run_dir)
         self._check_search(state)
-        if state.is_running == 0:
-            logger.info("fresh start in %s (strategy %s)", self.run_dir, cfg.strategy)
-            pop = self.strategy.initial_population(derive_rng(self.master_seed, "init"))
-            t = 0
-            history = pop.members
-        else:
+        objectives = self.strategy.objectives
+
+        def augment(member: Individual) -> tuple[float, ...]:
+            return (float(self.evaluator.params_of(member)),)
+
+        if list_generations(self.run_dir):
             if lag:
                 self._check_lag(state, lag)
-
-            def augment(member: Individual) -> tuple[float, ...]:
-                return (float(self.evaluator.params_of(member)),)
-
-            objectives = self.strategy.objectives
             t, pop = load_latest_population(self.run_dir, objectives=objectives, augment=augment)
-            # the first draws after generation t read up to lag - 1 positions before it
-            first = max(0, t - math.ceil(max(lag - 1, 0) / cfg.pop_size))
-            history = []
-            for g in range(first, t):
-                history += load_population(self.run_dir, g, objectives, augment).members
-            history += pop.members
             logger.info("resuming %s at generation %d", self.run_dir, t)
+        else:  # a start from nothing: generation 0 is a function of the seed
+            t, pop = 0, self.strategy.initial_population(derive_rng(self.master_seed, "init"))
+            logger.info("starting %s at generation 0 (strategy %s)", self.run_dir, cfg.strategy)
+        # the first draws after generation t read up to lag - 1 positions before it
+        first = max(0, t - math.ceil(max(lag - 1, 0) / cfg.pop_size))
+        history = []
+        for g in range(first, t):
+            history += load_population(self.run_dir, g, objectives, augment).members
+        history += pop.members
         self._state(1).save(self.run_dir)
 
         self.evaluator.evaluate_population(pop)

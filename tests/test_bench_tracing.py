@@ -61,7 +61,6 @@ def test_instrument_wraps_each_traced_method_on_its_own_class_and_restore_undoes
         ("Listener", "drain"),
         ("InProcessBus", "publish"),
         ("GenerationalGA", "advance"),
-        ("AgingEvolution", "advance"),
         ("ParetoGA", "advance"),
         ("decode",),  # evonas.arch.ir.decode, a module function
     } <= wrapped

@@ -12,6 +12,7 @@ import evonas
 import evonas.cli
 from evonas.cli import main
 from evonas.report import CSV_HEADER
+from evonas.runner import RunState, list_generations
 from evonas.slots import SlotStatus
 
 GLOBAL_INI = """\
@@ -57,7 +58,7 @@ def test_run_verb_completes_and_resumes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "best indi_gen" in out
     assert (tmp_path / "runs" / "demo" / "begin_2.txt").exists()
-    # a second invocation replays from the cache without changing the logs
+    # a second invocation goes on from the newest log without changing the logs
     before = (tmp_path / "runs" / "demo" / "begin_2.txt").read_bytes()
     assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs") == 0
     assert (tmp_path / "runs" / "demo" / "begin_2.txt").read_bytes() == before
@@ -168,17 +169,30 @@ def test_resume_under_another_strategy_of_the_same_space_is_refused_before_writi
     assert run_files(tmp_path / "runs" / "fork") == before
 
 
-@pytest.mark.parametrize("interrupted", [False, True], ids=["finished", "interrupted"])
-def test_raising_max_gen_extends_a_run_as_if_it_had_been_set_from_the_start(tmp_path, monkeypatch, interrupted):
-    """``max_gen`` only says where the trajectory stops, so it may be raised; lowering it is refused."""
+@pytest.mark.parametrize(
+    "strategy, interrupted",
+    [
+        pytest.param("elitist_ga", False, id="finished"),
+        pytest.param("elitist_ga", True, id="interrupted"),
+        pytest.param("aging_evolution", False, id="aging_evolution-finished"),
+        pytest.param("aging_evolution", True, id="aging_evolution-interrupted"),
+        pytest.param("nsga2", False, id="nsga2-finished"),
+        pytest.param("nsga2", True, id="nsga2-interrupted"),
+    ],
+)
+def test_raising_max_gen_extends_a_run_as_if_it_had_been_set_from_the_start(
+    tmp_path, monkeypatch, strategy, interrupted
+):
+    """``max_gen`` only says where the trajectory stops, so it may be raised; lowering it is refused.
+    The extension goes on from the newest log: aging reloads its lag history, nsga2 its params objective."""
     g, t = write_configs(tmp_path)
-    argv = ("run", "--global-config", write_search(g, max_gen=3, pop_size=6), "--train-config", t,
-            "--run-root", tmp_path / "runs")
+    argv = ("run", "--global-config", write_search(g, max_gen=3, pop_size=6, strategy=strategy),
+            "--train-config", t, "--run-root", tmp_path / "runs")
     if interrupted:
         interrupt_after(monkeypatch, argv, 1)
     else:
         assert run_cli(*argv) == 0
-    write_search(g, max_gen=5, pop_size=6)
+    write_search(g, max_gen=5, pop_size=6, strategy=strategy)
     assert run_cli(*argv) == 0
     extended = run_files(tmp_path / "runs" / "fork")
     assert "max_gen=5\n" in extended["run_state.txt"].decode()
@@ -187,9 +201,52 @@ def test_raising_max_gen_extends_a_run_as_if_it_had_been_set_from_the_start(tmp_
     twin = run_files(tmp_path / "twin" / "fork")
     logs = [f"begin_{t}.txt" for t in range(5)]
     assert [extended[name] for name in logs] == [twin[name] for name in logs]
-    write_search(g, max_gen=4, pop_size=6)
+    write_search(g, max_gen=4, pop_size=6, strategy=strategy)
     assert run_cli(*argv) == 2
     assert run_files(tmp_path / "runs" / "fork") == extended
+
+
+def test_extending_a_finished_aging_run_on_other_slots_is_refused_before_writing(tmp_path, capsys):
+    """Aging's trajectory depends on its lag: a finished run on 4 slots (lag 7) extended on 2 (lag 3)
+    would fork it, so the rerun exits 2, writes nothing, and names the slot count that resumes it."""
+    g, t = write_configs(tmp_path)
+    search = write_search(g, max_gen=3, pop_size=6, strategy="aging_evolution")
+    argv = ("run", "--global-config", search, "--train-config", t, "--run-root", tmp_path / "runs")
+    assert run_cli(*argv, "--local-slots", 4) == 0
+    run_dir = tmp_path / "runs" / "fork"
+    before = run_files(run_dir)
+    write_search(g, max_gen=5, pop_size=6, strategy="aging_evolution")
+    capsys.readouterr()
+    assert run_cli(*argv, "--local-slots", 2) == 2
+    err = capsys.readouterr().err
+    assert "at lag 7" in err and "resume it on 4 slot(s)" in err and "Traceback" not in err
+    assert run_files(run_dir) == before
+    assert run_cli(*argv, "--local-slots", 4) == 0
+    assert RunState.load(run_dir).lag == 7 and list_generations(run_dir) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("strategy", ["elitist_ga", "aging_evolution"])
+def test_rerun_after_a_ctrl_c_in_generation_0_finishes(tmp_path, capsys, monkeypatch, strategy):
+    """A Ctrl-C before ``begin_0.txt`` exists leaves a run that resumes: generation 0 is
+    rebuilt from the seed, and the rerun ends with the logs of an uninterrupted twin."""
+    g, t = write_configs(tmp_path)
+    search = write_search(g, max_gen=3, pop_size=6, strategy=strategy)
+    argv = ("run", "--global-config", search, "--train-config", t, "--run-root", tmp_path / "runs")
+    run_dir = tmp_path / "runs" / "fork"
+
+    def interrupted_save(runner, t, pop):
+        raise KeyboardInterrupt  # generation 0 is evaluated but not yet logged
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evonas.cli.Runner, "_save", interrupted_save)
+        assert run_cli(*argv) == 130
+    assert f"run resumes from {run_dir}" in capsys.readouterr().err
+    assert list_generations(run_dir) == [] and RunState.load(run_dir).is_running == 1
+    assert run_cli(*argv) == 0
+    assert run_cli("run", "--global-config", search, "--train-config", t, "--run-root", tmp_path / "twin") == 0
+    logs = [f"begin_{t}.txt" for t in range(3)]
+    resumed, twin = run_files(run_dir), run_files(tmp_path / "twin" / "fork")
+    assert [resumed[name] for name in logs] == [twin[name] for name in logs]
 
 
 def test_run_verb_config_error_is_reported(tmp_path, capsys):
@@ -497,6 +554,55 @@ def test_interrupt_kills_trainers_without_retrying_and_keeps_finished_results(tm
     assert len(starts.read_text().splitlines()) == 4  # no trainer started after SIGINT
     entries = (tmp_path / "runs" / "interrupted" / "cache.txt").read_text().splitlines()[1:]
     assert len(entries) == 1 and entries[0].endswith(" = 50.00")
+
+
+BLOCKING_TRAINER = """\
+import os, sys, time
+while os.path.exists(sys.argv[1]):
+    time.sleep(0.02)
+print(f"FITNESS={10 + int(sys.argv[2]) % 8000 / 100:.2f}")
+"""
+
+
+def test_center_killed_in_generation_0_resumes_to_the_logs_of_an_uninterrupted_twin(tmp_path):
+    """SIGKILL to ``evonas run`` while generation 0's trainers wait on a marker file, before
+    ``begin_0.txt`` exists: the same command then runs the search to the twin's logs."""
+    trainer = tmp_path / "trainer.py"
+    trainer.write_text(BLOCKING_TRAINER, encoding="utf-8")
+    marker = tmp_path / "hold"
+    marker.touch()
+    g, t = write_configs(
+        tmp_path, name="killed",
+        extra_train=f"\n[backend]\nkind = command\ncommand = {sys.executable} {trainer} {marker} {{seed}}\n",
+    )
+
+    def command(run_root):
+        return [sys.executable, "-m", "evonas.cli", "run", "--global-config", str(g), "--train-config", str(t),
+                "--run-root", str(run_root), "--local-slots", "4"]
+
+    run_dir = tmp_path / "runs" / "killed"
+    state = run_dir / "run_state.txt"
+    proc = subprocess.Popen(command(tmp_path / "runs"), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not (state.exists() and "is_running=1\n" in state.read_text(encoding="utf-8")):
+            assert time.monotonic() < deadline, "the run never started"
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait(timeout=10)
+    finally:
+        marker.unlink()  # every trainer of the killed center now ends
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert list_generations(run_dir) == []
+    rerun = subprocess.run(command(tmp_path / "runs"), capture_output=True, text=True, timeout=60)
+    assert rerun.returncode == 0, rerun.stderr
+    twin = subprocess.run(command(tmp_path / "twin"), capture_output=True, text=True, timeout=60)
+    assert twin.returncode == 0, twin.stderr
+    logs = [f"begin_{t}.txt" for t in range(3)]
+    resumed, reference = run_files(run_dir), run_files(tmp_path / "twin" / "killed")
+    assert [resumed[name] for name in logs] == [reference[name] for name in logs]
 
 
 def test_interrupted_farm_run_frees_every_slot_and_keeps_finished_results(tmp_path, capsys, monkeypatch):

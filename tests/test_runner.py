@@ -257,7 +257,7 @@ def test_resume_after_normal_end_is_a_noop(make_harness):
     runner.run()
     logs = read_all_logs(harness.run_dir)
     runner2, farm2 = harness.build()
-    runner2.run()  # flag is 0, but generation logs already exist: fresh start resolves via cache
+    runner2.run()  # the run goes on from its newest log, which is its last
     assert read_all_logs(harness.run_dir) == logs
     assert farm2.stats.jobs == 0  # everything came from the cache
 
@@ -305,7 +305,8 @@ def test_backend_interchangeability_lookup_reproduces_surrogate_run(make_harness
 
 def test_crash_mid_generation_discards_partial_offspring(make_harness):
     """Dying during fitness evaluation (before the save) loses nothing: the
-    resumed run regenerates the same offspring and converges to the twin."""
+    resumed run regenerates the same offspring and converges to the twin. A
+    fuse below pop_size dies inside generation 0, before any log exists."""
     from evonas.backends import SurrogateBackend
 
     class DetonatingBackend(SurrogateBackend):
@@ -322,18 +323,20 @@ def test_crash_mid_generation_discards_partial_offspring(make_harness):
     twin = make_harness(name="midgen_twin", pop_size=4, max_gen=3, seed=66)
     twin.build()[0].run()
 
-    crashed = make_harness(
-        name="midgen", pop_size=4, max_gen=3, seed=66, backend=DetonatingBackend(fuse=6)
-    )
-    runner, _ = crashed.build()
-    with pytest.raises(Boom):
-        runner.run()  # dies inside some generation's evaluation
-    saved = list_generations(crashed.run_dir)
-    assert saved and len(saved) < 3  # crashed before the run could finish
+    for fuse in (6, 2):
+        crashed = make_harness(
+            name=f"midgen_{fuse}", pop_size=4, max_gen=3, seed=66, backend=DetonatingBackend(fuse=fuse)
+        )
+        runner, _ = crashed.build()
+        with pytest.raises(Boom):
+            runner.run()  # dies inside some generation's evaluation
+        # fuse 6 dies inside generation 2, fuse 2 inside generation 0
+        assert list_generations(crashed.run_dir) == ([0, 1] if fuse > 4 else [])
+        assert RunState.load(crashed.run_dir).is_running == 1
 
-    crashed.backend = SurrogateBackend()
-    crashed.build()[0].run()
-    assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir)
+        crashed.backend = SurrogateBackend()
+        crashed.build()[0].run()
+        assert read_all_logs(crashed.run_dir) == read_all_logs(twin.run_dir), f"fuse {fuse}"
 
 
 def test_population_logs_never_rewritten(tmp_path):

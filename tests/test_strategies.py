@@ -25,6 +25,28 @@ def evaluate_double(members):
             )
 
 
+class FakeEvaluator:
+    """Records submits and evaluate calls; a seeded coin says which submitted child has resolved."""
+
+    def __init__(self, width, seed, evaluate=evaluate_single):
+        self.width = width
+        self.coin = random.Random(seed)
+        self.evaluate = evaluate
+        self.submitted = []
+        self.calls = []
+
+    def submit(self, members):
+        assert all(m.fitness is None for m in members)
+        self.submitted.extend(members)
+
+    def resolved(self, member):
+        return self.coin.random() < 0.5
+
+    def evaluate_population(self, members):
+        self.calls.append([m.name for m in members])
+        self.evaluate(members)
+
+
 def test_registry_has_all_four():
     assert set(STRATEGIES) == {"elitist_ga", "variable_ga", "aging_evolution", "nsga2"}
 
@@ -71,12 +93,13 @@ def test_infeasible_space_raises_config_error():
 
 @pytest.mark.parametrize("key", sorted(STRATEGIES))
 def test_advance_produces_next_generation(key):
+    """One generation through ``generations``, the runner's entry to every strategy."""
     cfg = StrategyConfig(key, pop_size=6, max_gen=3, sample_size=3)
     strat = build_strategy(cfg)
     evaluate = evaluate_double if strat.objectives == 2 else evaluate_single
     pop = strat.initial_population(random.Random(1))
     evaluate(pop.members)
-    nxt = strat.advance(pop, evaluate, random.Random(2))
+    nxt = next(strat.generations(pop.members, 0, FakeEvaluator(1, 0, evaluate), lambda g: random.Random(2)))
     assert nxt.generation == 1
     assert len(nxt) == 6
     for m in nxt.members:
@@ -85,7 +108,7 @@ def test_advance_produces_next_generation(key):
 
 @pytest.mark.parametrize("key", sorted(STRATEGIES))
 def test_budget_identity_per_generation(key):
-    """Each advance costs exactly pop_size fresh evaluations (no cache in play)."""
+    """Each generation costs exactly pop_size fresh evaluations (no cache in play)."""
     cfg = StrategyConfig(key, pop_size=5, max_gen=4, sample_size=2)
     strat = build_strategy(cfg)
     calls = {"n": 0}
@@ -102,8 +125,8 @@ def test_budget_identity_per_generation(key):
     pop = strat.initial_population(random.Random(0))
     counting_evaluate(pop.members)
     assert calls["n"] == 5
-    for g in range(3):
-        pop = strat.advance(pop, counting_evaluate, random.Random(g))
+    pops = list(strat.generations(pop.members, 0, FakeEvaluator(1, 0, counting_evaluate), random.Random))
+    assert [p.generation for p in pops] == [1, 2, 3]
     assert calls["n"] == 5 + 3 * 5  # pop_size per generation
 
 
@@ -126,7 +149,7 @@ def test_aging_generation_is_pop_size_steps():
     pop = strat.initial_population(random.Random(7))
     evaluate_single(pop.members)
     original = {m.name for m in pop.members}
-    nxt = strat.advance(pop, evaluate_single, random.Random(8))
+    nxt = next(strat.generations(pop.members, 0, FakeEvaluator(1, 0), lambda g: random.Random(8)))
     # pop_size steps retire every original member of a size-pop_size queue
     assert original.isdisjoint({m.name for m in nxt.members})
     assert len(nxt) == 4
@@ -162,27 +185,6 @@ def test_default_spaces_match_strategies():
 
 
 # ------------------------------------------------------- pipelined aging
-
-class FakeEvaluator:
-    """Records submits and evaluate calls; a seeded coin says which submitted child has resolved."""
-
-    def __init__(self, width, seed):
-        self.width = width
-        self.coin = random.Random(seed)
-        self.submitted = []
-        self.calls = []
-
-    def submit(self, members):
-        assert all(m.fitness is None for m in members)
-        self.submitted.extend(members)
-
-    def resolved(self, member):
-        return self.coin.random() < 0.5
-
-    def evaluate_population(self, members):
-        self.calls.append([m.name for m in members])
-        evaluate_single(members)
-
 
 def history_slice_oracle(strat, initial, lag, generations):
     """The lag rule taken literally: global child i is drawn from a copy of hist[j:j+P],
