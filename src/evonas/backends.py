@@ -188,14 +188,7 @@ class CommandBackend:
                 json.dumps({**job.settings, "epochs": str(job.epochs)}, indent=1),
                 encoding="utf-8",
             )
-            argv = shlex.split(
-                self.template.format(
-                    payload_path=payload_path,
-                    settings_path=settings_path,
-                    slot_id=slot_id,
-                    seed=job.seed,
-                )
-            )
+            argv = _command_argv(self.template, payload_path, settings_path, slot_id, job.seed)
             tail: list[str] = []
             fitness: float | None = None
             try:
@@ -249,6 +242,13 @@ class CommandBackend:
         return _quantize(fitness), time.monotonic() - started
 
 
+def _command_argv(template: str, payload_path: Path, settings_path: Path, slot_id: int, seed: int) -> list[str]:
+    """A trainer's argv: the command template with its four placeholders filled, split as a shell would."""
+    return shlex.split(
+        template.format(payload_path=payload_path, settings_path=settings_path, slot_id=slot_id, seed=seed)
+    )
+
+
 def _pump_lines(stream, lines: queue.SimpleQueue) -> None:
     """Copy a trainer's output lines into ``lines``, then None at EOF."""
     with stream:
@@ -276,5 +276,11 @@ def build_backend(kind: str, settings: dict[str, str] | None = None):
         template = settings.get("command", "")
         if not template:
             raise ConfigError("command backend requires a 'command' setting")
+        try:  # a template that cannot be filled or split would fail every job
+            _command_argv(template, Path("payload.txt"), Path("settings.json"), 0, 0)
+        except KeyError as exc:
+            raise ConfigError(f"command template names an unknown placeholder {{{exc.args[0]}}}") from exc
+        except (IndexError, AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"command template cannot be used: {exc}") from exc
         return CommandBackend(template=template, timeout_s=float(settings.get("timeout_s", DEFAULT_TIMEOUT_S)))
     raise ConfigError(f"unknown backend kind {kind!r}; known: {BACKEND_KINDS}")

@@ -7,16 +7,23 @@ data and trainer settings. Each following line is one entry::
 
     <56-hex identifier> = <fitness percent, 2 decimals>
 
-Entries are append-only and first-write-wins; they are never updated.
+Entries are append-only and first-write-wins; they are never updated. Each
+entry is flushed as it is written. A last line without its newline is what a
+write cut short leaves (a crash mid-write, a full disk): loading drops it, so
+at most that one genotype trains again.
 """
 
 from __future__ import annotations
 
+import logging
+import os
 import re
 from pathlib import Path
 from typing import TextIO
 
 from .errors import ConfigError, InvariantViolation, PersistError
+
+logger = logging.getLogger(__name__)
 
 HEADER_PREFIX = "#traincfg="
 ENTRY_RE = re.compile(r"^([0-9a-f]{56}) = (\d{1,3}\.\d{2})$")
@@ -38,7 +45,9 @@ class ResultCache:
                 raise PersistError(f"cannot create cache file {self.path}: {exc}") from exc
 
     def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1  # what follows the last newline is a torn write
+        lines = data[:end].decode("utf-8").splitlines()
         if not lines or not lines[0].startswith(HEADER_PREFIX):
             raise ConfigError(f"cache file {self.path} has no settings header")
         found = lines[0][len(HEADER_PREFIX):]
@@ -52,17 +61,22 @@ class ResultCache:
             if m is None:
                 raise ConfigError(f"malformed cache entry at {self.path}:{lineno}: {line!r}")
             self._entries.setdefault(m.group(1), float(m.group(2)))
+        if end < len(data):  # cut before the next append, which would extend the torn line
+            try:
+                os.truncate(self.path, end)
+            except OSError as exc:
+                raise PersistError(f"cannot drop the torn last line of {self.path}: {exc}") from exc
+            logger.warning("dropped %d bytes of a torn last line from %s", len(data) - end, self.path)
 
     def lookup(self, identifier: str) -> float | None:
         """Cached fitness (percent) for an identifier, or None on a miss."""
         return self._entries.get(identifier)
 
-    def insert(self, identifier: str, value: float, flush: bool = True) -> bool:
-        """Append an entry unless the identifier is already present.
+    def insert(self, identifier: str, value: float) -> bool:
+        """Append and flush an entry unless the identifier is already present.
 
         Returns True when the entry was written. The first value stored for an
-        identifier is retained forever. With ``flush=False`` the entry reaches
-        the file at the next ``flush()``.
+        identifier is retained forever.
         """
         if not re.fullmatch(r"[0-9a-f]{56}", identifier):
             raise InvariantViolation(f"bad identifier {identifier!r}")
@@ -75,20 +89,11 @@ class ResultCache:
             if self._fh is None:
                 self._fh = self.path.open("a", encoding="utf-8")
             self._fh.write(f"{identifier} = {quantized:.2f}\n")
-            if flush:
-                self._fh.flush()
+            self._fh.flush()
         except OSError as exc:
             raise PersistError(f"cannot append to cache file {self.path}: {exc}") from exc
         self._entries[identifier] = quantized
         return True
-
-    def flush(self) -> None:
-        """Write appended entries through to the file."""
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-            except OSError as exc:
-                raise PersistError(f"cannot append to cache file {self.path}: {exc}") from exc
 
     def close(self) -> None:
         """Close the append handle; a later insert opens it again."""

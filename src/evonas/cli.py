@@ -111,8 +111,8 @@ def build_engine(
 def _session(engine, listener: Listener, work: Callable[[], int], resumes_from: Path | None = None) -> int:
     """Return ``work()``'s exit status, or 130 after Ctrl-C, which stops the engine's work first.
 
-    The engine and listener close either way; the listener's last drain keeps
-    the results that finished before an interrupt in the run files.
+    The engine and listener close either way; closing the listener writes the
+    results that finished before an interrupt through to the run files.
     """
     try:
         return work()
@@ -122,7 +122,6 @@ def _session(engine, listener: Listener, work: Callable[[], int], resumes_from: 
         return 130
     finally:
         engine.close()
-        listener.drain()
         listener.close()
 
 

@@ -3,7 +3,8 @@
 Both engines offer the same streaming API: ``submit(job)`` starts a job as
 soon as a slot allows, ``done(name)`` tells without blocking whether it has
 resolved, and ``wait(names)`` blocks until every named job has resolved,
-drains the listener once, and hands each ``JobResult`` out exactly once.
+writes the listener's files through once, and hands each ``JobResult`` out
+exactly once.
 ``run_jobs(jobs)`` is "submit each, then wait for all". The engines assign no
 fitness; the evaluator does, from what ``wait`` returns.
 
@@ -15,7 +16,9 @@ and failed attempt to it, and ``failed`` alone decides what a failure
 means: retry, give up with the fitness-0.00 convention, or, after a cancel,
 resolve as ``cancelled``. The ledger publishes the ``JobResult`` it returns
 -- the value with a duration that sums every attempt, or 0.00 for a job
-that exhausted its budget -- and keeps ``EngineStats`` under one lock. Slot
+that exhausted its budget -- and keeps ``EngineStats`` under one lock. The
+listener applies a published result on the thread that publishes it, so a
+result is in ``cache.txt`` when its job resolves, before any ``wait``. Slot
 runners and the simulated farm publish only process and log records.
 
 ``cancel()`` is the interrupt path and the one call that stops an engine: no
@@ -317,7 +320,8 @@ class ThreadedEngine:
         return future is not None and future.done()
 
     def wait(self, names: list[str]) -> dict[str, JobResult]:
-        """Block until every named job has resolved; drain the listener once; hand the results out."""
+        """Block until every named job has resolved; write the listener's files through once;
+        hand the results out."""
         futures = [self._futures.pop(name) for name in names]
         results = {name: future.result() for name, future in zip(names, futures)}
         self.listener.drain()

@@ -11,7 +11,10 @@ a ``process_start`` naming the trainer's pid, the unit the engine's
 ``cancel()`` stops with a ``kill`` message; an in-process backend gets none.
 The center republishes the process and log frames on its bus and returns the
 fitness frame's value and duration to the engine, whose attempt ledger
-publishes the job's one result.
+publishes the job's one result. A frame that breaks the protocol -- a body
+that is not a UTF-8 JSON object, or a ``fitness`` or ``process_start`` frame
+with a missing or ill-typed field -- fails the attempt as a lost worker, and
+its connection is closed.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after a clean ``process_end`` and sends the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import select
 import socket
@@ -54,7 +58,11 @@ def send_msg(sock: socket.socket, payload: dict) -> None:
 
 
 def recv_msg(sock: socket.socket) -> dict | None:
-    """Read one framed message; None on a clean EOF at a frame boundary."""
+    """Read one framed message, a JSON object; None on a clean EOF at a frame boundary.
+
+    A frame that is not a UTF-8 JSON object raises ``WorkerLostError``: the
+    peer is out of step with the protocol.
+    """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
@@ -64,7 +72,13 @@ def recv_msg(sock: socket.socket) -> dict | None:
     body = _recv_exact(sock, length)
     if body is None:
         raise WorkerLostError("connection closed mid-frame")
-    return json.loads(body.decode("utf-8"))
+    try:
+        msg = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise WorkerLostError(f"malformed frame: {exc}") from exc
+    if not isinstance(msg, dict):
+        raise WorkerLostError(f"frame is a JSON {type(msg).__name__}, not an object")
+    return msg
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -145,7 +159,7 @@ class WorkerAgent:
                     elif kind == "kill":
                         local_terminator(self.address, int(msg.get("pid", -1)))
                         send_msg(conn, {"type": "ok"})
-        except (WorkerLostError, json.JSONDecodeError, OSError):
+        except (WorkerLostError, OSError):
             pass
         finally:
             with self._lock:
@@ -197,6 +211,14 @@ class WorkerAgent:
                 send_msg(conn, {"type": "process_end", "node": self.address, "pid": pid_box["pid"], "job": job.name})
             except OSError:
                 pass
+
+
+def _field(msg: dict, name: str, kind: type | tuple[type, ...]):
+    """Field ``name`` of a frame, of type ``kind``; ``WorkerLostError`` when missing or ill-typed."""
+    value = msg.get(name)
+    if isinstance(value, bool) or not isinstance(value, kind):  # a JSON true is no number
+        raise WorkerLostError(f"{msg.get('type')} frame with a missing or ill-typed {name!r}: {value!r}")
+    return value
 
 
 class _ClosedBeforeReply(WorkerLostError):
@@ -303,17 +325,22 @@ class TcpTransport:
                 replied = True
                 kind = msg.get("type")
                 if kind == "process_start":
-                    procs.append((msg["node"], int(msg["pid"])))
-                    bus.process_started(ProcessRecord(node=msg["node"], pid=int(msg["pid"]), job_name=job.name))
+                    proc = (_field(msg, "node", str), _field(msg, "pid", int))
+                    procs.append(proc)
+                    bus.process_started(ProcessRecord(*proc, job_name=job.name))
                 elif kind == "log":
                     bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
                 elif kind == "fitness":
-                    result = (float(msg["value"]), float(msg["duration_s"]))
+                    value = float(_field(msg, "value", (int, float)))
+                    duration = float(_field(msg, "duration_s", (int, float)))
+                    if not (0 <= value <= 100 and 0 <= duration < math.inf):  # also refuses NaN
+                        raise WorkerLostError(f"fitness frame out of range: {msg!r}")
+                    result = (value, duration)
                 elif kind == "process_end":
                     break
                 elif kind == "error":
                     error = JobFailed(msg.get("message", "worker error"), msg.get("log_tail", ""))
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             sock.close()
             if isinstance(exc, ConnectionError) and not replied:
                 raise _ClosedBeforeReply(f"worker {node} closed the connection before replying: {exc}") from exc

@@ -35,7 +35,7 @@ interrupted one. Its first draws after ``begin_<t>.txt`` read queue
 positions up to L - 1 children back, so a resume loads ``begin_<t-1>.txt``
 as well when L > 1 (more logs when L - 1 > P): generation g fills history
 positions gP .. gP+P-1. Children in flight at the crash are drawn again
-identically and hit the cache if their results were drained. A
+identically and hit the cache if their jobs had resolved. A
 ``run_state.txt`` without a ``lag`` line was written before the pipeline:
 with ``width=1`` or no ``width`` line it was the one-child loop and reads as
 lag 1; a larger ``width`` is a run of the older batched step, which cannot be

@@ -19,9 +19,10 @@ owns the attempt policy and builds every result: the farm reports each
 placement, completion, failed placement, crashed attempt and stopped attempt
 to it, and the ledger decides on retries and cancels, keeps the stats and
 publishes each job's result (fitness 0.00 for a job that exhausted its
-budget). ``cancel()`` stops every attempt in flight and every queued job: each
-resolves as ``cancelled``, an attempt charged its virtual seconds, as on the
-threaded engine.
+budget), which the listener applies at the job's virtual resolution, as on
+the threaded engine. ``cancel()`` stops every attempt in flight and every
+queued job: each resolves as ``cancelled``, an attempt charged its virtual
+seconds, as on the threaded engine.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ class SimulatedFarm:
         return True
 
     def wait(self, names: list[str]) -> dict[str, JobResult]:
-        """Run in virtual time until every named job has resolved; drain the listener once;
-        hand the results out."""
+        """Run in virtual time until every named job has resolved; write the listener's files
+        through once; hand the results out."""
         self._unresolved = {name for name in names if name not in self._results}
         while self._unresolved:
             if not self.step():

@@ -1,3 +1,4 @@
+import logging
 import random
 import re
 
@@ -128,3 +129,24 @@ def test_inserts_share_one_append_handle_and_reload_after_close(tmp_path, monkey
     assert reloaded.insert("d" * 56, 12.34)  # a reloaded cache appends as before
     reloaded.close()
     assert path.read_text().splitlines()[-1] == f"{'d' * 56} = 12.34"
+
+
+@pytest.mark.parametrize(
+    "torn", ["c" * 30, f"{'c' * 56} = 42.00"], ids=["partial_entry", "entry_without_newline"]
+)
+def test_torn_last_line_is_dropped_before_the_next_append(tmp_path, caplog, closing, torn):
+    """A write cut short leaves a last line without its newline. Loading drops it, so the
+    next insert starts a line of its own and the cache loads again afterwards."""
+    path = tmp_path / "cache.txt"
+    first = ResultCache(path, DIGEST)
+    first.insert("b" * 56, 10.00)
+    first.close()
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(torn)
+    with caplog.at_level(logging.WARNING, logger="evonas.cache"):
+        cache = closing(ResultCache(path, DIGEST))
+    assert f"dropped {len(torn)} bytes" in caplog.text
+    assert len(cache) == 1 and cache.lookup("c" * 56) is None
+    assert cache.insert("d" * 56, 20.00)
+    assert path.read_text(encoding="utf-8") == f"#traincfg={DIGEST}\n{'b' * 56} = 10.00\n{'d' * 56} = 20.00\n"
+    assert len(closing(ResultCache(path, DIGEST))) == 2

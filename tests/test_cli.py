@@ -382,6 +382,21 @@ def test_malformed_run_state_is_refused_before_writing(tmp_path, capsys):
     assert run_files(tmp_path / "runs" / "demo") == before
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (f"{sys.executable} -c \"print('FITNESS=50.00')\" {{nope}}", "unknown placeholder {nope}"),
+        (f"{sys.executable} -c \"print('FITNESS=50.00')", "No closing quotation"),
+    ],
+    ids=["unknown_placeholder", "unbalanced_quote"],
+)
+def test_unusable_command_template_is_refused_before_writing(tmp_path, capsys, command, message):
+    g, t = write_configs(tmp_path, extra_train=f"\n[backend]\nkind = command\ncommand = {command}\n")
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_lookup_table_is_refused_before_writing(tmp_path, capsys):
     table = tmp_path / "table.csv"
     backend = f"\n[backend]\nkind = lookup\ntable = {table}\nfallback = surrogate\n"
@@ -603,6 +618,71 @@ def test_center_killed_in_generation_0_resumes_to_the_logs_of_an_uninterrupted_t
     logs = [f"begin_{t}.txt" for t in range(3)]
     resumed, reference = run_files(run_dir), run_files(tmp_path / "twin" / "killed")
     assert [resumed[name] for name in logs] == [reference[name] for name in logs]
+
+
+FOURTH_BLOCKS_TRAINER = """\
+import hashlib, os, sys, time
+starts, finished, marker, payload = sys.argv[1:5]
+ident = hashlib.sha224(open(payload, "rb").read()).hexdigest()
+with open(starts, "a") as log:
+    log.write(f"{os.getpid()} {ident}\\n")
+with open(starts) as log:
+    order = [line.split()[0] for line in log].index(str(os.getpid()))
+while order >= 3 and os.path.exists(marker):  # the fourth trainer to start, and later ones, wait
+    time.sleep(0.02)
+print(f"FITNESS={10 + int(ident[:4], 16) % 8000 / 100:.2f}", flush=True)
+with open(finished, "a") as log:
+    log.write(ident + "\\n")
+"""
+
+
+def test_center_killed_mid_batch_keeps_the_trainings_that_finished(tmp_path):
+    """SIGKILL to ``evonas run`` once three of generation 0's four trainers have printed their
+    fitness and the fourth waits on a marker file: cache.txt holds the three results, and
+    the rerun finishes without starting any of the three again."""
+    trainer = tmp_path / "trainer.py"
+    trainer.write_text(FOURTH_BLOCKS_TRAINER, encoding="utf-8")
+    starts, finished, marker = tmp_path / "starts.txt", tmp_path / "finished.txt", tmp_path / "hold"
+    marker.touch()
+    g, t = write_configs(
+        tmp_path, name="killed",
+        extra_train=(
+            f"\n[backend]\nkind = command\n"
+            f"command = {sys.executable} {trainer} {starts} {finished} {marker} {{payload_path}}\n"
+        ),
+    )
+    argv = [sys.executable, "-m", "evonas.cli", "run", "--global-config", str(g), "--train-config", str(t),
+            "--run-root", str(tmp_path / "runs"), "--local-slots", "4"]
+    cache = tmp_path / "runs" / "killed" / "cache.txt"
+
+    def cached() -> set[str]:
+        lines = cache.read_text(encoding="utf-8").splitlines()[1:] if cache.exists() else []
+        return {line.split(" = ")[0] for line in lines}
+
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not (finished.exists() and len(finished.read_text().splitlines()) == 3):
+            assert time.monotonic() < deadline, "three trainers never finished"
+            time.sleep(0.02)
+        deadline = time.monotonic() + 10  # the center reads their fitness lines in its own time
+        while len(cached()) < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait(timeout=10)
+    finally:
+        marker.unlink()  # the fourth trainer now ends; its fitness reaches no center
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    done = set(finished.read_text().splitlines())
+    assert len(done) == 3 and cached() == done
+    first_starts = len(starts.read_text().splitlines())
+    assert first_starts == 4
+    rerun = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert rerun.returncode == 0, rerun.stderr
+    started_again = {line.split()[1] for line in starts.read_text().splitlines()[first_starts:]}
+    assert started_again and not started_again & done
 
 
 def test_interrupted_farm_run_frees_every_slot_and_keeps_finished_results(tmp_path, capsys, monkeypatch):

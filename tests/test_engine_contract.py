@@ -22,6 +22,7 @@ from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
 from evonas.backends import SurrogateBackend
 from evonas.bus import DURATIONS_FILE, InProcessBus, Listener, ProcessRecord
+from evonas.cache import ResultCache
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed
 from evonas.jobs import JobResult, JobSpec
@@ -198,7 +199,9 @@ def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
             for job in jobs:
                 engine.submit(job)
             results = engine.wait([job.name for job in jobs[3:]])
-            assert bus.pending() == 0  # wait drains the listener
+            durations = tmp_path / f"{engine_kind}_{mode}" / DURATIONS_FILE
+            written = {line.split()[0] for line in durations.read_text(encoding="utf-8").splitlines()}
+            assert written >= set(results)  # wait writes the listener's files through
             results.update(engine.wait([job.name for job in jobs[:3]]))
             assert not any(engine.done(job.name) for job in jobs)  # each result is handed out once
         assert sorted(r.name for r in bus.fitness) == sorted(results)
@@ -210,6 +213,31 @@ def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
         ))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == (5, 10, 0)
+
+
+@pytest.mark.parametrize("engine_kind", ENGINES)
+def test_result_is_in_the_cache_file_once_its_job_resolves(tmp_path, closing, engine_kind):
+    """The cache line of a resolved job is on disk before any wait, on both engines: a
+    center that dies in the middle of a batch keeps every training that finished."""
+    bus = InProcessBus()
+    listener = closing(Listener(bus, tmp_path, ResultCache(tmp_path / "cache.txt", "0" * 56)))
+    if engine_kind == "farm":
+        engine = SimulatedFarm({"w": 1}, SurrogateBackend(), bus, listener)
+    else:
+        engine = ThreadedEngine(SlotStore([("local", 0)]), bus, listener, local_runner(SurrogateBackend()))
+    closing(engine)
+    (job,) = make_jobs(1)
+    engine.submit(job)
+    deadline = time.monotonic() + 10
+    while not engine.done(job.name):
+        assert time.monotonic() < deadline, "the job never resolved"
+        if engine_kind == "farm":
+            assert engine.step()
+        else:
+            time.sleep(0.005)
+    entries = (tmp_path / "cache.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(" = ")[0] for line in entries] == [job.identifier]
+    assert engine.wait([job.name])[job.name].ok
 
 
 @pytest.mark.parametrize("engine_kind", ENGINES)

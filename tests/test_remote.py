@@ -12,10 +12,11 @@ import evonas.remote as remote
 from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier
 from evonas.backends import LookupBackend, SurrogateBackend
 from evonas.bus import InProcessBus, Listener
+from evonas.cache import ResultCache
 from evonas.engine import ThreadedEngine, local_runner, local_terminator
 from evonas.errors import JobFailed, WorkerLostError
 from evonas.jobs import JobSpec
-from evonas.remote import TcpTransport, WorkerAgent, recv_msg, remote_runner
+from evonas.remote import TcpTransport, WorkerAgent, recv_msg, remote_runner, send_msg
 from evonas.slots import SlotStore
 
 
@@ -81,28 +82,25 @@ TOY_TRAINER = (
 
 
 def test_surrogate_job_round_trip_matches_in_process(worker, closing):
-    bus = InProcessBus()
+    bus = TallyBus()
     value, duration = closing(TcpTransport()).run_job(job(), f"127.0.0.1:{worker.port}", 0, bus)
     expected_value, expected_duration = SurrogateBackend().evaluate(job())
     assert value == expected_value
     assert duration == expected_duration
-    assert bus.pending() == 0  # the transport returns the fitness; the engine publishes its record
+    assert bus.published == Counter()  # the transport returns the fitness; the engine publishes its record
     assert bus.live_processes() == []  # process record removed at completion
 
 
 def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
     node = f"127.0.0.1:{worker.port}"
     transport = closing(TcpTransport())
-    bus = InProcessBus()
+    bus = TallyBus()
     the_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=5)
     value, _ = transport.run_job(the_job, node, 1, bus)
     expected_value, _ = SurrogateBackend().evaluate(the_job)
     assert value == expected_value
     # 5 epoch lines streamed back as log records, and no job result from the transport
-    kinds = []
-    while (record := bus.take()) is not None:
-        kinds.append(type(record).__name__)
-    assert kinds == ["LogRecord"] * 5
+    assert bus.published == Counter(LogRecord=5)
     # through an engine the job gets exactly one published result, from the engine's ledger
     bus = TallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
@@ -196,7 +194,6 @@ def test_threaded_engine_over_remote_workers(worker, tmp_path, closing):
     assert all(r.ok and r.value == expected for r in results.values())
     result_lines = (tmp_path / "results.txt").read_text().splitlines()
     assert len(result_lines) == 5
-    assert bus.pending() == 0
 
 
 def test_threaded_engine_local_runner_failure_convention(tmp_path, closing):
@@ -372,6 +369,58 @@ def test_worker_that_closes_after_every_job_costs_no_retry(tmp_path):
         agent.stop()
         thread.join(5.0)
     assert engine.stats.attempts == 60  # a connection closed as it was reused is resent, not retried
+
+
+class MalformedReplyWorker(WorkerAgent):
+    """Answers every job with one raw frame body and a process_end, on a connection per job."""
+
+    def __init__(self, body):
+        super().__init__("127.0.0.1", 0, slots=1)
+        self.body = body
+        self.jobs = 0
+
+    def _handle(self, conn):
+        with conn:
+            conn.settimeout(10.0)
+            if recv_msg(conn) is None:
+                return
+            self.jobs += 1
+            try:
+                conn.sendall(len(self.body).to_bytes(4, "big") + self.body)
+                send_msg(conn, {"type": "process_end", "node": self.address, "pid": 1, "job": "j"})
+                conn.recv(1)  # until the center closes the connection
+            except OSError:
+                pass
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"type":"fitness","identifier":"x","duration_s":1.0}',
+        b"[1,2]",
+        b"\xff\xfe",
+        b'{"type":"process_start","node":"n","pid":"abc"}',
+        b'{"type":"fitness","identifier":"x","value":150.0,"duration_s":1.0}',
+    ],
+    ids=["fitness_without_value", "not_an_object", "not_utf8", "pid_not_an_integer", "value_out_of_range"],
+)
+def test_malformed_frame_fails_the_attempt_and_closes_its_connection(tmp_path, closing, body):
+    agent = MalformedReplyWorker(body)
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    node = f"127.0.0.1:{agent.port}"
+    bus = InProcessBus()
+    listener = closing(Listener(bus, tmp_path, ResultCache(tmp_path / "cache.txt", "0" * 56)))
+    engine = closing(ThreadedEngine(SlotStore([(node, 0)]), bus, listener, remote_runner(closing(TcpTransport()))))
+    try:
+        (result,) = engine.run_jobs([job()]).values()
+    finally:
+        agent.stop()
+        thread.join(5.0)
+    assert not result.ok and result.value == 0.0  # the retry budget's give-up, as for a lost worker
+    assert agent.jobs == 2  # the retry came on a new connection: a broken one is never reused
 
 
 def test_unsupported_backend_ends_its_stream_and_keeps_the_connection(worker):

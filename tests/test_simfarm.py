@@ -82,7 +82,7 @@ def test_results_and_stats(tmp_path, make_farm):
     assert all(r.ok and 0 <= r.value <= 100 for r in results.values())
     assert farm.stats.jobs == 5
     assert farm.stats.busy_seconds == pytest.approx(5.0)
-    assert bus.pending() == 0
+    assert len((tmp_path / "results.txt").read_text(encoding="utf-8").splitlines()) == 5
     assert bus.live_processes() == []
 
 
