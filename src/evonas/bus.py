@@ -67,7 +67,7 @@ class InProcessBus:
         with self._lock:
             self._procs[(record.node, record.pid, record.job_name)] = record
 
-    def process_ended(self, node: str, pid: int, job_name: str) -> None:
+    def process_finished(self, node: str, pid: int, job_name: str) -> None:
         with self._lock:
             self._procs.pop((node, pid, job_name), None)
 

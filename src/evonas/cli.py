@@ -132,10 +132,11 @@ def cmd_run(args) -> int:
         global_cfg.strategy_config(), input_hw=dataset_spec(train.dataset)[0][1]
     )
     settings = settings_map(train, backend_cfg, strategy.space.decode_settings())
-    # refused before the run directory exists, so a corrected rerun is not a settings change
+    # refused before the run directory exists, so a corrected rerun is not a settings change;
+    # a lookup table is a path on the backend's host, so only a local run checks it here
     if args.workers:
         _parse_workers(args.workers)
-    else:  # the backend runs here, so a missing lookup table is known now
+    if not args.workers or backend_cfg.kind == "command":
         build_backend(backend_cfg.kind, settings)
     run_dir = Path(args.run_root) / global_cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -174,7 +174,7 @@ def local_runner(backend) -> SlotRunner:
             return dataclasses.replace(backend, on_spawn=announce).evaluate(job, emit_log=emit_log, slot_id=slot)
         finally:
             for pid in pids:
-                bus.process_ended(node, pid, job.name)
+                bus.process_finished(node, pid, job.name)
 
     run.kill = local_terminator
     return run

@@ -3,26 +3,30 @@
 Messages are length-delimited JSON over a TCP byte stream: a 4-byte big-endian
 length prefix followed by a UTF-8 JSON object. The center sends one ``job``
 message per dispatch (the job fields plus the assigned ``slot``); the worker
-answers with a stream of ``log`` frames, one ``fitness``
-(``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or one
-``error``, and always a final ``process_end``, which ends the job's stream.
-A job whose backend spawns a trainer process (the command backend) also gets
-a ``process_start`` naming the trainer's pid, the unit the engine's
+answers with a stream of ``log`` frames and ends it with the job's one result
+frame: a ``fitness``
+(``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or an
+``error``. A job whose backend spawns a trainer process (the command backend)
+also gets a ``process_start`` naming the trainer's pid, the unit the engine's
 ``cancel()`` stops with a ``kill`` message; an in-process backend gets none.
 The center republishes the process and log frames on its bus and returns the
 fitness frame's value and duration to the engine, whose attempt ledger
 publishes the job's one result. A frame that breaks the protocol -- a body
 that is not a UTF-8 JSON object, or a ``fitness`` or ``process_start`` frame
 with a missing or ill-typed field -- fails the attempt as a lost worker, and
-its connection is closed.
+its connection is closed. A request the worker cannot read gets an ``error``
+frame, and the connection goes on serving.
 
 A job connection outlives its job: the worker serves messages on it until
-EOF, and the center keeps it idle after a clean ``process_end`` and sends the
+EOF, and the center keeps it idle after the job's result frame and sends the
 next job for that worker over it, so a busy slot holds one connection rather
 than one per job. A ``kill`` uses a connection of its own, so it never waits
 behind a running job. Both ends set ``TCP_NODELAY``: on a reused connection
 Nagle's algorithm would hold the small reply frames back until the peer's
-delayed ACK arrives.
+delayed ACK arrives. An older worker that still sends a frame after the
+result is served too: a frame already waiting on an idle connection makes
+the center drop it and send the next job on a new one, and a frame of a type
+the center does not know is skipped.
 
 The worker agent CLI is ``evonas worker --listen <addr> --slots <n> --backend
 <kind>``.
@@ -33,7 +37,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import select
 import socket
 import struct
@@ -115,6 +118,13 @@ class WorkerAgent:
         with self._lock:
             self._stop.set()
             conns = list(self._conns)
+            listening = self._server is not None
+        if listening:  # wake serve_forever from its accept; loopback reaches a wildcard bind
+            host = "127.0.0.1" if self.host in ("", "0.0.0.0") else self.host
+            try:
+                socket.create_connection((host, self.port), timeout=1.0).close()
+            except OSError:
+                pass
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -122,21 +132,24 @@ class WorkerAgent:
                 pass
 
     def serve_forever(self, ready: threading.Event | None = None) -> None:
+        """Serve connections until ``stop()``, which also ends a serve that has not begun."""
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             server.bind((self.host, self.port))
             self.port = server.getsockname()[1]
             server.listen(self.slots + 4)
-            server.settimeout(0.2)
-            self._server = server
+            with self._lock:
+                if self._stop.is_set():
+                    return
+                self._server = server
             logger.info("worker listening on %s with %d slots", self.address, self.slots)
             if ready is not None:
                 ready.set()
-            while not self._stop.is_set():
-                try:
-                    conn, _ = server.accept()
-                except socket.timeout:
-                    continue
+            while True:
+                conn, _ = server.accept()
+                if self._stop.is_set():  # stop()'s wake-up, or a peer that came after it
+                    conn.close()
+                    return
                 threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn: socket.socket) -> None:
@@ -157,8 +170,12 @@ class WorkerAgent:
                     if kind == "job":
                         self._run_job(conn, msg, backends)
                     elif kind == "kill":
-                        local_terminator(self.address, int(msg.get("pid", -1)))
-                        send_msg(conn, {"type": "ok"})
+                        try:
+                            local_terminator(self.address, _field(msg, "pid", int))
+                            reply = {"type": "ok"}
+                        except WorkerLostError as exc:  # a kill it cannot read
+                            reply = {"type": "error", "message": str(exc)}
+                        send_msg(conn, reply)
         except (WorkerLostError, OSError):
             pass
         finally:
@@ -166,19 +183,16 @@ class WorkerAgent:
                 self._conns.discard(conn)
 
     def _run_job(self, conn: socket.socket, msg: dict, backends: dict[tuple, object]) -> None:
-        job = JobSpec.from_message(msg)
-        slot = int(msg.get("slot", 0))
-        if job.backend not in self.backends:
-            send_msg(conn, {"type": "error", "message": f"backend {job.backend!r} not supported here"})
-            send_msg(conn, {"type": "process_end", "node": self.address, "pid": os.getpid(), "job": job.name})
-            return
-        pid_box = {"pid": os.getpid()}  # process_end names the trainer, else this worker
+        """Run one job, streaming its process and log frames; its result frame ends the stream."""
 
         def announce(pid: int) -> None:
-            pid_box["pid"] = pid
             send_msg(conn, {"type": "process_start", "node": self.address, "pid": pid, "job": job.name})
 
         try:
+            job = JobSpec.from_message(msg)
+            slot = int(msg.get("slot", 0))
+            if job.backend not in self.backends:
+                raise JobFailed(f"backend {job.backend!r} not supported here")
             key = (job.backend, tuple(sorted(job.settings.items())))
             backend = backends.get(key)
             if backend is None:
@@ -190,27 +204,16 @@ class WorkerAgent:
                 emit_log=lambda line: send_msg(conn, {"type": "log", "job": job.name, "line": line}),
                 slot_id=slot,
             )
-            send_msg(
-                conn,
-                {
-                    "type": "fitness",
-                    "job": job.name,
-                    "identifier": job.identifier,
-                    "value": value,
-                    "duration_s": duration,
-                },
-            )
-        except Exception as exc:  # surfaced to the center as a job failure
-            tail = getattr(exc, "log_tail", "")
-            try:
-                send_msg(conn, {"type": "error", "message": str(exc), "log_tail": tail})
-            except OSError:
-                pass
-        finally:
-            try:
-                send_msg(conn, {"type": "process_end", "node": self.address, "pid": pid_box["pid"], "job": job.name})
-            except OSError:
-                pass
+            result = {
+                "type": "fitness",
+                "job": job.name,
+                "identifier": job.identifier,
+                "value": value,
+                "duration_s": duration,
+            }
+        except Exception as exc:  # a request it cannot read, or a failed job: the center's job failure
+            result = {"type": "error", "message": str(exc), "log_tail": getattr(exc, "log_tail", "")}
+        send_msg(conn, result)
 
 
 def _field(msg: dict, name: str, kind: type | tuple[type, ...]):
@@ -244,7 +247,7 @@ class TcpTransport:
 
     Job connections are pooled per node: ``run_job`` takes an idle one (or
     connects), holds it for the job, and puts it back only after the job's
-    stream ended cleanly with ``process_end``; any error closes it instead.
+    stream ended cleanly with its result frame; any other end closes it.
     A job whose reused connection closes before any reply is sent once more
     on a new connection, within the same attempt.
     """
@@ -307,21 +310,19 @@ class TcpTransport:
     def _exchange(
         self, sock: socket.socket, job: JobSpec, node: str, slot: int, bus: InProcessBus
     ) -> tuple[float, float]:
-        """Send one job over ``sock`` and read its stream through ``process_end``."""
+        """Send one job over ``sock`` and read its stream through its result frame, the last one."""
         result: tuple[float, float] | None = None
         error: JobFailed | None = None
         procs: list[tuple[str, int]] = []
         replied = False
         try:
             send_msg(sock, {**job.to_message(), "slot": slot})
-            while True:
+            while result is None and error is None:
                 msg = recv_msg(sock)
                 if msg is None:
-                    if error is not None:  # a worker that closes after its error frame
-                        raise error
                     if not replied:
                         raise _ClosedBeforeReply(f"worker {node} closed the connection before replying")
-                    raise WorkerLostError(f"worker {node} closed the connection before process_end")
+                    raise WorkerLostError(f"worker {node} closed the connection before the job's result")
                 replied = True
                 kind = msg.get("type")
                 if kind == "process_start":
@@ -336,8 +337,6 @@ class TcpTransport:
                     if not (0 <= value <= 100 and 0 <= duration < math.inf):  # also refuses NaN
                         raise WorkerLostError(f"fitness frame out of range: {msg!r}")
                     result = (value, duration)
-                elif kind == "process_end":
-                    break
                 elif kind == "error":
                     error = JobFailed(msg.get("message", "worker error"), msg.get("log_tail", ""))
         except OSError as exc:
@@ -350,12 +349,10 @@ class TcpTransport:
             raise
         finally:
             for proc_node, pid in procs:  # the stream ended, or the connection died before it did
-                bus.process_ended(proc_node, pid, job.name)
+                bus.process_finished(proc_node, pid, job.name)
         self._checkin(node, sock)
         if error is not None:
             raise error
-        if result is None:
-            raise WorkerLostError(f"worker {node} ended job {job.name} without a fitness frame")
         return result
 
     def kill(self, node: str, pid: int) -> None:

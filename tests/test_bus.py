@@ -57,7 +57,7 @@ def test_process_records_present_exactly_while_running(bus):
     bus.process_started(ProcessRecord(node="n1", pid=4242, job_name="j1"))
     live = bus.live_processes()
     assert [(p.node, p.pid) for p in live] == [("n1", 4242)]
-    bus.process_ended("n1", 4242, "j1")
+    bus.process_finished("n1", 4242, "j1")
     assert bus.live_processes() == []
 
 
@@ -139,7 +139,7 @@ def test_bus_empty_at_quiescence(tmp_path, bus, closing):
     for i in range(10):
         bus.process_started(ProcessRecord(node="n", pid=i, job_name=f"j{i}"))
         bus.publish(fit_record(i))
-        bus.process_ended("n", i, f"j{i}")
+        bus.process_finished("n", i, f"j{i}")
     listener.drain()
     assert len((tmp_path / RESULT_FILE).read_text().splitlines()) == 10
     assert bus.live_processes() == []

@@ -382,17 +382,25 @@ def test_malformed_run_state_is_refused_before_writing(tmp_path, capsys):
     assert run_files(tmp_path / "runs" / "demo") == before
 
 
+UNKNOWN_PLACEHOLDER = f"{sys.executable} -c \"print('FITNESS=50.00')\" {{nope}}"
+UNBALANCED_QUOTE = f"{sys.executable} -c \"print('FITNESS=50.00')"
+
+
 @pytest.mark.parametrize(
-    "command, message",
+    "command, message, workers",
     [
-        (f"{sys.executable} -c \"print('FITNESS=50.00')\" {{nope}}", "unknown placeholder {nope}"),
-        (f"{sys.executable} -c \"print('FITNESS=50.00')", "No closing quotation"),
+        (UNKNOWN_PLACEHOLDER, "unknown placeholder {nope}", ()),
+        (UNBALANCED_QUOTE, "No closing quotation", ()),
+        # the template is filled on the worker, but it is the same on every worker
+        (UNKNOWN_PLACEHOLDER, "unknown placeholder {nope}", ("--workers", "127.0.0.1:5=1")),
+        (UNBALANCED_QUOTE, "No closing quotation", ("--workers", "127.0.0.1:5=1")),
     ],
-    ids=["unknown_placeholder", "unbalanced_quote"],
+    ids=["unknown_placeholder", "unbalanced_quote", "unknown_placeholder_workers", "unbalanced_quote_workers"],
 )
-def test_unusable_command_template_is_refused_before_writing(tmp_path, capsys, command, message):
+def test_unusable_command_template_is_refused_before_writing(tmp_path, capsys, command, message, workers):
     g, t = write_configs(tmp_path, extra_train=f"\n[backend]\nkind = command\ncommand = {command}\n")
-    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs") == 2
+    argv = ("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs", *workers)
+    assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 

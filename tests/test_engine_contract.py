@@ -361,7 +361,7 @@ class KillableRunner:
         try:
             self.killed.wait(10.0)
         finally:
-            bus.process_ended(node, self.PID, job.name)
+            bus.process_finished(node, self.PID, job.name)
         raise JobFailed("trainer terminated", "")
 
     def kill(self, node, pid):

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import socket
@@ -148,17 +149,25 @@ def test_no_pid_that_names_a_group_or_this_process_is_signalled(worker, monkeypa
 def test_in_process_jobs_announce_no_process_record(worker, tmp_path, closing, monkeypatch):
     """No terminator signals the center or a worker itself, so an in-process backend's
     job gets no process record, locally or over TCP (no process_start frame); a command
-    job over TCP announces its trainer, and every job's stream still ends with process_end."""
-    frames = []
-    recv = remote.recv_msg
+    job over TCP announces its trainer first. Every job's stream holds one result frame,
+    and that frame ends it."""
+    streams = []  # the frame types the center read for each job, in order
+    current = threading.local()
+    recv, exchange = remote.recv_msg, TcpTransport._exchange
 
-    def recording(sock):
+    def recording_recv(sock):
         msg = recv(sock)
-        if msg is not None:
-            frames.append(msg["type"])
+        if msg is not None and hasattr(current, "stream"):  # the worker's reads are not recorded
+            current.stream.append(msg["type"])
         return msg
 
-    monkeypatch.setattr(remote, "recv_msg", recording)
+    def recording_exchange(self, *args):
+        current.stream = []
+        streams.append(current.stream)
+        return exchange(self, *args)
+
+    monkeypatch.setattr(remote, "recv_msg", recording_recv)
+    monkeypatch.setattr(TcpTransport, "_exchange", recording_exchange)
     node = f"127.0.0.1:{worker.port}"
     jobs = [job(name=f"indi_gen00_no{i:02d}") for i in range(3)]
     runners = {
@@ -171,14 +180,13 @@ def test_in_process_jobs_announce_no_process_record(worker, tmp_path, closing, m
         results = closing(ThreadedEngine(store, bus, listener, runner)).run_jobs(jobs)
         assert all(r.ok for r in results.values()), where
         assert bus.started == [], where
-    assert frames.count("process_start") == 0
-    assert frames.count("process_end") == len(jobs)
+    assert streams == [["fitness"]] * len(jobs)
     bus = ProcessTallyBus()
     command_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=2)
     closing(TcpTransport()).run_job(command_job, node, 0, bus)
     assert [record.pid != os.getpid() for record in bus.started] == [True]
     assert bus.live_processes() == []
-    assert frames[-1] == "process_end" and frames.count("process_start") == 1
+    assert streams[-1] == ["process_start", "log", "log", "fitness"]
 
 
 def test_threaded_engine_over_remote_workers(worker, tmp_path, closing):
@@ -372,7 +380,7 @@ def test_worker_that_closes_after_every_job_costs_no_retry(tmp_path):
 
 
 class MalformedReplyWorker(WorkerAgent):
-    """Answers every job with one raw frame body and a process_end, on a connection per job."""
+    """Answers every job with one raw frame body, on a connection per job."""
 
     def __init__(self, body):
         super().__init__("127.0.0.1", 0, slots=1)
@@ -387,7 +395,6 @@ class MalformedReplyWorker(WorkerAgent):
             self.jobs += 1
             try:
                 conn.sendall(len(self.body).to_bytes(4, "big") + self.body)
-                send_msg(conn, {"type": "process_end", "node": self.address, "pid": 1, "job": "j"})
                 conn.recv(1)  # until the center closes the connection
             except OSError:
                 pass
@@ -434,6 +441,97 @@ def test_unsupported_backend_ends_its_stream_and_keeps_the_connection(worker):
     transport.close()
     assert value == SurrogateBackend().evaluate(job())[0]
     assert len(handlers) == 1
+
+
+def test_a_request_the_worker_cannot_read_gets_an_error_and_the_connection_serves_on(worker, monkeypatch):
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    no_identifier = job().to_message()
+    del no_identifier["identifier"]
+    requests = [no_identifier, {**job().to_message(), "slot": 0}, {"type": "kill", "pid": "abc"}]
+    with socket.create_connection(("127.0.0.1", worker.port), timeout=5.0) as sock:
+        replies = []
+        for request in requests:
+            send_msg(sock, request)
+            replies.append(recv_msg(sock)["type"])
+    assert replies == ["error", "fitness", "error"]
+    assert unhandled == []
+
+
+class TrailingProcessEndWorker(WorkerAgent):
+    """Sends a process_end after each job's result, as workers did before the result frame
+    ended a job's stream: in the same write as the result, or, when ``delayed``, only once
+    the connection's next job frame has come in."""
+
+    def __init__(self, delayed):
+        super().__init__("127.0.0.1", 0, slots=2)
+        self.delayed = delayed
+
+    def _handle(self, conn):
+        def frame(msg):
+            body = json.dumps(msg).encode("utf-8")
+            return len(body).to_bytes(4, "big") + body
+
+        pending = b""
+        try:
+            with conn:
+                while (msg := recv_msg(conn)) is not None:
+                    the_job = JobSpec.from_message(msg)
+                    value, duration = SurrogateBackend().evaluate(the_job)
+                    result = frame({"type": "fitness", "identifier": the_job.identifier,
+                                    "value": value, "duration_s": duration})
+                    end = frame({"type": "process_end", "node": self.address, "pid": os.getpid(),
+                                 "job": the_job.name})
+                    if self.delayed:
+                        conn.sendall(pending + result)
+                        pending = end
+                    else:
+                        conn.sendall(result + end)
+        except OSError:  # the center dropped a connection with the process_end unread
+            pass
+
+
+@pytest.mark.parametrize("delayed", [False, True], ids=["buffered_at_checkout", "read_with_the_next_job"])
+def test_a_worker_that_sends_process_end_after_the_result_is_served(tmp_path, delayed):
+    agent = TrailingProcessEndWorker(delayed)
+    handlers = record_connections(agent)
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    engine = remote_engine(f"127.0.0.1:{agent.port}", tmp_path, slots=2)
+    try:
+        for t in range(3):
+            results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(4)])
+            assert all(r.ok for r in results.values())
+    finally:
+        engine.close()
+        engine.listener.close()
+        agent.stop()
+        thread.join(5.0)
+    assert engine.stats.attempts == 12
+    # a process_end waiting on an idle connection retires it; one read with the next job is skipped
+    assert len(handlers) == (2 if delayed else 12)
+
+
+def test_stop_ends_serve_forever_at_once():
+    agent, thread = start_worker()
+    stopped = time.monotonic()
+    agent.stop()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - stopped < 0.05
+
+
+def test_stop_before_serve_forever_binds_makes_it_return():
+    agent = WorkerAgent("127.0.0.1", 0, slots=1)
+    agent.stop()
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert not ready.is_set()  # it never served, so it never said it listens
 
 
 def test_stop_ends_every_handler_thread(worker, tmp_path):
