@@ -16,13 +16,17 @@ pooling windows floor-divide (``h // stride``). FLOPs are counted as
 multiply-accumulates, not 2x MACs.
 
 Costs are counted once per IR, by the consistency pass that re-derives every
-shape: the first read of an IR's shapes, parameters or FLOPs runs it, and the
-result is kept on the immutable IR. Layers are immutable values, and the
-decoder shares one object per distinct value across IRs. A convolution keeps
-its own constants (channels, stride, weight and parameter counts) on first
-use, so the pass over an IR reads each shared layer's constants rather than
-recomputing them, and it resolves the three wiring markers' sources in one
-branch.
+shape: the first read of an IR's shapes, parameters, FLOPs or structure runs
+it, and the result is kept on the immutable IR. The same pass also counts the
+convolutions and their output channels, the depth and width the surrogate
+backend reads, so no caller walks the layer list a second time. Layers are
+immutable values, and the decoder shares one object per distinct value across
+IRs. A convolution keeps its own constants (channels, stride, weight and
+parameter counts) on first use, so the pass over an IR reads each shared
+layer's constants rather than recomputing them, and it resolves the three
+wiring markers' sources in one branch. The variable-blocks decoder appends a
+whole residual or dense unit per builder call: a stride-1, same-padded unit
+keeps its input's spatial size, so its skip and its concat always fit.
 """
 
 from __future__ import annotations
@@ -90,11 +94,14 @@ Shape = tuple[int, ...]  # (c, h, w) before flattening, (n,) after a Dense
 
 
 class _Walk(NamedTuple):
-    """What the consistency pass derives from an IR: every layer's output shape and its costs."""
+    """What the consistency pass derives from an IR: every layer's output shape, its costs,
+    and the number of convolutions with the sum of their output channels."""
 
     shapes: tuple[Shape, ...]
     params: int
     macs: int
+    convs: int
+    conv_channels: int
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ def _consistency_walk(ir: ArchIR) -> _Walk:
     network_input: Shape = (c, h, w)
     shapes: list[Shape] = []
     cur = network_input
-    params = macs = 0
+    params = macs = convs = conv_channels = 0
     for idx, layer in enumerate(ir.layers):
         kind = type(layer)
         if kind is Conv:
@@ -135,6 +142,8 @@ def _consistency_walk(ir: ArchIR) -> _Walk:
                 raise InvariantViolation(f"layer {idx} produced non-positive shape {cur}")
             params += own
             macs += weights * oh * ow
+            convs += 1
+            conv_channels += c_out
         elif kind is Ref or kind is Skip or kind is Concat:
             src = layer.src
             if src == -1:
@@ -174,7 +183,7 @@ def _consistency_walk(ir: ArchIR) -> _Walk:
         # only Conv and Dense bring new dimensions; the other kinds reuse or
         # shrink checked ones, so only those two check for non-positive shapes
         shapes.append(cur)
-    return _Walk(tuple(shapes), params, macs)
+    return _Walk(tuple(shapes), params, macs, convs, conv_channels)
 
 
 def check_shapes(ir: ArchIR) -> list[Shape]:
@@ -196,6 +205,12 @@ def param_count(ir: ArchIR) -> int:
 def flop_count(ir: ArchIR) -> int:
     """Multiply-accumulate count; pooling and wiring markers contribute zero."""
     return ir._walk.macs
+
+
+def structure(ir: ArchIR) -> tuple[int, int, int]:
+    """(convolutions, sum of their output channels, parameter count), as the one pass counted them."""
+    walk = ir._walk
+    return walk.convs, walk.conv_channels, walk.params
 
 
 # Interned layer constructors: equal layer values share one immutable object,
@@ -255,14 +270,24 @@ class _Builder:
         self.shapes.append(cur)
         return len(self.layers) - 1
 
-    def concat(self, src: int) -> int:
-        oc, oh, ow = self.shapes[src + 1]
+    def res_unit(self, c_out: int) -> None:
+        """Two stride-1 3x3 convolutions and the sum of their outputs.
+
+        Same padding at stride 1 keeps the spatial size, so both outputs have
+        shape ``(c_out, h, w)`` and the skip always fits.
+        """
         c, h, w = self.shapes[-1]
-        if (oh, ow) != (h, w):
-            raise DecodeError("concat joins tensors with different spatial sizes")
-        self.layers.append(_concat(src))
-        self.shapes.append((c + oc, h, w))
-        return len(self.layers) - 1
+        first = len(self.layers)
+        out = (c_out, h, w)
+        self.layers += (_conv(3, c, c_out, 1), _conv(3, c_out, c_out, 1), _skip(first))
+        self.shapes += (out, out, out)
+
+    def dense_unit(self, c_out: int) -> None:
+        """A stride-1 3x3 convolution concatenated with the unit's input, whose spatial size it keeps."""
+        c, h, w = self.shapes[-1]
+        unit_input = len(self.layers) - 1
+        self.layers += (_conv(3, c, c_out, 1), _concat(unit_input))
+        self.shapes += ((c_out, h, w), (c_out + c, h, w))
 
     def merge_sum(self, sources: list[int]) -> None:
         """Point the current tensor at the element-wise sum of the given outputs."""
@@ -314,16 +339,10 @@ def _decode_blocks(genes, b: _Builder) -> None:
     for gene in genes:
         if gene.kind is BlockKind.POOL:
             b.pool(gene.pool_type.value, 2, 2)
-        elif gene.kind is BlockKind.RES_UNIT:
+        else:  # residual or dense units, one builder call each
+            unit = b.res_unit if gene.kind is BlockKind.RES_UNIT else b.dense_unit
             for _ in range(gene.amount):
-                first = b.conv(3, gene.out_channels)
-                b.conv(3, gene.out_channels)
-                b.skip(first)
-        else:  # dense unit: conv output concatenated with the unit input
-            for _ in range(gene.amount):
-                unit_input = b.cur_idx
-                b.conv(3, gene.out_channels)
-                b.concat(unit_input)
+                unit(gene.out_channels)
 
 
 def _decode_cell_graph(payload: CellGraphPayload, b: _Builder, cell_channels: int) -> None:

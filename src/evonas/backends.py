@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .arch import Conv, Genotype, flop_count, param_count
+from .arch import Genotype, flop_count, structure
 from .arch.ir import ArchIR
 from .arch.spaces import decode_under
 from .datasets import dataset_spec
@@ -62,15 +62,15 @@ def decode_from_settings(genotype: Genotype, settings: Mapping[str, str]) -> Arc
 def architecture_asymptote(identifier: str, ir: ArchIR) -> float:
     """Asymptotic accuracy in [0, 1] for one architecture.
 
-    Depth and width raise it with diminishing returns, parameter count drags
-    it down, and the identifier hash contributes a small architecture-specific
-    offset -- enough signal for selection pressure and for non-degenerate
-    accuracy/size trade-off fronts.
+    Depth (convolution count) and width (mean convolution output channels)
+    raise it with diminishing returns, parameter count drags it down, and the
+    identifier hash contributes a small architecture-specific offset -- enough
+    signal for selection pressure and for non-degenerate accuracy/size
+    trade-off fronts. All three structural numbers come from the IR's one
+    consistency pass.
     """
-    convs = [layer for layer in ir.layers if isinstance(layer, Conv)]
-    depth = len(convs)
-    width = sum(c.c_out for c in convs) / depth if convs else 1.0
-    params = param_count(ir)
+    depth, channels, params = structure(ir)
+    width = channels / depth if depth else 1.0
     hash_frac = int(identifier[:12], 16) / float(16**12)
     a = (
         0.30

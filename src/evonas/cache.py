@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 
 HEADER_PREFIX = "#traincfg="
 ENTRY_RE = re.compile(r"^([0-9a-f]{56}) = (\d{1,3}\.\d{2})$")
+IDENTIFIER_RE = re.compile(r"[0-9a-f]{56}")
 
 
 class ResultCache:
@@ -78,7 +79,7 @@ class ResultCache:
         Returns True when the entry was written. The first value stored for an
         identifier is retained forever.
         """
-        if not re.fullmatch(r"[0-9a-f]{56}", identifier):
+        if not IDENTIFIER_RE.fullmatch(identifier):
             raise InvariantViolation(f"bad identifier {identifier!r}")
         if not 0.0 <= value <= 100.0:
             raise InvariantViolation(f"fitness percent out of range: {value}")

@@ -31,7 +31,7 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .bus import InProcessBus, Listener, LogRecord
 from .engine import ATTEMPT_FAILURES, RETRY_BUDGET, AttemptLedger
@@ -60,8 +60,7 @@ def parse_fault_script(faults: Iterable[FaultEvent]) -> tuple[FaultEvent, ...]:
     return faults
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     time: float
     kind: str  # start | finish | requeue | crash | fail | kill
     job: str

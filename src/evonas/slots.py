@@ -2,12 +2,14 @@
 
 Acquire/release are atomic transitions under a single lock, so the store can
 be hammered by concurrent dispatch tasks without double-granting. Acquisition
-is deterministic: the lowest (node, slot) idle pair wins. The slot table is kept
-in (node, slot) order, so a scan of it visits slots lowest first.
+is deterministic: the lowest (node, slot) idle pair wins. The idle keys are
+kept in a min-heap, so a grant pops the lowest one and a release pushes its
+key back, neither scanning the slot table; marking a node lost drops its keys.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -39,16 +41,18 @@ class SlotStore:
                 raise InvariantViolation(f"duplicate slot {key}")
             table[key] = SlotState(node, slot_id)
         self._slots = dict(sorted(table.items()))  # keys never change after this
+        self._free = list(self._slots)  # the keys of the idle slots, a min-heap; sorted is one
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
 
     def _claim_locked(self, job_name: str | None) -> tuple[str, int] | None:
-        for key, state in self._slots.items():
-            if state.status is SlotStatus.IDLE:
-                state.status = SlotStatus.BUSY
-                state.job_name = job_name
-                return key
-        return None
+        if not self._free:
+            return None
+        key = heapq.heappop(self._free)
+        state = self._slots[key]
+        state.status = SlotStatus.BUSY
+        state.job_name = job_name
+        return key
 
     def _live_locked(self) -> bool:
         return any(s.status in (SlotStatus.IDLE, SlotStatus.BUSY) for s in self._slots.values())
@@ -71,12 +75,14 @@ class SlotStore:
 
     def release(self, node: str, slot_id: int) -> None:
         with self._idle:
-            state = self._slots.get((node, slot_id))
+            key = (node, slot_id)
+            state = self._slots.get(key)
             if state is None:
                 raise InvariantViolation(f"unknown slot ({node}, {slot_id})")
             if state.status is SlotStatus.BUSY:
                 state.status = SlotStatus.IDLE
                 state.job_name = None
+                heapq.heappush(self._free, key)
                 self._idle.notify_all()
 
     def mark_lost(self, node: str) -> list[str]:
@@ -90,6 +96,8 @@ class SlotStore:
                     orphans.append(state.job_name)
                 state.status = SlotStatus.LOST
                 state.job_name = None
+            self._free = [key for key in self._free if key[0] != node]
+            heapq.heapify(self._free)
             self._idle.notify_all()
             return orphans
 

@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 import evonas.arch.ir as ir_module
 import evonas.arch.spaces as spaces_module
-from evonas.arch import BlockGene, BlockKind, Genotype, canonical_text, identifier, parse_canonical
+from evonas.arch import (
+    BlockGene,
+    BlockKind,
+    Genotype,
+    Scheme,
+    canonical_text,
+    check_shapes,
+    identifier,
+    parse_canonical,
+)
 from evonas.arch.spaces import DECODE_KEYS, CellGraphSpace, FixedBinarySpace, VariableBlocksSpace
 from evonas.backends import (
     CommandBackend,
@@ -123,6 +132,77 @@ def test_settings_decode_agrees_with_the_space_decode(space):
         g = space.sample(rng)
         fresh = parse_canonical(canonical_text(g))  # an equal genotype that has kept no IR
         assert decode_from_settings(g, settings) == space.decode(fresh, shape, classes)
+
+
+
+def reference_concat(b, src: int) -> None:
+    oc, oh, ow = b.shapes[src + 1]
+    c, h, w = b.shapes[-1]
+    if (oh, ow) != (h, w):
+        raise DecodeError("concat joins tensors with different spatial sizes")
+    b.layers.append(ir_module.Concat(src))
+    b.shapes.append((c + oc, h, w))
+
+
+def reference_decode_blocks(genes, b) -> None:
+    """The variable-blocks decoder appending one layer per call, each checking its shapes."""
+    for gene in genes:
+        if gene.kind is BlockKind.POOL:
+            b.pool(gene.pool_type.value, 2, 2)
+        elif gene.kind is BlockKind.RES_UNIT:
+            for _ in range(gene.amount):
+                first = b.conv(3, gene.out_channels)
+                b.conv(3, gene.out_channels)
+                b.skip(first)
+        else:
+            for _ in range(gene.amount):
+                unit_input = b.cur_idx
+                b.conv(3, gene.out_channels)
+                reference_concat(b, unit_input)
+
+
+def reference_asymptote(ident, ir) -> float:
+    """``architecture_asymptote`` computed in a second pass over the layers."""
+    convs = [layer for layer in ir.layers if isinstance(layer, ir_module.Conv)]
+    depth = len(convs)
+    width = sum(c.c_out for c in convs) / depth if convs else 1.0
+    params = ir_module.param_count(ir)
+    hash_frac = int(ident[:12], 16) / float(16**12)
+    a = (
+        0.30
+        + 0.40 * (1.0 - math.exp(-depth / 6.0))
+        + 0.15 * (1.0 - math.exp(-width / 64.0))
+        - 0.25 * (1.0 - math.exp(-params / 2.0e7))
+        + 0.10 * (hash_frac - 0.5)
+    )
+    return min(max(a, 0.02), 0.98)
+
+
+@pytest.mark.parametrize("space", [FixedBinarySpace(), VariableBlocksSpace(), CellGraphSpace()], ids=type)
+def test_decode_and_surrogate_match_their_layer_by_layer_references(space):
+    """500 sampled and mutated genotypes: the variable-blocks decoder's whole units
+    give the layers and shapes of one builder call per layer, and the surrogate's
+    structure, read from the consistency pass, gives the fitness and duration of
+    a second pass over the layers."""
+    settings = {"dataset": "cifar10", "total_epoch": "50", **space.decode_settings()}
+    shape, classes = dataset_spec("cifar10")
+    rng = random.Random(20)
+    g = space.sample(rng)
+    for i in range(500):
+        g = space.sample(rng) if i % 2 else space.mutate(g, 0.3, rng)
+        arch = decode_from_settings(g, settings)
+        if g.scheme is Scheme.VARIABLE_BLOCKS:
+            b = ir_module._Builder(shape)
+            reference_decode_blocks(g.blocks, b)
+            b.head(classes)
+            reference = b.build()
+            assert arch.layers == reference.layers
+            assert check_shapes(arch) == check_shapes(reference)
+        ident = identifier(g)
+        assert architecture_asymptote(ident, arch) == reference_asymptote(ident, arch)
+        job = job_spec(f"job{i}", ident, g, settings, master_seed=3)
+        expected = SurrogateBackend(fixed_asymptote=reference_asymptote(ident, arch)).evaluate(job)
+        assert SurrogateBackend().evaluate(job) == expected
 
 
 @pytest.mark.parametrize("space", SPACES, ids=type)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import socket
@@ -436,6 +437,56 @@ def test_simulate_verb_with_crash(capsys):
     )
     assert code == 0
     assert "virtual makespan" in capsys.readouterr().out
+
+
+# The README's crash example, byte for byte: job002 is requeued when w0 dies at
+# t=7 and runs last on w1.
+README_CRASH_SCHEDULE = """\
+jobs 8  slots 2  duration 5.0s
+virtual makespan 35.000s  attempts 9
+  t=   0.000  start    job000     w0:0
+  t=   0.000  start    job001     w1:0
+  t=   5.000  finish   job000     w0:0
+  t=   5.000  start    job002     w0:0
+  t=   5.000  finish   job001     w1:0
+  t=   5.000  start    job003     w1:0
+  t=   7.000  crash               w0:-1
+  t=   7.000  requeue  job002     -
+  t=  10.000  finish   job003     w1:0
+  t=  10.000  start    job004     w1:0
+  t=  15.000  finish   job004     w1:0
+  t=  15.000  start    job005     w1:0
+  t=  20.000  finish   job005     w1:0
+  t=  20.000  start    job006     w1:0
+  t=  25.000  finish   job006     w1:0
+  t=  25.000  start    job007     w1:0
+  t=  30.000  finish   job007     w1:0
+  t=  30.000  start    job002     w1:0
+  t=  35.000  finish   job002     w1:0
+"""
+
+
+def simulate_trace(capsys, *argv) -> str:
+    assert run_cli("simulate", *argv, "--trace") == 0
+    return capsys.readouterr().out
+
+
+def test_readme_crash_example_prints_its_pinned_schedule(capsys):
+    out = simulate_trace(
+        capsys, "--jobs", 8, "--worker-count", 2, "--slots-per-worker", 1, "--duration", 5, "--crash", "w0@7.0"
+    )
+    assert out == README_CRASH_SCHEDULE
+
+
+def test_surrogate_durations_schedule_is_pinned(capsys):
+    """Surrogate durations, two slots per worker and a crash mid-job: every start,
+    finish, crash and requeue at its virtual time, pinned by its digest."""
+    out = simulate_trace(
+        capsys, "--jobs", 12, "--worker-count", 2, "--slots-per-worker", 2, "--crash", "w1@1.5", "--seed", 4
+    )
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "6e513a1bc43694b26182eaf9cea06b70bea8f65c3b004ee8c7ec69775f582f02"
+    )
 
 
 def test_retrain_and_compare_verbs(tmp_path, capsys):

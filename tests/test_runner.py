@@ -7,7 +7,7 @@ from evonas.arch.spaces import FixedBinarySpace
 from evonas.errors import CorruptLogError, EvaluationOrderError, RestartError
 from evonas.evo import Population, make_individual
 from evonas.evo.individual import individual_name
-from evonas.evo.strategies import AgingEvolution, SearchStrategy
+from evonas.evo.strategies import STRATEGIES, AgingEvolution, SearchStrategy
 from evonas.runner import (
     RunState,
     format_record,
@@ -547,3 +547,56 @@ def test_lag_aging_does_not_depend_on_completion_order(make_harness):
     threaded.build()[0].run()
     assert RunState.load(threaded.run_dir).lag == 5
     assert read_all_logs(threaded.run_dir) == read_all_logs(farm.run_dir)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_crash_after_each_published_result_resumes_to_the_twin_and_trains_nothing_twice(make_harness, strategy):
+    """Sweep the crash point over every result the ledger publishes: the center
+    dies right after the k-th ``succeeded``, and a fresh stack resumes the run.
+    The logs equal the uninterrupted twin's, and every genotype whose fitness
+    was in ``cache.txt`` at the crash was trained once across both stacks."""
+    from collections import Counter
+
+    from evonas.backends import SurrogateBackend
+
+    class CountingBackend(SurrogateBackend):
+        def __init__(self):
+            super().__init__()
+            self.trained = Counter()
+
+        def evaluate(self, job, emit_log=None, slot_id=0):
+            self.trained[job.identifier] += 1
+            return super().evaluate(job, emit_log, slot_id)
+
+    shape = dict(strategy=strategy, pop_size=6, max_gen=4, seed=17, slots=3)
+    twin = make_harness(name="twin", **shape)
+    runner, twin_farm = twin.build()
+    runner.run()
+    reference = read_all_logs(twin.run_dir)
+    assert len(reference) == 4
+
+    for k in range(1, twin_farm.stats.jobs + 1):
+        backend = CountingBackend()
+        harness = make_harness(name=f"crash_{k}", backend=backend, **shape)
+        runner, farm = harness.build()
+        succeeded = farm.ledger.succeeded
+        published = itertools.count(1)
+
+        def succeeded_then_die(job, value, seconds):
+            result = succeeded(job, value, seconds)
+            if next(published) == k:
+                raise Boom(f"crashed after publishing result {k}")
+            return result
+
+        farm.ledger.succeeded = succeeded_then_die
+        with pytest.raises(Boom):
+            runner.run()
+        cached = [
+            line.split(" = ")[0]
+            for line in (harness.run_dir / "cache.txt").read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        assert len(cached) == k  # every published result reached the cache file
+
+        harness.build()[0].run()
+        assert read_all_logs(harness.run_dir) == reference, f"crash after result {k}"
+        assert all(backend.trained[identifier] == 1 for identifier in cached), f"crash after result {k}"
