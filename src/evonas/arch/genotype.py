@@ -225,9 +225,9 @@ def _serialize(g: Genotype) -> str:
         parts = []
         for gene in g.blocks:
             if gene.kind is BlockKind.POOL:
-                parts.append(f"P:{gene.pool_type.value}")  # type: ignore[union-attr]
+                parts.append(f"P:{POOL_TAGS[gene.pool_type]}")  # type: ignore[index]
             else:
-                parts.append(f"{gene.kind.value}:{gene.out_channels}:{gene.amount}")
+                parts.append(f"{_KIND_TAGS[gene.kind]}:{gene.out_channels}:{gene.amount}")
         return "VB:" + "|".join(parts)
     p2: CellGraphPayload = g.payload  # type: ignore[assignment]
     edges = ",".join(f"{s}-{d}" for s, d in p2.edges)
@@ -250,14 +250,15 @@ def parse_canonical(text: str) -> Genotype:
         tag, rest = text.split(":", 1)
     except ValueError:
         raise InvariantViolation(f"malformed canonical genotype: {text!r}") from None
-    if tag == Scheme.FIXED_BINARY.value:
+    scheme = _SCHEMES.get(tag)
+    if scheme is Scheme.FIXED_BINARY:
         try:
             sizes_part, bits_part = rest.split(":")
             sizes = tuple(int(s) for s in sizes_part.split(","))
         except ValueError:
             raise InvariantViolation(f"malformed fixed-binary genotype: {text!r}") from None
         return Genotype.fixed_binary(sizes, bits_part.replace(",", ""))
-    if tag == Scheme.VARIABLE_BLOCKS.value:
+    if scheme is Scheme.VARIABLE_BLOCKS:
         genes: list[BlockGene] = []
         for part in rest.split("|"):
             fields = part.split(":")
@@ -272,7 +273,7 @@ def parse_canonical(text: str) -> Genotype:
             except (KeyError, ValueError):
                 raise InvariantViolation(f"malformed block gene: {part!r}") from None
         return Genotype.variable_blocks(genes)
-    if tag == Scheme.CELL_GRAPH.value:
+    if scheme is Scheme.CELL_GRAPH:
         try:
             ops_part, edges_part = rest.split(":")
             ops = tuple(ops_part.split(","))
@@ -287,8 +288,13 @@ def parse_canonical(text: str) -> Genotype:
     raise InvariantViolation(f"unknown scheme tag {tag!r}")
 
 
-# Tag lookups and an interned gene constructor for parse_canonical: equal genes
-# share one immutable object, validated the first time the value occurs.
+# Tag lookups both ways, read from plain dicts: an enum member's ``.value`` is a
+# Python-level property call. And an interned gene constructor for
+# parse_canonical: equal genes share one immutable object, validated the first
+# time the value occurs.
+_SCHEMES = {scheme.value: scheme for scheme in Scheme}
 _GENE_KINDS = {kind.value: kind for kind in BlockKind}
 _POOL_TYPES = {pool.value: pool for pool in PoolType}
+_KIND_TAGS = {kind: tag for tag, kind in _GENE_KINDS.items()}
+POOL_TAGS = {pool: tag for tag, pool in _POOL_TYPES.items()}
 _block_gene = functools.cache(BlockGene)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import DecodeError, InvariantViolation
-from .genotype import BlockKind, CellGraphPayload, FixedBinaryPayload, Genotype, Scheme
+from .genotype import POOL_TAGS, BlockKind, CellGraphPayload, FixedBinaryPayload, Genotype, Scheme
 
 DEFAULT_STAGE_CHANNELS = 64
 DEFAULT_CELL_CHANNELS = 32
@@ -338,7 +338,7 @@ def _decode_fixed_binary(
 def _decode_blocks(genes, b: _Builder) -> None:
     for gene in genes:
         if gene.kind is BlockKind.POOL:
-            b.pool(gene.pool_type.value, 2, 2)
+            b.pool(POOL_TAGS[gene.pool_type], 2, 2)
         else:  # residual or dense units, one builder call each
             unit = b.res_unit if gene.kind is BlockKind.RES_UNIT else b.dense_unit
             for _ in range(gene.amount):

@@ -19,6 +19,7 @@ Backends hold no shared mutable state; one instance per slot is safe.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import queue
 import random
@@ -28,6 +29,7 @@ import tempfile
 import threading
 import time
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -46,6 +48,8 @@ DEFAULT_SIGMA = 0.0
 DEFAULT_TIME_BASE = 1.0      # fixed virtual seconds per job
 DEFAULT_TIME_PER_MAC = 1e-9  # virtual seconds per multiply-accumulate per epoch
 DEFAULT_TIMEOUT_S = 300.0    # wall-clock seconds a command job may run
+LOG_TAIL_LINES = 20          # trainer output lines a failed command job keeps
+LOG_QUEUE_LINES = 1000       # trainer output lines read ahead of the job's thread
 
 
 def _quantize(value: float) -> float:
@@ -189,7 +193,7 @@ class CommandBackend:
                 encoding="utf-8",
             )
             argv = _command_argv(self.template, payload_path, settings_path, slot_id, job.seed)
-            tail: list[str] = []
+            tail: deque[str] = deque(maxlen=LOG_TAIL_LINES)  # a trainer may print without end
             fitness: float | None = None
             try:
                 proc = subprocess.Popen(
@@ -202,12 +206,13 @@ class CommandBackend:
             assert proc.stdout is not None
             # a reader thread feeds stdout lines to this one, so the deadline
             # holds even while the trainer prints nothing
-            lines: queue.SimpleQueue[str | None] = queue.SimpleQueue()
-            threading.Thread(target=_pump_lines, args=(proc.stdout, lines), daemon=True).start()
+            lines: queue.Queue[str | None] = queue.Queue(maxsize=LOG_QUEUE_LINES)
+            stopped = threading.Event()
+            threading.Thread(target=_pump_lines, args=(proc.stdout, lines, stopped), daemon=True).start()
             deadline = started + self.timeout_s
 
             def timed_out() -> JobFailed:
-                return JobFailed(f"trainer timed out after {self.timeout_s}s", "\n".join(tail[-20:]))
+                return JobFailed(f"trainer timed out after {self.timeout_s}s", "\n".join(tail))
 
             try:
                 while True:
@@ -232,13 +237,14 @@ class CommandBackend:
                 except subprocess.TimeoutExpired:
                     raise timed_out() from None
             finally:
+                stopped.set()
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
             if code != 0:
-                raise JobFailed(f"trainer exited with status {code}", "\n".join(tail[-20:]))
+                raise JobFailed(f"trainer exited with status {code}", "\n".join(tail))
             if fitness is None:
-                raise JobFailed("trainer produced no FITNESS line", "\n".join(tail[-20:]))
+                raise JobFailed("trainer produced no FITNESS line", "\n".join(tail))
         return _quantize(fitness), time.monotonic() - started
 
 
@@ -249,12 +255,21 @@ def _command_argv(template: str, payload_path: Path, settings_path: Path, slot_i
     )
 
 
-def _pump_lines(stream, lines: queue.SimpleQueue) -> None:
-    """Copy a trainer's output lines into ``lines``, then None at EOF."""
+def _pump_lines(stream, lines: queue.Queue, stopped: threading.Event) -> None:
+    """Copy a trainer's output lines into ``lines``, then None at EOF.
+
+    A full ``lines`` holds the copy back, and with it the trainer's writes, so
+    a trainer that prints faster than its lines are read fills no memory.
+    Once ``stopped`` is set, the lines left are read and dropped.
+    """
     with stream:
-        for line in stream:
-            lines.put(line)
-    lines.put(None)
+        for line in itertools.chain(stream, [None]):
+            while not stopped.is_set():
+                try:
+                    lines.put(line, timeout=0.1)
+                    break
+                except queue.Full:
+                    pass
 
 
 BACKEND_KINDS = ("surrogate", "lookup", "command")

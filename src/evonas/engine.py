@@ -4,7 +4,8 @@ Both engines offer the same streaming API: ``submit(job)`` starts a job as
 soon as a slot allows, ``done(name)`` tells without blocking whether it has
 resolved, and ``wait(names)`` blocks until every named job has resolved,
 writes the listener's files through once, and hands each ``JobResult`` out
-exactly once.
+exactly once. ``ThreadedEngine.wait`` blocks once for the whole name set, so
+the waiting thread wakes when the last of them resolves, not once per job.
 ``run_jobs(jobs)`` is "submit each, then wait for all". The engines assign no
 fitness; the evaluator does, from what ``wait`` returns.
 
@@ -56,7 +57,7 @@ import queue
 import signal
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait as wait_all
 from typing import Callable
 
 from .backends import CommandBackend
@@ -245,8 +246,9 @@ class DispatchPool:
                     task = self._tasks.get_nowait()
                 except queue.Empty:
                     break
-                if task is not None:
+                if task is not None:  # cancelled and notified, so a wait on it returns
                     task[0].cancel()
+                    task[0].set_running_or_notify_cancel()
             threads, self._threads = self._threads, []
             for _ in threads:
                 self._tasks.put(None)
@@ -323,6 +325,7 @@ class ThreadedEngine:
         """Block until every named job has resolved; write the listener's files through once;
         hand the results out."""
         futures = [self._futures.pop(name) for name in names]
+        wait_all(futures)  # one wake-up for the whole set
         results = {name: future.result() for name, future in zip(names, futures)}
         self.listener.drain()
         return results

@@ -40,19 +40,20 @@ class JobSpec:
             "identifier": self.identifier,
             "payload": self.payload,
             "backend": self.backend,
-            "settings": dict(self.settings),
+            "settings": self.settings,
             "seed": self.seed,
             "epochs": self.epochs,
         }
 
     @staticmethod
-    def from_message(msg: dict) -> "JobSpec":
+    def from_message(msg: dict, settings: dict[str, str] | None = None) -> "JobSpec":
+        """The job a ``job`` frame names; ``settings``, when given, stands in for the frame's own."""
         return JobSpec(
             name=msg["name"],
             identifier=msg["identifier"],
             payload=msg["payload"],
             backend=msg["backend"],
-            settings=dict(msg.get("settings", {})),
+            settings=msg.get("settings", {}) if settings is None else settings,
             seed=int(msg.get("seed", 0)),
             epochs=int(msg.get("epochs", 1)),
         )

@@ -4,29 +4,35 @@ Messages are length-delimited JSON over a TCP byte stream: a 4-byte big-endian
 length prefix followed by a UTF-8 JSON object. The center sends one ``job``
 message per dispatch (the job fields plus the assigned ``slot``); the worker
 answers with a stream of ``log`` frames and ends it with the job's one result
-frame: a ``fitness``
-(``{"type":"fitness","identifier":...,"value":...,"duration_s":...}``) or an
-``error``. A job whose backend spawns a trainer process (the command backend)
-also gets a ``process_start`` naming the trainer's pid, the unit the engine's
-``cancel()`` stops with a ``kill`` message; an in-process backend gets none.
-The center republishes the process and log frames on its bus and returns the
-fitness frame's value and duration to the engine, whose attempt ledger
-publishes the job's one result. A frame that breaks the protocol -- a body
-that is not a UTF-8 JSON object, or a ``fitness`` or ``process_start`` frame
-with a missing or ill-typed field -- fails the attempt as a lost worker, and
-its connection is closed. A request the worker cannot read gets an ``error``
-frame, and the connection goes on serving.
+frame: a ``fitness`` (``{"type":"fitness","value":...,"duration_s":...}``) or
+an ``error``. A job whose backend spawns a trainer process (the command
+backend) also gets a ``process_start`` naming the trainer's pid, the unit the
+engine's ``cancel()`` stops with a ``kill`` message; an in-process backend
+gets none. The center republishes the process and log frames on its bus and
+returns the fitness frame's value and duration to the engine, whose attempt
+ledger publishes the job's one result. A frame that breaks the protocol -- a
+body that is not a UTF-8 JSON object, or a ``fitness`` or ``process_start``
+frame with a missing or ill-typed field -- fails the attempt as a lost
+worker, and its connection is closed. A request the worker cannot read gets
+an ``error`` frame, and the connection goes on serving.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after the job's result frame and sends the
 next job for that worker over it, so a busy slot holds one connection rather
-than one per job. A ``kill`` uses a connection of its own, so it never waits
-behind a running job. Both ends set ``TCP_NODELAY``: on a reused connection
-Nagle's algorithm would hold the small reply frames back until the peer's
-delayed ACK arrives. An older worker that still sends a frame after the
-result is served too: a frame already waiting on an idle connection makes
-the center drop it and send the next job on a new one, and a frame of a type
-the center does not know is skipped.
+than one per job. A connection also carries the run's settings: the first
+``job`` frame on it holds the whole settings map, and a later one whose
+settings equal the previous frame's holds ``"settings": null``. The worker
+keeps, per connection, the settings last sent and the one backend built from
+them, so a lookup table is read once per connection. A null-settings frame as
+a connection's first job gets an ``error`` frame. The value is null, never a
+missing key: a worker that predates it answers null with an ``error`` frame,
+where a missing key would train under default settings. A ``kill`` uses a
+connection of its own, so it never waits behind a running job. Both ends set
+``TCP_NODELAY``: on a reused connection Nagle's algorithm would hold the
+small reply frames back until the peer's delayed ACK arrives. An older worker
+that still sends a frame after the result is served too: a frame already
+waiting on an idle connection makes the center drop it and send the next job
+on a new one, and a frame of a type the center does not know is skipped.
 
 The worker agent CLI is ``evonas worker --listen <addr> --slots <n> --backend
 <kind>``.
@@ -159,16 +165,14 @@ class WorkerAgent:
                 conn.close()
                 return
             self._conns.add(conn)
-        # one backend per (kind, settings) for as long as the connection lives,
-        # so a lookup table is read once per connection, not once per job
-        backends: dict[tuple, object] = {}
+        bound: _Bound | None = None  # the connection's settings, once a job frame sent them
         try:
             with conn:
                 _no_delay(conn)
                 while (msg := recv_msg(conn)) is not None:
                     kind = msg.get("type")
                     if kind == "job":
-                        self._run_job(conn, msg, backends)
+                        bound = self._run_job(conn, msg, bound)
                     elif kind == "kill":
                         try:
                             local_terminator(self.address, _field(msg, "pid", int))
@@ -182,21 +186,31 @@ class WorkerAgent:
             with self._lock:
                 self._conns.discard(conn)
 
-    def _run_job(self, conn: socket.socket, msg: dict, backends: dict[tuple, object]) -> None:
-        """Run one job, streaming its process and log frames; its result frame ends the stream."""
+    def _run_job(self, conn: socket.socket, msg: dict, bound: _Bound | None) -> _Bound | None:
+        """Run one job, streaming its process and log frames; its result frame ends the stream.
+
+        ``bound`` holds the settings this connection carries and the backend
+        built from them; returns what the connection carries after this frame.
+        """
 
         def announce(pid: int) -> None:
             send_msg(conn, {"type": "process_start", "node": self.address, "pid": pid, "job": job.name})
 
         try:
-            job = JobSpec.from_message(msg)
+            settings = msg.get("settings", {})
+            if settings is not None:  # kept before any other field is read: the center counts it sent
+                if not isinstance(settings, dict):
+                    raise JobFailed(f"job frame with ill-typed settings: {settings!r}")
+                bound = _Bound(settings)
+            elif bound is None:
+                raise JobFailed("job frame with null settings as its connection's first job")
+            job = JobSpec.from_message(msg, bound.settings)
             slot = int(msg.get("slot", 0))
             if job.backend not in self.backends:
                 raise JobFailed(f"backend {job.backend!r} not supported here")
-            key = (job.backend, tuple(sorted(job.settings.items())))
-            backend = backends.get(key)
-            if backend is None:
-                backend = backends[key] = build_backend(job.backend, job.settings)
+            backend = bound.backend
+            if backend is None or backend.kind != job.backend:
+                backend = bound.backend = build_backend(job.backend, bound.settings)
             if isinstance(backend, CommandBackend):
                 backend = replace(backend, on_spawn=announce)
             value, duration = backend.evaluate(
@@ -204,16 +218,19 @@ class WorkerAgent:
                 emit_log=lambda line: send_msg(conn, {"type": "log", "job": job.name, "line": line}),
                 slot_id=slot,
             )
-            result = {
-                "type": "fitness",
-                "job": job.name,
-                "identifier": job.identifier,
-                "value": value,
-                "duration_s": duration,
-            }
+            result = {"type": "fitness", "value": value, "duration_s": duration}
         except Exception as exc:  # a request it cannot read, or a failed job: the center's job failure
             result = {"type": "error", "message": str(exc), "log_tail": getattr(exc, "log_tail", "")}
         send_msg(conn, result)
+        return bound
+
+
+@dataclass
+class _Bound:
+    """The settings a job connection carries, and the backend built from them (None until a job needs it)."""
+
+    settings: dict
+    backend: object | None = None
 
 
 def _field(msg: dict, name: str, kind: type | tuple[type, ...]):
@@ -248,13 +265,17 @@ class TcpTransport:
     Job connections are pooled per node: ``run_job`` takes an idle one (or
     connects), holds it for the job, and puts it back only after the job's
     stream ended cleanly with its result frame; any other end closes it.
+    A pooled connection keeps the settings it last sent, and goes with them.
     A job whose reused connection closes before any reply is sent once more
     on a new connection, within the same attempt.
     """
 
     connect_timeout: float = 5.0
     io_timeout: float = 600.0
-    _idle: dict[str, list[socket.socket]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # node -> idle connections, each with the settings it last sent
+    _idle: dict[str, list[tuple[socket.socket, dict]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def _connect(self, node: str) -> socket.socket:
@@ -267,27 +288,27 @@ class TcpTransport:
         _no_delay(sock)
         return sock
 
-    def _checkout(self, node: str) -> tuple[socket.socket, bool]:
-        """An idle connection to ``node`` that the worker has not closed, else a new one;
-        and whether it was reused."""
+    def _checkout(self, node: str) -> tuple[socket.socket, dict | None]:
+        """An idle connection to ``node`` that the worker has not closed, with the settings
+        it last sent; else a new connection, which has sent none."""
         while True:
             with self._lock:
                 idle = self._idle.get(node)
-                sock = idle.pop() if idle else None
-            if sock is None:
-                return self._connect(node), False
-            if not _closed_by_peer(sock):
-                return sock, True
-            sock.close()
+                conn = idle.pop() if idle else None
+            if conn is None:
+                return self._connect(node), None
+            if not _closed_by_peer(conn[0]):
+                return conn
+            conn[0].close()
 
-    def _checkin(self, node: str, sock: socket.socket) -> None:
+    def _checkin(self, node: str, sock: socket.socket, sent: dict) -> None:
         with self._lock:
-            self._idle.setdefault(node, []).append(sock)
+            self._idle.setdefault(node, []).append((sock, sent))
 
     def close(self) -> None:
         """Close every idle job connection; connections in use close when their job ends."""
         with self._lock:
-            idle = [sock for socks in self._idle.values() for sock in socks]
+            idle = [sock for conns in self._idle.values() for sock, _ in conns]
             self._idle.clear()
         for sock in idle:
             sock.close()
@@ -295,28 +316,35 @@ class TcpTransport:
     def run_job(self, job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
         """Dispatch one job to a worker, republishing its process and log records;
         returns the fitness frame's (value, duration)."""
-        sock, reused = self._checkout(node)
+        sock, sent = self._checkout(node)
         try:
-            return self._exchange(sock, job, node, slot, bus)
+            return self._exchange(sock, sent, job, node, slot, bus)
         except _ClosedBeforeReply:
-            if not reused:
+            if sent is None:  # not a reused connection
                 raise
         # The worker closed the pooled connection as it was taken, too late for
         # the liveness check to see it (a worker older than connection reuse
         # closes after every job). No frame came back, so the worker had not
         # taken the job up: send it once more, on a new connection.
-        return self._exchange(self._connect(node), job, node, slot, bus)
+        return self._exchange(self._connect(node), None, job, node, slot, bus)
 
     def _exchange(
-        self, sock: socket.socket, job: JobSpec, node: str, slot: int, bus: InProcessBus
+        self, sock: socket.socket, sent: dict | None, job: JobSpec, node: str, slot: int, bus: InProcessBus
     ) -> tuple[float, float]:
-        """Send one job over ``sock`` and read its stream through its result frame, the last one."""
+        """Send one job over ``sock``, whose last job frame sent the settings ``sent``
+        (None on a new connection), and read its stream through its result frame, the last one."""
         result: tuple[float, float] | None = None
         error: JobFailed | None = None
         procs: list[tuple[str, int]] = []
         replied = False
+        request = job.to_message()
+        request["slot"] = slot
+        if job.settings == sent:  # the connection carries them already
+            request["settings"] = None
+        else:  # a copy, so a later change to the job's map still counts as a change
+            sent = dict(job.settings)
         try:
-            send_msg(sock, {**job.to_message(), "slot": slot})
+            send_msg(sock, request)
             while result is None and error is None:
                 msg = recv_msg(sock)
                 if msg is None:
@@ -350,7 +378,7 @@ class TcpTransport:
         finally:
             for proc_node, pid in procs:  # the stream ended, or the connection died before it did
                 bus.process_finished(proc_node, pid, job.name)
-        self._checkin(node, sock)
+        self._checkin(node, sock, sent)
         if error is not None:
             raise error
         return result

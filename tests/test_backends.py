@@ -403,6 +403,57 @@ def test_command_nonzero_exit_fails(tmp_path):
     assert "boom" in err.value.log_tail
 
 
+def test_a_chatty_trainer_keeps_only_its_log_tail_in_memory(tmp_path):
+    """A trainer that prints 100,000 lines of 200 characters (about 20 MB) and fails: the
+    backend holds its last 20 lines, not all of them, and the failure carries those."""
+    import tracemalloc
+
+    backend = script_backend(
+        tmp_path,
+        """
+        import sys
+        for i in range(100_000):
+            print(f"{i:06d} " + "x" * 193)
+        sys.exit(2)
+        """,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(JobFailed, match="status 2") as err:
+            backend.evaluate(job_for(vb_genotype()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.log_tail.splitlines() == [f"{i:06d} " + "x" * 193 for i in range(99_980, 100_000)]
+    assert peak < 8 * 2**20
+
+
+def test_a_job_that_stops_reading_its_trainer_leaves_no_reader_thread(tmp_path):
+    """A job whose log sink fails stops reading while the trainer still prints: the
+    reader thread, held back by the full line queue, drops the rest and exits."""
+    import time
+
+    backend = script_backend(
+        tmp_path,
+        """
+        for i in range(100_000):
+            print(f"epoch {i}")
+        print("FITNESS=50.00")
+        """,
+    )
+    before = threading.active_count()
+
+    def broken_sink(line):
+        raise OSError("log sink closed")
+
+    with pytest.raises(OSError, match="log sink closed"):
+        backend.evaluate(job_for(vb_genotype()), emit_log=broken_sink)
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before
+
+
 def test_command_missing_fitness_line_fails(tmp_path):
     backend = script_backend(tmp_path, "print('no result today')")
     with pytest.raises(JobFailed):

@@ -215,6 +215,56 @@ def test_submit_and_wait_match_run_jobs(tmp_path, closing, engine_kind):
     assert outcomes[0][1] == (5, 10, 0)
 
 
+class ReverseOrderBackend(SurrogateBackend):
+    """Each job's evaluation waits until the job submitted after it has finished, so the
+    jobs finish last to first; ``finished`` keeps that order."""
+
+    def __init__(self, jobs):
+        super().__init__()
+        self.after = {job.name: later.name for job, later in zip(jobs, jobs[1:])}
+        self.ended = {job.name: threading.Event() for job in jobs}
+        self.finished = []
+
+    def evaluate(self, job, emit_log=None, slot_id=0):
+        later = self.after.get(job.name)
+        if later is not None:
+            assert self.ended[later].wait(5.0)
+        self.finished.append(job.name)
+        self.ended[job.name].set()
+        return super().evaluate(job, emit_log, slot_id)
+
+
+@pytest.mark.parametrize("waited", ["when_all_done", "in_flight"])
+def test_one_wait_hands_out_jobs_that_finish_in_reverse_order(tmp_path, closing, waited):
+    """One wait hands out every job, each exactly once, whether they resolved before it
+    (done() was true for each) or while it blocked; the first job submitted is the last
+    to finish."""
+    jobs = make_jobs(4)
+    names = [job.name for job in jobs]
+    backend = ReverseOrderBackend(jobs)
+    bus = FitnessTallyBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    store = SlotStore([("local", i) for i in range(len(jobs))])
+    engine = closing(ThreadedEngine(store, bus, listener, local_runner(backend)))
+    for job in jobs:
+        engine.submit(job)
+    if waited == "when_all_done":
+        deadline = time.monotonic() + 10
+        while not all(engine.done(name) for name in names):
+            assert time.monotonic() < deadline, "the jobs never resolved"
+            time.sleep(0.005)
+    results = engine.wait(names)
+    assert backend.finished == names[::-1]
+    assert list(results) == names
+    assert [(r.ok, r.value) for r in results.values()] == [
+        (True, SurrogateBackend().evaluate(job)[0]) for job in jobs
+    ]
+    assert not any(engine.done(name) for name in names)  # handed out
+    assert sorted(r.name for r in bus.fitness) == names  # one published result per job
+    with pytest.raises(KeyError):
+        engine.wait(names[:1])
+
+
 @pytest.mark.parametrize("engine_kind", ENGINES)
 def test_result_is_in_the_cache_file_once_its_job_resolves(tmp_path, closing, engine_kind):
     """The cache line of a resolved job is on disk before any wait, on both engines: a

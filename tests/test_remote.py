@@ -357,7 +357,7 @@ class OneJobPerConnectionWorker(WorkerAgent):
         with conn:
             msg = recv_msg(conn)
             if msg is not None and msg.get("type") == "job":
-                self._run_job(conn, msg, {})
+                self._run_job(conn, msg, None)
 
 
 def test_worker_that_closes_after_every_job_costs_no_retry(tmp_path):
@@ -473,10 +473,12 @@ class TrailingProcessEndWorker(WorkerAgent):
             return len(body).to_bytes(4, "big") + body
 
         pending = b""
+        settings = None  # what the connection carries: a job frame after the first sends null
         try:
             with conn:
                 while (msg := recv_msg(conn)) is not None:
-                    the_job = JobSpec.from_message(msg)
+                    settings = settings if msg["settings"] is None else msg["settings"]
+                    the_job = JobSpec.from_message(msg, settings)
                     value, duration = SurrogateBackend().evaluate(the_job)
                     result = frame({"type": "fitness", "identifier": the_job.identifier,
                                     "value": value, "duration_s": duration})
@@ -634,6 +636,30 @@ def test_dispatch_pool_runs_every_call_while_threads_retire(monkeypatch):
     assert all(pool._threads == [] for pool in pools)
 
 
+def test_a_call_that_close_cancels_is_done_for_a_wait():
+    """ThreadedEngine.wait waits for a set of futures at once, which returns only for a
+    future that is finished or cancelled and notified."""
+    from concurrent.futures import CancelledError, wait
+
+    import evonas.engine as engine_module
+
+    pool = engine_module.DispatchPool(1)
+    running = threading.Event()
+    release = threading.Event()
+    first = pool.submit(lambda _: (running.set(), release.wait(5.0)), None)
+    queued = pool.submit(abs, -1)
+    assert running.wait(5.0)
+    closer = threading.Thread(target=pool.close)
+    closer.start()
+    done, _ = wait([queued], timeout=5.0)
+    release.set()
+    closer.join(5.0)
+    assert done == {queued}
+    with pytest.raises(CancelledError):
+        queued.result()
+    assert first.result(timeout=5.0) == (None, True)
+
+
 def test_call_submitted_as_the_last_idle_thread_gives_up_still_runs(monkeypatch):
     import queue
 
@@ -662,3 +688,133 @@ def test_call_submitted_as_the_last_idle_thread_gives_up_still_runs(monkeypatch)
     assert late_futures[0].result(timeout=5.0) == 2  # the one thread saw the call and stayed
     pool.close()
     assert pool._threads == []
+
+
+def record_job_frames(monkeypatch):
+    """Record the settings of every job frame sent, in order."""
+    sent = []
+    send = remote.send_msg
+
+    def recording_send(sock, payload):
+        if payload.get("type") == "job":
+            sent.append(payload["settings"] and dict(payload["settings"]))
+        send(sock, payload)
+
+    monkeypatch.setattr(remote, "send_msg", recording_send)
+    return sent
+
+
+def test_a_connection_carries_the_settings_until_they_change(worker, monkeypatch):
+    """The first job frame on a connection sends the settings, a later one with equal
+    settings sends null, and a change sends the new map; the worker evaluates every
+    job under its own settings. A job the worker refuses still leaves its settings
+    on the connection."""
+    handlers = record_connections(worker)
+    sent = record_job_frames(monkeypatch)
+    transport = TcpTransport()
+    node = f"127.0.0.1:{worker.port}"
+    fast = {"tau": "5.0"}  # a setting the surrogate's fitness reads
+    jobs = [job(epochs=e) for e in (3, 4, 5)]
+    jobs += [job(settings=fast, epochs=e) for e in (3, 4)]
+    jobs += [job(epochs=6)]
+    try:
+        with pytest.raises(JobFailed, match="not supported"):  # same settings, a kind it does not serve
+            transport.run_job(job(backend="lookup"), node, 0, InProcessBus())
+        values = [transport.run_job(the_job, node, 0, InProcessBus()) for the_job in jobs]
+    finally:
+        transport.close()
+    assert values == [SurrogateBackend().evaluate(the_job) for the_job in jobs]
+    assert values[3] != SurrogateBackend().evaluate(job(epochs=3))  # the change took effect
+    base, changed = jobs[0].settings, jobs[3].settings
+    assert sent == [base, None, None, None, changed, None, base]
+    assert len(handlers) == 1
+
+
+def test_thirty_jobs_on_two_slots_send_the_settings_twice(worker, tmp_path, monkeypatch):
+    """Once per connection: the first two jobs hold both slots at once, so two
+    connections open, and the other 28 jobs send null settings over them."""
+    first_two = threading.Barrier(2, timeout=5.0)
+    evaluate = SurrogateBackend.evaluate
+    calls = []
+
+    def evaluate_first_two_together(self, the_job, emit_log=None, slot_id=0):
+        calls.append(the_job.name)
+        if len(calls) <= 2:
+            first_two.wait()
+        return evaluate(self, the_job, emit_log, slot_id)
+
+    monkeypatch.setattr(SurrogateBackend, "evaluate", evaluate_first_two_together)
+    sent = record_job_frames(monkeypatch)
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path, slots=2)
+    try:
+        results = engine.run_jobs([job(name=f"indi_gen00_no{i:02d}") for i in range(30)])
+    finally:
+        engine.close()
+        engine.listener.close()
+    assert len(results) == 30 and all(r.ok for r in results.values())
+    assert len(sent) == 30
+    assert [settings for settings in sent if settings is not None] == [job().settings] * 2
+
+
+def test_null_settings_as_a_connections_first_job_get_an_error_and_the_connection_serves_on(worker):
+    null_first = {**job().to_message(), "settings": None, "slot": 0}
+    replies = []
+    with socket.create_connection(("127.0.0.1", worker.port), timeout=5.0) as sock:
+        for request in (null_first, {**job().to_message(), "slot": 0}, null_first):
+            send_msg(sock, request)
+            replies.append(recv_msg(sock))
+    assert replies[0]["type"] == "error" and "null settings" in replies[0]["message"]
+    assert [reply["type"] for reply in replies[1:]] == ["fitness", "fitness"]
+    assert replies[1] == replies[2]
+
+
+def test_the_fitness_frame_has_three_fields(worker):
+    with socket.create_connection(("127.0.0.1", worker.port), timeout=5.0) as sock:
+        send_msg(sock, {**job().to_message(), "slot": 0})
+        reply = recv_msg(sock)
+    value, duration = SurrogateBackend().evaluate(job())
+    assert reply == {"type": "fitness", "value": value, "duration_s": duration}
+
+
+class PerJobSettingsWorker(WorkerAgent):
+    """Reads each job frame's settings as workers did while every frame carried them,
+    with ``dict(msg.get("settings", {}))``, and keeps each job it evaluates."""
+
+    def __init__(self):
+        super().__init__("127.0.0.1", 0, slots=1)
+        self.evaluated = []
+
+    def _handle(self, conn):
+        with conn:
+            while (msg := recv_msg(conn)) is not None:
+                try:
+                    the_job = JobSpec.from_message(msg, dict(msg.get("settings", {})))
+                    self.evaluated.append(the_job.settings)
+                    value, duration = SurrogateBackend().evaluate(the_job)
+                    reply = {"type": "fitness", "identifier": the_job.identifier, "value": value,
+                             "duration_s": duration}
+                except Exception as exc:
+                    reply = {"type": "error", "message": str(exc)}
+                send_msg(conn, reply)
+
+
+def test_a_worker_that_reads_settings_from_every_frame_refuses_null_settings():
+    """Such a worker cannot read null settings, so it answers with an error frame and
+    trains nothing, rather than training under default settings."""
+    agent = PerJobSettingsWorker()
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    transport = TcpTransport()
+    node = f"127.0.0.1:{agent.port}"
+    try:
+        first = transport.run_job(job(), node, 0, InProcessBus())
+        with pytest.raises(JobFailed):
+            transport.run_job(job(), node, 0, InProcessBus())
+    finally:
+        transport.close()
+        agent.stop()
+        thread.join(5.0)
+    assert first == SurrogateBackend().evaluate(job())
+    assert agent.evaluated == [job().settings]
