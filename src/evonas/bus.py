@@ -2,10 +2,12 @@
 
 Jobs publish two families of records. Process records are presence state (a
 trainer process's node and pid while it runs, the unit a threaded engine's
-``cancel()`` terminates). Run records -- log lines and each job's one
-``JobResult``, which a cancelled job never publishes -- are handed, on the
-publishing thread, to the bus's one listener, which writes them into the
-cache, result, log, and duration files under its lock, in publish order.
+``cancel()`` terminates); once ``stop`` has handed the bus a terminator, a
+trainer announced later is signalled instead of registered. Run records --
+log lines and each job's one ``JobResult``, which a cancelled job never
+publishes -- are handed, on the publishing thread, to the bus's one listener,
+which writes them into the cache, result, log, and duration files under its
+lock, in publish order.
 The bus keeps no record: one published with no listener attached, or after
 the listener closed, is dropped. A restarted run has nothing to replay; the
 cache (first write wins) and the listener's set of names already in
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from .cache import ResultCache
 from .errors import PersistError
@@ -47,6 +51,7 @@ class LogRecord:
 
 
 RunRecord = LogRecord | JobResult
+_BY_NODE_PID_JOB = attrgetter("node", "pid", "job_name")
 
 
 class InProcessBus:
@@ -55,6 +60,7 @@ class InProcessBus:
     def __init__(self) -> None:
         self.listener: Listener | None = None  # set by the listener that attaches itself
         self._procs: dict[tuple[str, int, str], ProcessRecord] = {}
+        self._kill: Callable[[str, int], None] | None = None  # set by stop(): signals each later trainer
         self._lock = threading.Lock()
 
     def publish(self, record: RunRecord) -> None:
@@ -64,8 +70,20 @@ class InProcessBus:
             listener._apply(record)
 
     def process_started(self, record: ProcessRecord) -> None:
+        """Register a trainer that started; after ``stop``, signal it instead, on this thread."""
         with self._lock:
-            self._procs[(record.node, record.pid, record.job_name)] = record
+            kill = self._kill
+            if kill is None:
+                self._procs[(record.node, record.pid, record.job_name)] = record
+                return
+        kill(record.node, record.pid)
+
+    def stop(self, kill: Callable[[str, int], None]) -> list[ProcessRecord]:
+        """Hand every trainer announced from now on to ``kill``; returns the live ones, for the
+        caller to signal. One lock covers both, so no trainer is missed between them."""
+        with self._lock:
+            self._kill = kill
+            return sorted(self._procs.values(), key=_BY_NODE_PID_JOB)
 
     def process_finished(self, node: str, pid: int, job_name: str) -> None:
         with self._lock:
@@ -73,7 +91,7 @@ class InProcessBus:
 
     def live_processes(self) -> list[ProcessRecord]:
         with self._lock:
-            return sorted(self._procs.values(), key=lambda p: (p.node, p.pid, p.job_name))
+            return sorted(self._procs.values(), key=_BY_NODE_PID_JOB)
 
 
 class Listener:

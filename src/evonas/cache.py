@@ -7,7 +7,8 @@ data and trainer settings. Each following line is one entry::
 
     <56-hex identifier> = <fitness percent, 2 decimals>
 
-Entries are append-only and first-write-wins; they are never updated. Each
+Entries are append-only and first-write-wins; they are never updated, and
+loading warns about a later entry that gives an identifier another value. Each
 entry is flushed as it is written. A last line without its newline is what a
 write cut short leaves (a crash mid-write, a full disk): loading drops it, so
 at most that one genotype trains again.
@@ -61,7 +62,13 @@ class ResultCache:
             m = ENTRY_RE.match(line)
             if m is None:
                 raise ConfigError(f"malformed cache entry at {self.path}:{lineno}: {line!r}")
-            self._entries.setdefault(m.group(1), float(m.group(2)))
+            identifier, value = m.group(1), float(m.group(2))
+            kept = self._entries.setdefault(identifier, value)
+            if kept != value:  # two writers on one run directory; the first entry wins
+                logger.warning(
+                    "%s:%d: conflicting cache entry for %s: keeps %.2f, drops %.2f",
+                    self.path, lineno, identifier, kept, value,
+                )
         if end < len(data):  # cut before the next append, which would extend the torn line
             try:
                 os.truncate(self.path, end)

@@ -1,10 +1,10 @@
 """Slot-state store: one record per (node, GPU-index) worker slot.
 
-Acquire/release are atomic transitions under a single lock, so the store can
-be hammered by concurrent dispatch tasks without double-granting. Acquisition
-is deterministic: the lowest (node, slot) idle pair wins. The idle keys are
-kept in a min-heap, so a grant pops the lowest one and a release pushes its
-key back, neither scanning the slot table; marking a node lost drops its keys.
+Acquire/release are atomic transitions under a single lock, so concurrent
+callers are never granted one slot twice. Acquisition is deterministic: the
+lowest (node, slot) idle pair wins. The idle keys are kept in a min-heap, so
+a grant pops the lowest one and a release pushes its key back, neither
+scanning the slot table; marking a node lost drops its keys.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class SlotStore:
             return self._claim_locked(job_name)
 
     def acquire_wait(self, job_name: str | None = None) -> tuple[str, int] | None:
-        """Block until a slot can be claimed; None once no slot is live."""
+        """Block until a slot can be claimed; None once no slot is live. No engine calls it."""
         with self._idle:
             while True:
                 key = self._claim_locked(job_name)

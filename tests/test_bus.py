@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -13,7 +14,8 @@ from evonas.bus import (
 )
 from evonas.cache import ResultCache
 from evonas.engine import ThreadedEngine
-from evonas.jobs import JobResult
+from evonas.errors import JobFailed
+from evonas.jobs import JobResult, JobSpec
 from evonas.slots import SlotStore
 
 DIGEST = "0" * 56
@@ -120,6 +122,33 @@ def test_kill_all_noop_without_live_processes(tmp_path, bus, closing):
     engine = cancelling_engine(tmp_path, bus, closing, killed)
     assert engine.cancel() == 0
     assert killed == []
+
+
+def test_a_trainer_announced_after_cancel_returned_is_signalled(tmp_path, bus, closing):
+    """A slot runner that spawns its trainer after cancel() took its snapshot of the live
+    processes: announcing it on the bus hands its pid to the terminator at once."""
+    killed = []
+    running, cancelled = threading.Event(), threading.Event()
+
+    def runner(job, node, slot, bus):
+        running.set()
+        assert cancelled.wait(5.0)
+        bus.process_started(ProcessRecord(node=node, pid=4242, job_name=job.name))
+        bus.process_finished(node, 4242, job.name)
+        raise JobFailed("trainer terminated", "")
+
+    runner.kill = lambda node, pid: killed.append((node, pid))
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(SlotStore([("local", 0)]), bus, listener, runner))
+    job = JobSpec(name="indi_gen00_no00", identifier="a" * 56, payload="", backend="surrogate")
+    engine.submit(job)
+    assert running.wait(5.0)
+    assert engine.cancel() == 0  # nothing was live yet
+    cancelled.set()
+    result = engine.wait([job.name])[job.name]
+    assert killed == [("local", 4242)]
+    assert (result.ok, result.error) == (False, "cancelled")
+    assert bus.live_processes() == []
 
 
 def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path, closing):

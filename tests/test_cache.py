@@ -150,3 +150,21 @@ def test_torn_last_line_is_dropped_before_the_next_append(tmp_path, caplog, clos
     assert cache.insert("d" * 56, 20.00)
     assert path.read_text(encoding="utf-8") == f"#traincfg={DIGEST}\n{'b' * 56} = 10.00\n{'d' * 56} = 20.00\n"
     assert len(closing(ResultCache(path, DIGEST))) == 2
+
+
+def test_conflicting_duplicate_entries_load_the_first_and_warn(tmp_path, caplog, closing):
+    """Two entries for one identifier with different values (two centers on one run
+    directory write them): the first still wins, and loading names both values and the
+    line of the dropped one. An equal duplicate loads silently."""
+    path = tmp_path / "cache.txt"
+    path.write_text(
+        f"#traincfg={DIGEST}\n{'b' * 56} = 10.00\n{'c' * 56} = 30.00\n{'b' * 56} = 20.00\n{'c' * 56} = 30.00\n",
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING, logger="evonas.cache"):
+        cache = closing(ResultCache(path, DIGEST))
+    assert cache.lookup("b" * 56) == 10.00 and cache.lookup("c" * 56) == 30.00
+    (record,) = caplog.records
+    assert f"{path}:4" in record.getMessage()
+    assert "b" * 56 in record.getMessage()
+    assert "keeps 10.00" in record.getMessage() and "drops 20.00" in record.getMessage()

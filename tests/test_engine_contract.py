@@ -157,24 +157,18 @@ def test_dispatch_threads_lose_no_count(tmp_path, closing):
     assert engine.stats.busy_seconds == pytest.approx(sum(r.duration_s for r in results.values()))
 
 
-def test_dispatch_threads_never_wait_for_a_slot(tmp_path, closing):
-    """The pool runs at most one thread per slot and each holds one slot at a time, so
-    every acquire_wait grants at once: N jobs on K slots never reach the condition wait."""
+def test_an_error_that_is_no_attempt_failure_is_raised_by_wait(tmp_path, closing):
+    """A slot runner that raises what no retry is for (a defect, not a failed attempt): the
+    slot thread hands it to the waiter, which raises it instead of waiting forever."""
+
+    def runner(job, node, slot, bus):
+        raise ValueError(f"defect running {job.name}")
+
     bus = InProcessBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
-    store = SlotStore([("local", i) for i in range(3)])
-    waits = []
-    store._idle.wait = lambda timeout=None: waits.append(timeout)
-    engine = closing(ThreadedEngine(store, bus, listener, local_runner(FlakyBackend(1, fail_s=0.0))))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        results = engine.run_jobs(make_jobs(60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(r.ok for r in results.values())
-    assert engine.stats.attempts == 120
-    assert waits == []
+    engine = closing(ThreadedEngine(SlotStore([("local", 0)]), bus, listener, runner))
+    with pytest.raises(ValueError, match="defect running job000"):
+        engine.run_jobs(make_jobs(2))
 
 
 @pytest.mark.parametrize("engine_kind", ENGINES)

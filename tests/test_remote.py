@@ -551,6 +551,8 @@ def test_stop_ends_every_handler_thread(worker, tmp_path):
 
 
 def test_engine_reuses_its_dispatch_threads_and_close_releases_everything(worker, tmp_path):
+    """No thread before the first job; each slot's connection serves both batches (its
+    thread ends with the batch); close() joins every thread and closes every connection."""
     transport = TcpTransport()
     opened = []
     connect = transport._connect
@@ -567,7 +569,6 @@ def test_engine_reuses_its_dispatch_threads_and_close_releases_everything(worker
     engine.run_jobs([job(name=f"indi_gen00_no{i:02d}") for i in range(4)])
     dispatch = set(threading.enumerate()) - before - {t for t in threading.enumerate() if t.daemon}
     engine.run_jobs([job(name=f"indi_gen01_no{i:02d}") for i in range(4)])
-    assert dispatch and dispatch <= set(threading.enumerate())  # the second batch ran on the same threads
     assert 1 <= len(opened) <= 2  # one connection per busy slot, not one per job
     engine.close()
     engine.listener.close()
@@ -575,22 +576,118 @@ def test_engine_reuses_its_dispatch_threads_and_close_releases_everything(worker
     assert all(sock.fileno() == -1 for sock in opened)
 
 
-def test_idle_dispatch_threads_exit_and_later_batches_still_run(tmp_path, monkeypatch):
-    import evonas.engine as engine_module
-
-    monkeypatch.setattr(engine_module, "DISPATCH_IDLE_S", 0.05)
-    store = SlotStore([("local", 0), ("local", 1)])
+def test_slot_threads_exit_on_their_own_once_run_jobs_returns(tmp_path, closing):
+    """A slot's thread exits when its slot goes idle: every thread the engine started
+    ends after run_jobs returns, without close(), and the next batch starts new ones."""
     bus = InProcessBus()
-    engine = ThreadedEngine(store, bus, Listener(bus, tmp_path, cache=None), local_runner(SurrogateBackend()))
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = ThreadedEngine(SlotStore([("local", 0), ("local", 1)]), bus, listener, local_runner(SurrogateBackend()))
+    before = set(threading.enumerate())
     for t in range(3):
-        results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(3)])
+        results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(5)])
         assert all(r.ok for r in results.values())
-        deadline = time.monotonic() + 5.0
-        while engine._pool._threads and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert engine._pool._threads == []
-    engine.close()
-    engine.listener.close()
+        started = set(threading.enumerate()) - before
+        deadline = time.monotonic() + 0.5  # an idle thread pool would keep them for its idle timeout
+        for thread in started:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in started), t
+    assert set(threading.enumerate()) == before
+
+
+class HeldRunner:
+    """Slot runner whose first job runs until ``release`` is set; later jobs succeed at once."""
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.runs = []
+
+    def __call__(self, the_job, node, slot, bus):
+        self.runs.append(the_job.name)
+        if len(self.runs) == 1:
+            self.started.set()
+            assert self.release.wait(5.0)
+        return SurrogateBackend().evaluate(the_job)
+
+
+def held_engine(tmp_path, closing):
+    """A one-slot engine whose first job holds the slot, and its runner."""
+    runner = HeldRunner()
+    bus = InProcessBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    return ThreadedEngine(SlotStore([("local", 0)]), bus, listener, runner), runner
+
+
+def test_a_wait_on_a_queued_job_that_close_drops_returns(tmp_path, closing):
+    """close() drops the queued jobs: a wait on one returns its cancelled result while the
+    running attempt still holds the slot, and close() returns once that attempt ends."""
+    engine, runner = held_engine(tmp_path, closing)
+    running, queued = job(name="indi_gen00_no00"), job(name="indi_gen00_no01")
+    engine.submit(running)
+    engine.submit(queued)
+    assert runner.started.wait(5.0)
+    closer = threading.Thread(target=engine.close)
+    closer.start()
+    dropped = engine.wait([queued.name])[queued.name]
+    assert (dropped.ok, dropped.error) == (False, "cancelled")
+    assert closer.is_alive()  # still waiting for the running attempt
+    runner.release.set()
+    closer.join(5.0)
+    assert not closer.is_alive()
+    assert runner.runs == [running.name]  # the dropped job never ran
+
+
+def test_close_lets_a_running_attempt_finish(tmp_path, closing):
+    """close() kills nothing: it waits for the attempt in flight, whose result is published
+    and can still be waited for."""
+    engine, runner = held_engine(tmp_path, closing)
+    running = job(name="indi_gen00_no00")
+    engine.submit(running)
+    assert runner.started.wait(5.0)
+    closer = threading.Thread(target=engine.close)
+    closer.start()
+    closer.join(0.2)
+    assert closer.is_alive()
+    runner.release.set()
+    closer.join(5.0)
+    assert not closer.is_alive()
+    assert engine.wait([running.name])[running.name].ok
+    assert (tmp_path / "results.txt").read_text(encoding="utf-8").startswith(f"{running.name}=")
+
+
+def test_a_connection_is_opened_once_per_busy_slot_not_once_per_job(worker, tmp_path, monkeypatch):
+    """Slot threads come and go with each batch, but the transport keeps each slot's
+    connection: three batches of six jobs on two slots open two connections."""
+    first_two = threading.Barrier(2, timeout=5.0)
+    evaluate = SurrogateBackend.evaluate
+    calls = []
+
+    def evaluate_first_two_together(self, the_job, emit_log=None, slot_id=0):
+        calls.append(the_job.name)
+        if len(calls) <= 2:  # both slots are busy at once, so both connections open
+            first_two.wait()
+        return evaluate(self, the_job, emit_log, slot_id)
+
+    monkeypatch.setattr(SurrogateBackend, "evaluate", evaluate_first_two_together)
+    transport = TcpTransport()
+    opened = []
+    connect = transport._connect
+
+    def recording_connect(node):
+        opened.append(node)
+        return connect(node)
+
+    transport._connect = recording_connect
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path, slots=2, transport=transport)
+    try:
+        for t in range(3):
+            results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(6)])
+            assert len(results) == 6 and all(r.ok for r in results.values())
+    finally:
+        engine.close()
+        engine.listener.close()
+    assert len(calls) == 18
+    assert len(opened) == 2
 
 
 def test_no_live_process_record_after_any_job(worker):
@@ -610,84 +707,6 @@ def test_no_live_process_record_after_any_job(worker):
             pass
         assert bus.live_processes() == []
     transport.close()
-
-
-def test_dispatch_pool_runs_every_call_while_threads_retire(monkeypatch):
-    """Calls submitted just as idle threads time out and exit are never left queued."""
-    import random
-
-    import evonas.engine as engine_module
-
-    monkeypatch.setattr(engine_module, "DISPATCH_IDLE_S", 0.001)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    rng = random.Random(7)
-    pools = [engine_module.DispatchPool(size) for size in (1, 2, 3)]
-    try:
-        for wave in range(600):
-            pool = pools[wave % len(pools)]
-            futures = [pool.submit(lambda x: x * x, i) for i in range(rng.randrange(1, 5))]
-            assert [f.result(timeout=5.0) for f in futures] == [i * i for i in range(len(futures))]
-            time.sleep(rng.uniform(0.0, 0.003))
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in pools:
-            pool.close()
-    assert all(pool._threads == [] for pool in pools)
-
-
-def test_a_call_that_close_cancels_is_done_for_a_wait():
-    """ThreadedEngine.wait waits for a set of futures at once, which returns only for a
-    future that is finished or cancelled and notified."""
-    from concurrent.futures import CancelledError, wait
-
-    import evonas.engine as engine_module
-
-    pool = engine_module.DispatchPool(1)
-    running = threading.Event()
-    release = threading.Event()
-    first = pool.submit(lambda _: (running.set(), release.wait(5.0)), None)
-    queued = pool.submit(abs, -1)
-    assert running.wait(5.0)
-    closer = threading.Thread(target=pool.close)
-    closer.start()
-    done, _ = wait([queued], timeout=5.0)
-    release.set()
-    closer.join(5.0)
-    assert done == {queued}
-    with pytest.raises(CancelledError):
-        queued.result()
-    assert first.result(timeout=5.0) == (None, True)
-
-
-def test_call_submitted_as_the_last_idle_thread_gives_up_still_runs(monkeypatch):
-    import queue
-
-    import evonas.engine as engine_module
-
-    monkeypatch.setattr(engine_module, "DISPATCH_IDLE_S", 0.01)
-    pool = engine_module.DispatchPool(1)
-    late: list = []  # a submit to make after the thread's wait timed out, before it retires
-    late_futures: list = []
-
-    class LateSubmitQueue(queue.SimpleQueue):
-        def get(self, block=True, timeout=None):
-            try:
-                return super().get(block, timeout)
-            except queue.Empty:
-                if late:
-                    late.pop()()
-                raise
-
-    pool._tasks = LateSubmitQueue()
-    assert pool.submit(abs, -1).result(timeout=5.0) == 1
-    late.append(lambda: late_futures.append(pool.submit(abs, -2)))
-    deadline = time.monotonic() + 5.0
-    while not late_futures and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert late_futures[0].result(timeout=5.0) == 2  # the one thread saw the call and stayed
-    pool.close()
-    assert pool._threads == []
 
 
 def record_job_frames(monkeypatch):
