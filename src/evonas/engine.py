@@ -43,8 +43,8 @@ logger = logging.getLogger(__name__)
 
 #: Runs one job on one slot, publishing its log records and a process record
 #: for each trainer process it spawns; returns (value, duration). The engine's
-#: ledger publishes the result. A runner may carry ``kill(node, pid)`` and
-#: ``close()`` attributes.
+#: scheduler core publishes the result. A runner may carry ``kill(node, pid)``
+#: and ``close()`` attributes.
 SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
 
@@ -111,8 +111,7 @@ class ThreadedEngine:
         self.terminator: Callable[[str, int], None] | None = getattr(runner, "kill", None)
         self.on_close: Callable[[], None] | None = getattr(runner, "close", None)
         self.core = Scheduler(store, bus, retry_budget)
-        self.ledger = self.core.ledger
-        self.stats = self.ledger.stats
+        self.stats = self.core.stats
         self._lock = threading.Lock()
         self._resolved = threading.Condition(self._lock)  # notified once the waited jobs resolved
         self._threads: list[threading.Thread] = []  # slot threads, pruned of finished ones
@@ -172,7 +171,8 @@ class ThreadedEngine:
 
     def done(self, name: str) -> bool:
         """Whether the job has resolved and its result is still to be handed out."""
-        return self.core.done(name)
+        with self._lock:
+            return self.core.done(name)
 
     def wait(self, names: list[str]) -> dict[str, JobResult]:
         """Block until every named job has resolved; write the listener's files through once;

@@ -9,8 +9,8 @@ an ``error``. A job whose backend spawns a trainer process (the command
 backend) also gets a ``process_start`` naming the trainer's pid, the unit the
 engine's ``cancel()`` stops with a ``kill`` message; an in-process backend
 gets none. The center republishes the process and log frames on its bus and
-returns the fitness frame's value and duration to the engine, whose attempt
-ledger publishes the job's one result. A frame that breaks the protocol -- a
+returns the fitness frame's value and duration to the engine, whose scheduler
+core publishes the job's one result. A frame that breaks the protocol -- a
 body that is not a UTF-8 JSON object, or a ``fitness`` or ``process_start``
 frame with a missing or ill-typed field -- fails the attempt as a lost
 worker, and its connection is closed. A request the worker cannot read gets

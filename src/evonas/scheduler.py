@@ -1,24 +1,22 @@
-"""The one scheduler core of both engines, and the attempt ledger it owns.
+"""The one scheduler core of both engines.
 
 ``Scheduler`` has no threads, sockets or clock (a "sans-I/O" core): an engine
 tells it what happened and runs the attempts it places. It owns the queue,
-the ``SlotStore``, the ``AttemptLedger``, the attempts in flight and the
-resolved results, and alone requeues a failed attempt (at the queue's tail)
-and fails the queued jobs once no slot is live.
-
-``AttemptLedger`` owns the attempt policy: the failures an attempt may raise
-(``ATTEMPT_FAILURES``), the retry budget, the cancel flag, the seconds each
-job consumed, and ``EngineStats`` under one lock. Its ``failed`` alone decides
-what a failure means: retry, the fitness-0.00 give-up, or, after a cancel,
-``cancelled``, unpublished, so a resumed run trains the job again. It builds
-and publishes each job's one ``JobResult``, whose duration sums every attempt.
+the ``SlotStore``, the attempts in flight, the resolved results and the
+attempt policy: the failures an attempt may raise (``ATTEMPT_FAILURES``), the
+retry budget, the cancel flag, the seconds each job consumed, and
+``EngineStats``. It alone decides what a failure means: a requeue at the
+queue's tail, the fitness-0.00 give-up, or, after a cancel, ``cancelled``,
+unpublished, so a resumed run trains the job again. It fails the queued jobs
+once no slot is live, and builds and publishes each job's one ``JobResult``,
+whose duration sums every attempt. Every call runs on one thread (the farm)
+or under one lock (the threaded engine), so the core takes no lock itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import threading
 from collections import deque
 from typing import Callable, Iterator
 
@@ -27,7 +25,7 @@ from .errors import DecodeError, JobFailed, LookupMiss, WorkerLostError
 from .jobs import JobResult, JobSpec
 from .slots import SlotStore
 
-#: What a failed attempt raises; the ledger decides whether the job retries.
+#: What a failed attempt raises; the core decides whether the job retries.
 ATTEMPT_FAILURES = (JobFailed, WorkerLostError, LookupMiss, DecodeError)
 
 #: Retries a job gets after its first failed attempt.
@@ -40,64 +38,6 @@ class EngineStats:
     attempts: int = 0      # slot placements, including failed ones
     failures: int = 0      # jobs that exhausted their retry budget
     busy_seconds: float = 0.0  # total slot-occupancy time across attempts
-
-
-class AttemptLedger:
-    """Attempt policy of both engines: retry budget, cancel flag, consumed seconds, stats and results."""
-
-    def __init__(self, bus: InProcessBus, retry_budget: int = RETRY_BUDGET):
-        self.bus = bus
-        self.retry_budget = retry_budget
-        self.stats = EngineStats()
-        self._lock = threading.Lock()
-        self._consumed: dict[str, float] = {}  # job name -> seconds of its failed attempts
-        # the cancel flag: once set, a job that fails or is about to start resolves as cancelled
-        self.stopping = threading.Event()
-
-    def placed(self) -> None:
-        """Count one attempt on a slot."""
-        with self._lock:
-            self.stats.attempts += 1
-
-    def failed(self, job: JobSpec, tries: int, seconds: float, reason: str) -> JobResult | None:
-        """Charge a failed attempt that held a slot ``seconds``, after ``tries`` earlier ones.
-
-        Returns None when the job may retry, its cancelled result after a
-        cancel, and otherwise the fitness-0.00 give-up. A failure no retry can
-        mend passes ``tries=retry_budget``.
-        """
-        if self.stopping.is_set():
-            return self.cancelled(job, seconds)
-        if tries >= self.retry_budget:
-            line = f"evaluation failed: {reason}; assigning fitness 0.00"
-            self.bus.publish(LogRecord(job_name=job.name, line=line))
-            return self._resolve(job, 0.0, seconds, reason)
-        with self._lock:
-            self.stats.busy_seconds += seconds
-            self._consumed[job.name] = self._consumed.get(job.name, 0.0) + seconds
-        return None
-
-    def succeeded(self, job: JobSpec, value: float, seconds: float) -> JobResult:
-        """Resolve a job whose last attempt took ``seconds``."""
-        return self._resolve(job, value, seconds, None)
-
-    def cancelled(self, job: JobSpec, seconds: float = 0.0) -> JobResult:
-        """Resolve a job that a cancel stopped; unpublished, so no cache entry."""
-        with self._lock:
-            self.stats.busy_seconds += seconds
-            total = self._consumed.pop(job.name, 0.0) + seconds
-        return JobResult(job.name, job.identifier, 0.0, total, ok=False, error="cancelled")
-
-    def _resolve(self, job: JobSpec, value: float, seconds: float, failure: str | None) -> JobResult:
-        """Publish and return the job's one result, whose duration sums every attempt."""
-        with self._lock:
-            self.stats.jobs += 1
-            self.stats.failures += failure is not None
-            self.stats.busy_seconds += seconds
-            total = self._consumed.pop(job.name, 0.0) + seconds
-        result = JobResult(job.name, job.identifier, value, total, ok=failure is None, error=failure or "")
-        self.bus.publish(result)
-        return result
 
 
 @dataclasses.dataclass(eq=False)
@@ -125,13 +65,17 @@ class Scheduler:
         trace: Callable[[str, str], None] | None = None,
     ):
         self.store = store
-        self.ledger = AttemptLedger(bus, retry_budget)
+        self.bus = bus
+        self.retry_budget = retry_budget
         self.trace = trace
+        self.stats = EngineStats()
         self.unresolved: set[str] = set()  # names the current wait needs that have not resolved
+        self._cancelled = False  # once set, a job that fails or is about to start resolves as cancelled
         self._queue: deque[tuple[JobSpec, int]] = deque()  # (job, failed attempts so far)
         self._inflight: dict[int, Attempt] = {}  # token -> attempt, in placement order
         self._pending: set[str] = set()  # submitted, not resolved
         self._results: dict[str, JobResult] = {}  # resolved, not yet handed out
+        self._consumed: dict[str, float] = {}  # job name -> seconds of its failed attempts
         self._tokens = itertools.count()
 
     def submit(self, job: JobSpec) -> None:
@@ -140,21 +84,23 @@ class Scheduler:
 
     def placements(self) -> Iterator[Attempt]:
         """Place queued jobs on the lowest idle slots, one per step, so that an attempt the
-        engine ends at once is requeued before the next placement. A refused acquire with
+        engine ends at once is requeued before the next placement. With no idle slot and an
+        attempt in flight, the pass stops without asking the store. A refused acquire with
         nothing in flight means that no slot is live (every busy slot holds an attempt): the
         queued jobs then fail. After a cancel, they resolve as cancelled instead."""
-        if self.ledger.stopping.is_set():
+        if self._cancelled:
             self.cancel()
         queue = self._queue
         while queue:
+            if self._inflight and not self.store.idle():
+                return
             grant = self.store.acquire(queue[0][0].name)
-            if grant is None:
-                while queue and not self._inflight:  # nothing in flight: no slot is live
-                    job = queue.popleft()[0]
-                    self._attempt_failed(job, self.ledger.retry_budget, 0.0, "no live worker slots remain")
+            if grant is None:  # refused with nothing in flight: no slot is live
+                while queue:
+                    self._failed(queue.popleft()[0], self.retry_budget, 0.0, "no live worker slots remain")
                 return
             job, tries = queue.popleft()
-            self.ledger.placed()
+            self.stats.attempts += 1
             attempt = Attempt(next(self._tokens), job, tries, *grant)
             self._inflight[attempt.token] = attempt
             yield attempt
@@ -168,17 +114,26 @@ class Scheduler:
             return None
         self.store.release(attempt.node, attempt.slot)
         if isinstance(outcome, str):
-            return self._attempt_failed(attempt.job, attempt.tries, seconds, outcome)
-        return self._resolve(self.ledger.succeeded(attempt.job, outcome, seconds))
+            return self._failed(attempt.job, attempt.tries, seconds, outcome)
+        return self._resolve(attempt.job, outcome, seconds)
 
-    def _attempt_failed(self, job: JobSpec, tries: int, seconds: float, reason: str) -> JobResult | None:
-        """Requeue the job at the queue's tail, or resolve it, as the ledger decides."""
-        result = self.ledger.failed(job, tries, seconds, reason)
-        if result is None:
+    def _failed(self, job: JobSpec, tries: int, seconds: float, reason: str) -> JobResult | None:
+        """Charge a failed attempt that held a slot ``seconds``, after ``tries`` earlier ones.
+        Resolves the job as cancelled after a cancel; requeues it at the queue's tail while
+        its retry budget lasts (None); otherwise resolves it with the fitness-0.00 give-up.
+        A failure no retry can mend passes ``tries=retry_budget``."""
+        if self._cancelled:
+            return self._resolve(job, 0.0, seconds, "cancelled")
+        if tries < self.retry_budget:
+            self.stats.busy_seconds += seconds
+            self._consumed[job.name] = self._consumed.get(job.name, 0.0) + seconds
             self._queue.append((job, tries + 1))
+            result = None
         else:
-            self._resolve(result)
-        if self.trace is not None and not self.ledger.stopping.is_set():
+            line = f"evaluation failed: {reason}; assigning fitness 0.00"
+            self.bus.publish(LogRecord(job_name=job.name, line=line))
+            result = self._resolve(job, 0.0, seconds, reason)
+        if self.trace is not None:
             self.trace("requeue" if result is None else "fail", job.name)
         return result
 
@@ -190,15 +145,25 @@ class Scheduler:
     def cancel(self) -> list[Attempt]:
         """Set the cancel flag and resolve each queued job as cancelled; returns the attempts
         in flight, which the engine stops. Each that then ends as failed resolves as cancelled."""
-        self.ledger.stopping.set()
+        self._cancelled = True
         while self._queue:
-            self._resolve(self.ledger.cancelled(self._queue.popleft()[0]))
+            self._resolve(self._queue.popleft()[0], 0.0, 0.0, "cancelled")
         return list(self._inflight.values())
 
-    def _resolve(self, result: JobResult) -> JobResult:
-        self._pending.discard(result.name)
-        self._results[result.name] = result
-        self.unresolved.discard(result.name)
+    def _resolve(self, job: JobSpec, value: float, seconds: float, failure: str | None = None) -> JobResult:
+        """Record the job's one result, whose duration sums every attempt, and publish it.
+        After a cancel every failure resolves as cancelled: neither published nor counted,
+        so no cache entry keeps it."""
+        self.stats.busy_seconds += seconds
+        total = self._consumed.pop(job.name, 0.0) + seconds
+        result = JobResult(job.name, job.identifier, value, total, ok=failure is None, error=failure or "")
+        if failure is None or not self._cancelled:
+            self.stats.jobs += 1
+            self.stats.failures += failure is not None
+            self.bus.publish(result)
+        self._pending.discard(job.name)
+        self._results[job.name] = result
+        self.unresolved.discard(job.name)
         return result
 
     def expect(self, names: list[str]) -> None:

@@ -1,12 +1,13 @@
 """Deterministic virtual-time farm for desk-scale runs and scheduler tests.
 
 Workers, slots, job durations, and faults all live in simulated time. The
-farm is the scheduler core of ``scheduler.py`` plus an event heap, a virtual
-clock, a trace, and a backend call at placement: the core places queued jobs
-greedily on the lowest idle slot (so no job ever waits while an idle,
-healthy slot exists), the backend gives each attempt's value and duration,
-and a completion event ends it at the virtual time it finishes. Event order
-is deterministic: ties break on submission sequence.
+farm is the scheduler core of ``scheduler.py`` (which owns the retry budget,
+the cancel flag and ``stats``) plus an event heap, a virtual clock, a trace,
+and a backend call at placement: the core places queued jobs greedily on the
+lowest idle slot (so no job ever waits while an idle, healthy slot exists),
+the backend gives each attempt's value and duration, and a completion event
+ends it at the virtual time it finishes. Event order is deterministic: ties
+break on submission sequence.
 
 The farm offers the engines' streaming API: ``submit`` places a job at the
 current virtual time if a slot is idle and queues it otherwise; ``wait``
@@ -89,8 +90,7 @@ class SimulatedFarm:
         self.core = Scheduler(
             self.store, bus, retry_budget, lambda kind, name: self.trace.append(TraceEvent(self._now, kind, name))
         )
-        self.ledger = self.core.ledger
-        self.stats = self.ledger.stats
+        self.stats = self.core.stats
         self.duration = duration
         self.dispatch_overhead = dispatch_overhead
         self.trace: list[TraceEvent] = []

@@ -62,6 +62,11 @@ class SlotStore:
         with self._lock:
             return self._claim_locked(job_name)
 
+    def idle(self) -> int:
+        """The number of idle slots: the size of the heap."""
+        with self._lock:
+            return len(self._free)
+
     def acquire_wait(self, job_name: str | None = None) -> tuple[str, int] | None:
         """Block until a slot can be claimed; None once no slot is live. No engine calls it."""
         with self._idle:

@@ -127,7 +127,7 @@ def test_both_engines_account_retries_alike(tmp_path, closing, scenario):
         for record in bus.fitness:
             result = results[record.name]
             success_s = SUCCESS_S[record.name] if ok else 0.0
-            assert record == result, engine_kind  # the ledger publishes the result it returns
+            assert record == result, engine_kind  # the core publishes the result it returns
             # the recorded duration sums every attempt: each failed one and the success
             assert recorded[record.name] == pytest.approx(result.duration_s, abs=1e-6), engine_kind
             assert result.duration_s >= success_s + failed_attempts * failed_cost, engine_kind

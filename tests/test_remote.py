@@ -102,7 +102,7 @@ def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
     assert value == expected_value
     # 5 epoch lines streamed back as log records, and no job result from the transport
     assert bus.published == Counter(LogRecord=5)
-    # through an engine the job gets exactly one published result, from the engine's ledger
+    # through an engine the job gets exactly one published result, from the engine's scheduler core
     bus = TallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
     engine = closing(ThreadedEngine(SlotStore([(node, 1)]), bus, listener, remote_runner(transport)))

@@ -551,13 +551,15 @@ def test_lag_aging_does_not_depend_on_completion_order(make_harness):
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_crash_after_each_published_result_resumes_to_the_twin_and_trains_nothing_twice(make_harness, strategy):
-    """Sweep the crash point over every result the ledger publishes: the center
-    dies right after the k-th ``succeeded``, and a fresh stack resumes the run.
-    The logs equal the uninterrupted twin's, and every genotype whose fitness
-    was in ``cache.txt`` at the crash was trained once across both stacks."""
+    """Sweep the crash point over every result the scheduler core publishes: the
+    center dies right after the k-th ``JobResult`` reaches the bus, and a fresh
+    stack resumes the run. The logs equal the uninterrupted twin's, and every
+    genotype whose fitness was in ``cache.txt`` at the crash was trained once
+    across both stacks."""
     from collections import Counter
 
     from evonas.backends import SurrogateBackend
+    from evonas.jobs import JobResult
 
     class CountingBackend(SurrogateBackend):
         def __init__(self):
@@ -579,16 +581,15 @@ def test_crash_after_each_published_result_resumes_to_the_twin_and_trains_nothin
         backend = CountingBackend()
         harness = make_harness(name=f"crash_{k}", backend=backend, **shape)
         runner, farm = harness.build()
-        succeeded = farm.ledger.succeeded
+        publish = farm.bus.publish
         published = itertools.count(1)
 
-        def succeeded_then_die(job, value, seconds):
-            result = succeeded(job, value, seconds)
-            if next(published) == k:
+        def publish_then_die(record):
+            publish(record)
+            if isinstance(record, JobResult) and next(published) == k:
                 raise Boom(f"crashed after publishing result {k}")
-            return result
 
-        farm.ledger.succeeded = succeeded_then_die
+        farm.bus.publish = publish_then_die
         with pytest.raises(Boom):
             runner.run()
         cached = [

@@ -41,7 +41,7 @@ def test_a_failed_attempt_is_requeued_at_the_tail_of_the_queue():
     sched.expect(["a", "b", "c"])
     results = sched.take(["a", "b", "c"])
     assert results["a"].ok and results["a"].duration_s == 3.0  # the failed attempt's 2 s count
-    assert sched.ledger.stats.attempts == 4
+    assert sched.stats.attempts == 4
 
 
 def test_a_failure_at_placement_is_requeued_before_the_next_placement():
@@ -56,6 +56,23 @@ def test_a_failure_at_placement_is_requeued_before_the_next_placement():
         if (attempt.job.name, attempt.tries) == ("a", 0):
             sched.ended(attempt.token, "no such layer", 0.0)
     assert placed == [("a", 0), ("b", 0), ("a", 1)]
+
+
+def test_a_placement_pass_asks_the_store_only_for_a_slot_it_can_grant():
+    """5 jobs on 2 slots: one acquire per placement, and no refused one while an attempt is
+    in flight and no slot is idle."""
+    store = SlotStore([("n", 0), ("n", 1)])
+    acquire, grants = store.acquire, []
+    store.acquire = lambda job_name=None: grants.append(acquire(job_name)) or grants[-1]
+    sched = Scheduler(store, InProcessBus())
+    for job in jobs("a", "b", "c", "d", "e"):
+        sched.submit(job)
+    running = list(sched.placements())
+    while running:
+        sched.ended(running.pop(0).token, 50.0, 1.0)
+        running += sched.placements()
+    assert grants == [("n", 0), ("n", 1), ("n", 0), ("n", 1), ("n", 0)]
+    assert sched.stats.jobs == 5
 
 
 def test_queued_jobs_fail_only_once_no_slot_is_live():
@@ -90,7 +107,7 @@ def test_cancel_drops_the_queue_and_a_late_failure_resolves_as_cancelled():
         "a": (False, "cancelled", 4.0), "b": (False, "cancelled", 0.0), "c": (False, "cancelled", 0.0),
     }
     assert events == []  # a cancel is no failure
-    assert sched.ledger.stats.jobs == 0
+    assert sched.stats.jobs == 0
 
 
 def test_expect_refuses_a_name_never_submitted_or_already_handed_out():
