@@ -150,7 +150,15 @@ class LookupBackend:
                     f"lookup table {path} must start with columns identifier,fitness"
                 )
             for row in reader:
-                self._table.setdefault(row["identifier"], float(row["fitness"]))
+                try:
+                    fitness = float(row["fitness"])
+                except (TypeError, ValueError):
+                    fitness = math.nan
+                if not 0.0 <= fitness <= 100.0:  # also refuses NaN
+                    raise ConfigError(
+                        f"{path}:{reader.line_num}: fitness {row['fitness']!r} is not a number in [0, 100]"
+                    )
+                self._table.setdefault(row["identifier"], fitness)
         self._loaded = True
 
     def evaluate(self, job: JobSpec, emit_log: EmitLog | None = None, slot_id: int = 0) -> tuple[float, float]:
@@ -245,6 +253,8 @@ class CommandBackend:
                 raise JobFailed(f"trainer exited with status {code}", "\n".join(tail))
             if fitness is None:
                 raise JobFailed("trainer produced no FITNESS line", "\n".join(tail))
+            if not math.isfinite(fitness):
+                raise JobFailed(f"trainer reported a non-finite fitness: {fitness}", "\n".join(tail))
         return _quantize(fitness), time.monotonic() - started
 
 

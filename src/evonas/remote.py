@@ -24,7 +24,8 @@ than one per job. A connection also carries the run's settings: the first
 settings equal the previous frame's holds ``"settings": null``. The worker
 keeps, per connection, the settings last sent and the one backend built from
 them, so a lookup table is read once per connection. A null-settings frame as
-a connection's first job gets an ``error`` frame. The value is null, never a
+a connection's first job gets an ``error`` frame, and so does a frame without
+the key, which is never read as empty settings. The value is null, never a
 missing key: a worker that predates it answers null with an ``error`` frame,
 where a missing key would train under default settings. A ``kill`` uses a
 connection of its own, so it never waits behind a running job. Both ends set
@@ -197,7 +198,9 @@ class WorkerAgent:
             send_msg(conn, {"type": "process_start", "node": self.address, "pid": pid, "job": job.name})
 
         try:
-            settings = msg.get("settings", {})
+            if "settings" not in msg:  # never read as empty settings: the job would train under defaults
+                raise JobFailed("job frame without settings")
+            settings = msg["settings"]
             if settings is not None:  # kept before any other field is read: the center counts it sent
                 if not isinstance(settings, dict):
                     raise JobFailed(f"job frame with ill-typed settings: {settings!r}")

@@ -94,7 +94,7 @@ class Scheduler:
         while queue:
             if self._inflight and not self.store.idle():
                 return
-            grant = self.store.acquire(queue[0][0].name)
+            grant = self.store.acquire()
             if grant is None:  # refused with nothing in flight: no slot is live
                 while queue:
                     self._failed(queue.popleft()[0], self.retry_budget, 0.0, "no live worker slots remain")

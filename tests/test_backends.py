@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import textwrap
 import threading
@@ -379,6 +380,13 @@ def test_lookup_rejects_bad_header(tmp_path):
         LookupBackend(str(path)).evaluate(job_for(vb_genotype()))
 
 
+@pytest.mark.parametrize("fitness", ["abc", "", "nan", "inf", "-0.5", "100.5"])
+def test_lookup_refuses_a_row_whose_fitness_is_not_a_percent(tmp_path, fitness):
+    path = make_table(tmp_path, [("f" * 56, 50.0, 1), ("e" * 56, fitness, 1)])
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: fitness '{fitness}' is not a number"):
+        LookupBackend(str(path)).evaluate(job_for(vb_genotype()))
+
+
 # ---------------------------------------------------------------- command
 
 def script_backend(tmp_path, body):
@@ -394,6 +402,13 @@ def test_command_parses_fitness_line(tmp_path):
     value, duration = backend.evaluate(job_for(vb_genotype()))
     assert value == 90.50
     assert duration >= 0.0
+
+
+@pytest.mark.parametrize("printed", ["nan", "inf", "-inf"])
+def test_command_fails_the_job_on_a_non_finite_fitness(tmp_path, printed):
+    backend = script_backend(tmp_path, f"print('FITNESS={printed}')")
+    with pytest.raises(JobFailed, match="non-finite fitness"):
+        backend.evaluate(job_for(vb_genotype()))
 
 
 def test_command_nonzero_exit_fails(tmp_path):

@@ -14,7 +14,6 @@ import evonas.cli
 from evonas.cli import main
 from evonas.report import CSV_HEADER
 from evonas.runner import RunState, list_generations
-from evonas.slots import SlotStatus
 
 GLOBAL_INI = """\
 [algorithm]
@@ -419,6 +418,27 @@ def test_missing_lookup_table_is_refused_before_writing(tmp_path, capsys):
     assert run_cli(*argv) == 0
 
 
+def test_lookup_table_row_without_a_percent_fitness_exits_2_naming_its_line(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(f"identifier,fitness\n{'f' * 56},50.0\n{'e' * 56},n/a\n", encoding="utf-8")
+    backend = f"\n[backend]\nkind = lookup\ntable = {table}\nfallback = surrogate\n"
+    g, t = write_configs(tmp_path, extra_train=backend)
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs") == 2
+    err = capsys.readouterr().err
+    assert f"error: {table}:3: fitness 'n/a' is not a number in [0, 100]" in err
+    assert "Traceback" not in err
+
+
+def test_trainer_printing_a_non_finite_fitness_fails_its_job_not_the_run(tmp_path, capsys):
+    """Each attempt fails; the job gets the fitness-0.00 give-up and the run ends normally."""
+    trainer = f"{sys.executable} -c \"print('FITNESS=nan')\""
+    g, t = write_configs(tmp_path, extra_train=f"\n[backend]\nkind = command\ncommand = {trainer}\n")
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs") == 0
+    assert "trainer reported a non-finite fitness: nan" in (tmp_path / "runs" / "demo" / "run.log").read_text()
+    entries = (tmp_path / "runs" / "demo" / "cache.txt").read_text().splitlines()[1:]
+    assert entries and all(entry.endswith(" = 0.00") for entry in entries)
+
+
 def test_simulate_verb_reports_makespan(capsys):
     code = run_cli(
         "simulate", "--jobs", 10, "--worker-count", 1, "--slots-per-worker", 4,
@@ -769,7 +789,7 @@ def test_interrupted_farm_run_frees_every_slot_and_keeps_finished_results(tmp_pa
         assert run_cli(*argv) == 130
     assert capsys.readouterr().err == f"interrupted: sent 4 termination command(s); run resumes from {runs / 'aging'}\n"
     (farm,) = engines
-    assert {s.status for s in farm.store.snapshot()} == {SlotStatus.IDLE}
+    assert farm.store.idle() == len(farm.store)
     finished = {line.split()[1] for line in (runs / "aging" / "durations.txt").read_text().splitlines()}
     cached = {line.split(" = ")[0] for line in (runs / "aging" / "cache.txt").read_text().splitlines()[1:]}
     assert len(finished) > 4 and cached == finished

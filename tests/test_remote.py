@@ -787,6 +787,21 @@ def test_null_settings_as_a_connections_first_job_get_an_error_and_the_connectio
     assert replies[1] == replies[2]
 
 
+def test_a_job_frame_without_settings_gets_an_error_and_keeps_the_connections_settings(worker):
+    """A missing key is not read as empty settings, first on a connection or later on it."""
+    no_settings = {**job().to_message(), "slot": 0}
+    del no_settings["settings"]
+    requests = (no_settings, {**job().to_message(), "slot": 0}, no_settings, {**no_settings, "settings": None})
+    replies = []
+    with socket.create_connection(("127.0.0.1", worker.port), timeout=5.0) as sock:
+        for request in requests:
+            send_msg(sock, request)
+            replies.append(recv_msg(sock))
+    assert [reply["type"] for reply in replies] == ["error", "fitness", "error", "fitness"]
+    assert replies[0]["message"] == replies[2]["message"] == "job frame without settings"
+    assert replies[3] == replies[1]
+
+
 def test_the_fitness_frame_has_three_fields(worker):
     with socket.create_connection(("127.0.0.1", worker.port), timeout=5.0) as sock:
         send_msg(sock, {**job().to_message(), "slot": 0})

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
@@ -7,7 +12,6 @@ from evonas.bus import InProcessBus, Listener
 from evonas.errors import ConfigError
 from evonas.jobs import JobSpec
 from evonas.simfarm import FaultEvent, SimulatedFarm, parse_fault_script
-from evonas.slots import SlotStatus
 
 import random
 
@@ -131,8 +135,8 @@ def test_crashed_worker_requeues_job_on_survivor(tmp_path, make_farm):
     # the requeued attempt must finish on the surviving worker
     last_start = [e for e in farm.trace if e.kind == "start" and e.job == crashed_job][-1]
     assert last_start.node == "w2"
-    statuses = {s.node: s.status for s in farm.store.snapshot()}
-    assert statuses["w1"] is SlotStatus.LOST
+    assert farm.store.idle() == 1  # w1's slot is lost, w2's idle again
+    assert [farm.store.acquire(), farm.store.acquire()] == [("w2", 0), None]
     assert bus.live_processes() == []
 
 
@@ -175,7 +179,7 @@ def test_kill_all_leaves_no_orphan_processes(tmp_path, make_farm):
     for job in jobs:
         farm.submit(job)
     assert farm.cancel() == 2  # two placed, two queued
-    assert all(s.status is SlotStatus.IDLE for s in farm.store.snapshot())
+    assert farm.store.idle() == len(farm.store) == 2
     results = farm.wait([job.name for job in jobs])
     assert {(r.ok, r.error) for r in results.values()} == {(False, "cancelled")}
     assert [e.kind for e in farm.trace] == ["start", "start", "kill", "kill"]
@@ -191,15 +195,48 @@ def test_kill_all_during_race_over_many_interleavings(tmp_path, make_farm):
         for _ in range(cut):
             if not farm.step():
                 break
-        in_flight = sum(s.status is SlotStatus.BUSY for s in farm.store.snapshot())
+        in_flight = len(farm.store) - farm.store.idle()
         assert farm.cancel() == in_flight
-        assert all(s.status is SlotStatus.IDLE for s in farm.store.snapshot())
+        assert farm.store.idle() == len(farm.store)
         results = farm.wait([job.name for job in jobs])
         assert all(r.ok or r.error == "cancelled" for r in results.values())
         traced = len(farm.trace)
         while farm.step():  # the stopped attempts' completion events are stale
             pass
         assert len(farm.trace) == traced
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workers=st.dictionaries(st.sampled_from(["w1", "w2", "w3"]), st.integers(1, 3), min_size=1),
+    n_jobs=st.integers(0, 12),
+    crashes=st.dictionaries(st.sampled_from(["w1", "w2", "w3"]), st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0])),
+    retry_budget=st.integers(0, 2),
+)
+def test_idle_slots_plus_attempts_in_flight_are_the_slots_of_live_nodes(workers, n_jobs, crashes, retry_budget):
+    """The store keeps only which slots are idle and the core which attempt runs where:
+    after every step the two together account for each slot of a node not yet crashed."""
+    jobs = make_jobs(n_jobs)
+    with tempfile.TemporaryDirectory() as tmp:
+        bus = InProcessBus()
+        with Listener(bus, Path(tmp), cache=None) as listener:
+            farm = SimulatedFarm(
+                workers, SurrogateBackend(), bus, listener, duration=1.0, retry_budget=retry_budget,
+                faults=[FaultEvent("crash", node, at) for node, at in crashes.items()],
+            )
+
+            def check():
+                crashed = {e.node for e in farm.trace if e.kind == "crash"}
+                live = sum(n for node, n in workers.items() if node not in crashed)
+                assert farm.store.idle() + len(farm.core._inflight) == live
+
+            for job in jobs:
+                farm.submit(job)
+                check()
+            while farm.step():
+                check()
+            results = farm.wait([job.name for job in jobs])
+    assert len(results) == n_jobs
 
 
 def test_fault_script_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evonas.errors import InvariantViolation
-from evonas.slots import SlotStatus, SlotStore
+from evonas.slots import SlotStore
 
 
 def test_acquire_lowest_idle_slot():
@@ -40,21 +40,22 @@ def test_duplicate_slots_rejected():
         SlotStore([("n1", 0), ("n1", 0)])
 
 
-def test_mark_lost_reports_orphans_and_blocks_scheduling():
-    store = SlotStore([("n1", 0), ("n2", 0)])
-    store.acquire("running")  # lands on n1:0
-    orphans = store.mark_lost("n1")
-    assert orphans == ["running"]
+def test_mark_lost_blocks_scheduling_even_after_release():
+    store = SlotStore([("n1", 0), ("n1", 1), ("n2", 0)])
+    assert store.acquire("running") == ("n1", 0)
+    assert store.mark_lost("n1") is None
+    assert (store.idle(), len(store)) == (1, 3)
+    store.release("n1", 0)  # the attempt that ran there ends: its slot stays lost
+    assert store.idle() == 1
     assert store.acquire("next") == ("n2", 0)
     assert store.acquire("more") is None  # n1 slots never granted while lost
 
 
 def test_slots_scan_in_key_order_whatever_the_input_order():
     store = SlotStore([("n2", 1), ("n1", 1), ("n2", 0), ("n1", 0)])
-    assert [(s.node, s.slot_id) for s in store.snapshot()] == [
-        ("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1),
-    ]
-    assert [store.acquire("j") for _ in range(4)] == [("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1)]
+    assert (store.idle(), len(store)) == (4, 4)
+    assert [store.acquire() for _ in range(4)] == [("n1", 0), ("n1", 1), ("n2", 0), ("n2", 1)]
+    assert store.idle() == 0
 
 
 def test_concurrent_acquisition_grants_each_slot_once():
@@ -87,6 +88,17 @@ def test_acquire_wait_gives_up_when_no_live_slots():
     assert store.acquire_wait("j") is None
 
 
+def test_acquire_wait_gives_up_when_the_node_of_the_last_busy_slot_is_lost():
+    store = SlotStore([("n", 0)])
+    store.acquire()
+    got = []
+    thread = threading.Thread(target=lambda: got.append(store.acquire_wait()))
+    thread.start()
+    store.mark_lost("n")
+    thread.join(timeout=5.0)
+    assert got == [None]
+
+
 NODES = ("n0", "n1", "n2")
 
 # (operation, node, slot); losing a node is rarer than the other operations, so
@@ -108,35 +120,33 @@ store_ops = st.lists(
     data=st.data(),
 )
 def test_every_grant_is_the_lowest_idle_slot_a_plain_scan_finds(sizes, ops, data):
-    """Reference model: a dict of slot states that a plain scan in key order reads."""
+    """Reference model: a dict of slot statuses ("idle", "busy" or "lost") that a plain
+    scan in key order reads. After every step the store's grant and idle count match it."""
     keys = [(node, i) for node, n in zip(NODES, sizes) for i in range(n)]
     store = SlotStore(data.draw(st.permutations(keys)))
-    ref = {key: (SlotStatus.IDLE, None) for key in sorted(keys)}
+    ref = {key: "idle" for key in sorted(keys)}
+    assert len(store) == len(ref)
     for step, (op, node, slot) in enumerate(ops):
-        name = f"job{step}"
         if op in ("acquire", "acquire_wait"):
-            idle = [key for key, (status, _) in ref.items() if status is SlotStatus.IDLE]
-            live = idle or [key for key, (status, _) in ref.items() if status is SlotStatus.BUSY]
-            if op == "acquire_wait" and live and not idle:
+            idle = [key for key, status in ref.items() if status == "idle"]
+            busy = [key for key, status in ref.items() if status == "busy"]
+            if op == "acquire_wait" and busy and not idle:
                 continue  # it would block until another thread releases
-            grant = getattr(store, op)(name)
+            grant = getattr(store, op)(f"job{step}")
             assert grant == (idle[0] if idle else None)
             if idle:
-                ref[idle[0]] = (SlotStatus.BUSY, name)
+                ref[idle[0]] = "busy"
         elif op == "release":
             if (node, slot) not in ref:
                 with pytest.raises(InvariantViolation):
                     store.release(node, slot)
                 continue
             store.release(node, slot)
-            if ref[node, slot][0] is SlotStatus.BUSY:
-                ref[node, slot] = (SlotStatus.IDLE, None)
+            if ref[node, slot] == "busy":
+                ref[node, slot] = "idle"
         else:
-            orphans = store.mark_lost(node)
-            mine = [key for key in ref if key[0] == node]
-            assert orphans == [ref[key][1] for key in mine if ref[key][0] is SlotStatus.BUSY]
-            for key in mine:
-                ref[key] = (SlotStatus.LOST, None)
-        assert [(s.node, s.slot_id, s.status, s.job_name) for s in store.snapshot()] == [
-            (*key, status, job) for key, (status, job) in ref.items()
-        ]
+            assert store.mark_lost(node) is None
+            for key in ref:
+                if key[0] == node:
+                    ref[key] = "lost"
+        assert store.idle() == sum(status == "idle" for status in ref.values())
