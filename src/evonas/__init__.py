@@ -10,7 +10,7 @@ identical data and trainer settings.
 
 from . import arch, evo
 from .backends import CommandBackend, LookupBackend, SurrogateBackend, build_backend
-from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
+from .bus import InProcessBus, Listener, LogRecord
 from .cache import ResultCache
 from .config import BackendConfig, GlobalConfig, TrainerSettings
 from .engine import ThreadedEngine, local_runner
@@ -34,7 +34,6 @@ __all__ = [
     "Listener",
     "LogRecord",
     "LookupBackend",
-    "ProcessRecord",
     "ResultCache",
     "Runner",
     "SimulatedFarm",

@@ -178,9 +178,9 @@ class CommandBackend:
 
     The template may reference ``{payload_path}``, ``{settings_path}``,
     ``{slot_id}`` and ``{seed}``. The command's stdout is streamed as log
-    records; its final ``FITNESS=<dd.dd>`` line is the fitness.
-    ``on_spawn`` (if set) receives the child pid, so hosts can register the
-    killable process.
+    records; its final ``FITNESS=<dd.dd>`` line is the fitness, a percent: a
+    value that is not a number in [0, 100] fails the job. ``on_spawn`` (if
+    set) receives the child pid, so hosts can register the killable process.
     """
 
     template: str
@@ -255,6 +255,8 @@ class CommandBackend:
                 raise JobFailed("trainer produced no FITNESS line", "\n".join(tail))
             if not math.isfinite(fitness):
                 raise JobFailed(f"trainer reported a non-finite fitness: {fitness}", "\n".join(tail))
+            if not 0 <= fitness <= 100:
+                raise JobFailed(f"trainer reported a fitness outside [0, 100]: {fitness}", "\n".join(tail))
         return _quantize(fitness), time.monotonic() - started
 
 

@@ -1,9 +1,9 @@
 """Record bus: the channel between running jobs and the run directory.
 
-Jobs publish two families of records. Process records are presence state (a
-trainer process's node and pid while it runs, the unit a threaded engine's
-``cancel()`` terminates); once ``stop`` has handed the bus a terminator, a
-trainer announced later is signalled instead of registered. Run records --
+Jobs publish two families of records. A live trainer is presence state: its
+``(node, pid)`` while it runs, ``node`` being the node its job was sent to,
+where a kill goes. ``stop`` signals every live trainer through a terminator,
+and one announced later is signalled instead of registered. Run records --
 log lines and each job's one ``JobResult``, which a cancelled job never
 publishes -- are handed, on the publishing thread, to the bus's one listener,
 which writes them into the cache, result, log, and duration files under its
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -38,20 +37,12 @@ DURATIONS_FILE = "durations.txt"
 
 
 @dataclass(frozen=True)
-class ProcessRecord:
-    node: str
-    pid: int
-    job_name: str
-
-
-@dataclass(frozen=True)
 class LogRecord:
     job_name: str
     line: str
 
 
 RunRecord = LogRecord | JobResult
-_BY_NODE_PID_JOB = attrgetter("node", "pid", "job_name")
 
 
 class InProcessBus:
@@ -59,7 +50,7 @@ class InProcessBus:
 
     def __init__(self) -> None:
         self.listener: Listener | None = None  # set by the listener that attaches itself
-        self._procs: dict[tuple[str, int, str], ProcessRecord] = {}
+        self._procs: set[tuple[str, int]] = set()  # (node, pid) of each live trainer
         self._kill: Callable[[str, int], None] | None = None  # set by stop(): signals each later trainer
         self._lock = threading.Lock()
 
@@ -69,29 +60,33 @@ class InProcessBus:
         if listener is not None:
             listener._apply(record)
 
-    def process_started(self, record: ProcessRecord) -> None:
+    def process_started(self, node: str, pid: int) -> None:
         """Register a trainer that started; after ``stop``, signal it instead, on this thread."""
         with self._lock:
             kill = self._kill
             if kill is None:
-                self._procs[(record.node, record.pid, record.job_name)] = record
+                self._procs.add((node, pid))
                 return
-        kill(record.node, record.pid)
+        kill(node, pid)
 
-    def stop(self, kill: Callable[[str, int], None]) -> list[ProcessRecord]:
-        """Hand every trainer announced from now on to ``kill``; returns the live ones, for the
-        caller to signal. One lock covers both, so no trainer is missed between them."""
+    def stop(self, kill: Callable[[str, int], None]) -> int:
+        """Signal every live trainer through ``kill``, and hand it every trainer announced
+        from now on; returns the number signalled. One lock covers the snapshot and the
+        hand-over, so no trainer is missed between them."""
         with self._lock:
             self._kill = kill
-            return sorted(self._procs.values(), key=_BY_NODE_PID_JOB)
+            live = sorted(self._procs)
+        for node, pid in live:
+            kill(node, pid)
+        return len(live)
 
-    def process_finished(self, node: str, pid: int, job_name: str) -> None:
+    def process_finished(self, node: str, pid: int) -> None:
         with self._lock:
-            self._procs.pop((node, pid, job_name), None)
+            self._procs.discard((node, pid))
 
-    def live_processes(self) -> list[ProcessRecord]:
+    def live_processes(self) -> list[tuple[str, int]]:
         with self._lock:
-            return sorted(self._procs.values(), key=_BY_NODE_PID_JOB)
+            return sorted(self._procs)
 
 
 class Listener:

@@ -14,6 +14,7 @@ import logging
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
 from . import report as report_mod
@@ -176,8 +177,10 @@ def cmd_run(args) -> int:
 def cmd_worker(args) -> int:
     host, port = _host_port(args.listen, f"--listen {args.listen!r}", lowest=0)
     agent = WorkerAgent(host, port, args.slots, tuple(args.backend))
+    # serve_forever sets its ready flag once the socket is bound, so port 0 is resolved
+    bound = SimpleNamespace(set=lambda: print(f"worker listening on {agent.address}", flush=True))
     try:
-        agent.serve_forever()
+        agent.serve_forever(bound)
     except KeyboardInterrupt:
         agent.stop()
     return 0
@@ -255,7 +258,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("worker", help="serve this machine's slots to a remote runner")
-    p.add_argument("--listen", required=True, help="host:port (port 0 picks a free port)")
+    p.add_argument(
+        "--listen", required=True, help="host:port (port 0 picks a free port; the address is printed once bound)"
+    )
     p.add_argument("--slots", type=_positive_int, default=1)
     p.add_argument(
         "--backend", action="append", default=None, choices=BACKEND_KINDS,

@@ -13,12 +13,12 @@ connection) per attempt. A slot the core places an attempt on gets a thread:
 it runs the runner outside the lock, reports the end, runs the next attempt
 placed on its slot itself, and exits when its slot goes idle. The runner's
 ``kill(node, pid)`` is the engine's terminator, and its ``close()`` runs when
-the engine closes; an in-process job has no process record.
+the engine closes; an in-process job announces no trainer.
 
 ``cancel()`` is the one call that stops an engine: no attempt starts after
 it, queued jobs resolve as ``cancelled``, and a failed or killed attempt is
-not retried. Under the bus lock it takes the live process records to signal
-and makes the bus signal each trainer announced later itself. ``close()``
+not retried. Its terminator goes to the bus, which signals each live trainer,
+and each one announced later, at the node its job was sent to. ``close()``
 drops the queued jobs, lets the running attempts finish, joins every slot
 thread, and closes the slot runner's idle worker connections.
 """
@@ -34,25 +34,25 @@ import time
 from typing import Callable
 
 from .backends import CommandBackend
-from .bus import InProcessBus, Listener, LogRecord, ProcessRecord
+from .bus import InProcessBus, Listener, LogRecord
 from .jobs import JobResult, JobSpec
 from .scheduler import ATTEMPT_FAILURES, RETRY_BUDGET, Attempt, Scheduler
 from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
 
-#: Runs one job on one slot, publishing its log records and a process record
-#: for each trainer process it spawns; returns (value, duration). The engine's
-#: scheduler core publishes the result. A runner may carry ``kill(node, pid)``
-#: and ``close()`` attributes.
+#: Runs one job on one slot, publishing its log records and announcing each
+#: trainer process it spawns under the slot's node; returns (value, duration).
+#: The engine's scheduler core publishes the result. A runner may carry
+#: ``kill(node, pid)`` and ``close()`` attributes.
 SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
 
 
 def local_runner(backend) -> SlotRunner:
     """Slot runner that executes a backend in this process.
 
-    A command backend's spawned trainer gets a process record while it runs:
-    that is the unit a kill can stop. An in-process backend gets none, since
+    A command backend's spawned trainer is live on the bus while it runs:
+    that is the unit a kill can stop. An in-process backend announces none, since
     no terminator signals this process. A command backend is copied per job,
     so concurrent slots share no mutable state.
     """
@@ -67,13 +67,13 @@ def local_runner(backend) -> SlotRunner:
 
         def announce(pid: int) -> None:
             pids.append(pid)
-            bus.process_started(ProcessRecord(node=node, pid=pid, job_name=job.name))
+            bus.process_started(node, pid)
 
         try:
             return dataclasses.replace(backend, on_spawn=announce).evaluate(job, emit_log=emit_log, slot_id=slot)
         finally:
             for pid in pids:
-                bus.process_finished(node, pid, job.name)
+                bus.process_finished(node, pid)
 
     run.kill = local_terminator
     return run
@@ -108,7 +108,7 @@ class ThreadedEngine:
         self.listener = listener
         self.runner = runner
         # read once: a wrapper later set as ``runner`` keeps the runner's kill and close
-        self.terminator: Callable[[str, int], None] | None = getattr(runner, "kill", None)
+        self.terminator: Callable[[str, int], None] = getattr(runner, "kill", lambda node, pid: None)
         self.on_close: Callable[[], None] | None = getattr(runner, "close", None)
         self.core = Scheduler(store, bus, retry_budget)
         self.stats = self.core.stats
@@ -153,16 +153,12 @@ class ThreadedEngine:
                 self._resolved.notify()
 
     def cancel(self) -> int:
-        """Start no further attempt and send one termination command per live process record;
+        """Start no further attempt and send one termination command per live trainer;
         returns the number sent. Queued jobs and killed attempts resolve as cancelled."""
         with self._lock:
             self.core.cancel()
             self._advance(None)
-        terminator = self.terminator or (lambda node, pid: None)
-        live = self.bus.stop(terminator)
-        for proc in live:
-            terminator(proc.node, proc.pid)
-        return len(live)
+        return self.bus.stop(self.terminator)
 
     def submit(self, job: JobSpec) -> None:
         with self._lock:

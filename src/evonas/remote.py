@@ -5,16 +5,21 @@ length prefix followed by a UTF-8 JSON object. The center sends one ``job``
 message per dispatch (the job fields plus the assigned ``slot``); the worker
 answers with a stream of ``log`` frames and ends it with the job's one result
 frame: a ``fitness`` (``{"type":"fitness","value":...,"duration_s":...}``) or
-an ``error``. A job whose backend spawns a trainer process (the command
-backend) also gets a ``process_start`` naming the trainer's pid, the unit the
-engine's ``cancel()`` stops with a ``kill`` message; an in-process backend
-gets none. The center republishes the process and log frames on its bus and
-returns the fitness frame's value and duration to the engine, whose scheduler
-core publishes the job's one result. A frame that breaks the protocol -- a
-body that is not a UTF-8 JSON object, or a ``fitness`` or ``process_start``
-frame with a missing or ill-typed field -- fails the attempt as a lost
-worker, and its connection is closed. A request the worker cannot read gets
-an ``error`` frame, and the connection goes on serving.
+an ``error``. A ``log`` frame holds only its ``line``. A job whose backend
+spawns a trainer process (the command backend) also gets a ``process_start``
+that holds only the trainer's ``pid``, the unit the engine's ``cancel()``
+stops with a ``kill`` message; an in-process backend gets none. The center
+files the trainer under the node it sent the job to, the ``--workers``
+address, so a kill reaches a worker that binds a wildcard address or sits
+behind NAT or a tunnel; it republishes the log frames on its bus and returns
+the fitness frame's value and duration to the engine, whose scheduler core
+publishes the job's one result. A worker signals only a trainer it started
+and that still runs; a ``kill`` for any other pid gets an ``error`` frame. A
+frame that breaks the protocol -- a body that is not a UTF-8 JSON object, or a
+``fitness`` or ``process_start`` frame with a missing or ill-typed field --
+fails the attempt as a lost worker, and its connection is closed. A request
+the worker cannot read gets an ``error`` frame, and the connection goes on
+serving.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after the job's result frame and sends the
@@ -36,7 +41,7 @@ waiting on an idle connection makes the center drop it and send the next job
 on a new one, and a frame of a type the center does not know is skipped.
 
 The worker agent CLI is ``evonas worker --listen <addr> --slots <n> --backend
-<kind>``.
+<kind>``; once bound, it prints the address it listens on, so port 0 can be used.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from .backends import CommandBackend, build_backend
-from .bus import InProcessBus, LogRecord, ProcessRecord
+from .bus import InProcessBus, LogRecord
 from .engine import local_terminator
 from .errors import JobFailed, WorkerLostError
 from .jobs import JobSpec
@@ -115,6 +120,7 @@ class WorkerAgent:
         self._stop = threading.Event()
         self._server: socket.socket | None = None
         self._conns: set[socket.socket] = set()
+        self._trainers: set[int] = set()  # pids of the running trainers this agent started
 
     @property
     def address(self) -> str:
@@ -175,17 +181,25 @@ class WorkerAgent:
                     if kind == "job":
                         bound = self._run_job(conn, msg, bound)
                     elif kind == "kill":
-                        try:
-                            local_terminator(self.address, _field(msg, "pid", int))
-                            reply = {"type": "ok"}
-                        except WorkerLostError as exc:  # a kill it cannot read
-                            reply = {"type": "error", "message": str(exc)}
-                        send_msg(conn, reply)
+                        send_msg(conn, self._kill(msg))
         except (WorkerLostError, OSError):
             pass
         finally:
             with self._lock:
                 self._conns.discard(conn)
+
+    def _kill(self, msg: dict) -> dict:
+        """Signal the trainer a ``kill`` frame names, if this agent started it and it still
+        runs; the reply frame."""
+        try:
+            pid = _field(msg, "pid", int)
+        except WorkerLostError as exc:  # a kill it cannot read
+            return {"type": "error", "message": str(exc)}
+        with self._lock:
+            if pid not in self._trainers:
+                return {"type": "error", "message": f"pid {pid} is no running trainer of this worker"}
+            local_terminator(self.address, pid)
+        return {"type": "ok"}
 
     def _run_job(self, conn: socket.socket, msg: dict, bound: _Bound | None) -> _Bound | None:
         """Run one job, streaming its process and log frames; its result frame ends the stream.
@@ -193,9 +207,13 @@ class WorkerAgent:
         ``bound`` holds the settings this connection carries and the backend
         built from them; returns what the connection carries after this frame.
         """
+        pids: list[int] = []  # the job's trainers, each signallable by a kill frame while it runs
 
         def announce(pid: int) -> None:
-            send_msg(conn, {"type": "process_start", "node": self.address, "pid": pid, "job": job.name})
+            with self._lock:
+                self._trainers.add(pid)
+            pids.append(pid)
+            send_msg(conn, {"type": "process_start", "pid": pid})
 
         try:
             if "settings" not in msg:  # never read as empty settings: the job would train under defaults
@@ -218,12 +236,15 @@ class WorkerAgent:
                 backend = replace(backend, on_spawn=announce)
             value, duration = backend.evaluate(
                 job,
-                emit_log=lambda line: send_msg(conn, {"type": "log", "job": job.name, "line": line}),
+                emit_log=lambda line: send_msg(conn, {"type": "log", "line": line}),
                 slot_id=slot,
             )
             result = {"type": "fitness", "value": value, "duration_s": duration}
         except Exception as exc:  # a request it cannot read, or a failed job: the center's job failure
             result = {"type": "error", "message": str(exc), "log_tail": getattr(exc, "log_tail", "")}
+        finally:
+            with self._lock:
+                self._trainers.difference_update(pids)
         send_msg(conn, result)
         return bound
 
@@ -317,8 +338,8 @@ class TcpTransport:
             sock.close()
 
     def run_job(self, job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
-        """Dispatch one job to a worker, republishing its process and log records;
-        returns the fitness frame's (value, duration)."""
+        """Dispatch one job to the worker at ``node``, announcing its trainers under ``node``
+        and republishing its log records; returns the fitness frame's (value, duration)."""
         sock, sent = self._checkout(node)
         try:
             return self._exchange(sock, sent, job, node, slot, bus)
@@ -338,7 +359,7 @@ class TcpTransport:
         (None on a new connection), and read its stream through its result frame, the last one."""
         result: tuple[float, float] | None = None
         error: JobFailed | None = None
-        procs: list[tuple[str, int]] = []
+        pids: list[int] = []
         replied = False
         request = job.to_message()
         request["slot"] = slot
@@ -357,9 +378,9 @@ class TcpTransport:
                 replied = True
                 kind = msg.get("type")
                 if kind == "process_start":
-                    proc = (_field(msg, "node", str), _field(msg, "pid", int))
-                    procs.append(proc)
-                    bus.process_started(ProcessRecord(*proc, job_name=job.name))
+                    pid = _field(msg, "pid", int)
+                    pids.append(pid)
+                    bus.process_started(node, pid)
                 elif kind == "log":
                     bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
                 elif kind == "fitness":
@@ -379,8 +400,8 @@ class TcpTransport:
             sock.close()
             raise
         finally:
-            for proc_node, pid in procs:  # the stream ended, or the connection died before it did
-                bus.process_finished(proc_node, pid, job.name)
+            for pid in pids:  # the stream ended, or the connection died before it did
+                bus.process_finished(node, pid)
         self._checkin(node, sock, sent)
         if error is not None:
             raise error

@@ -411,6 +411,20 @@ def test_command_fails_the_job_on_a_non_finite_fitness(tmp_path, printed):
         backend.evaluate(job_for(vb_genotype()))
 
 
+@pytest.mark.parametrize("printed", ["150", "-3", "100.01"])
+def test_command_fails_the_job_on_a_fitness_outside_0_to_100(tmp_path, printed):
+    """A percent out of range is refused, not clamped to 100.00 or 0.00."""
+    backend = script_backend(tmp_path, f"print('FITNESS={printed}')")
+    with pytest.raises(JobFailed, match=r"fitness outside \[0, 100\]"):
+        backend.evaluate(job_for(vb_genotype()))
+
+
+@pytest.mark.parametrize("printed", ["0", "100"])
+def test_command_accepts_the_bounds_of_the_percent_range(tmp_path, printed):
+    backend = script_backend(tmp_path, f"print('FITNESS={printed}')")
+    assert backend.evaluate(job_for(vb_genotype()))[0] == float(printed)
+
+
 def test_command_nonzero_exit_fails(tmp_path):
     backend = script_backend(tmp_path, "import sys; print('boom'); sys.exit(1)")
     with pytest.raises(JobFailed) as err:

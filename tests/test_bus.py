@@ -8,7 +8,6 @@ from evonas.bus import (
     InProcessBus,
     Listener,
     LogRecord,
-    ProcessRecord,
     RESULT_FILE,
     RUN_LOG_FILE,
 )
@@ -56,10 +55,9 @@ def test_records_published_with_no_listener_are_dropped(tmp_path, bus):
 
 
 def test_process_records_present_exactly_while_running(bus):
-    bus.process_started(ProcessRecord(node="n1", pid=4242, job_name="j1"))
-    live = bus.live_processes()
-    assert [(p.node, p.pid) for p in live] == [("n1", 4242)]
-    bus.process_finished("n1", 4242, "j1")
+    bus.process_started("n1", 4242)
+    assert bus.live_processes() == [("n1", 4242)]
+    bus.process_finished("n1", 4242)
     assert bus.live_processes() == []
 
 
@@ -108,11 +106,11 @@ def cancelling_engine(tmp_path, bus, closing, killed):
 
 
 def test_kill_all_sends_one_termination_per_live_process(tmp_path, bus, closing):
-    """ThreadedEngine.cancel: one terminator call per live process record; returns the count."""
+    """ThreadedEngine.cancel: one terminator call per live trainer; returns the count."""
     killed = []
     engine = cancelling_engine(tmp_path, bus, closing, killed)
     for i in range(3):
-        bus.process_started(ProcessRecord(node=f"n{i}", pid=100 + i, job_name=f"j{i}"))
+        bus.process_started(f"n{i}", 100 + i)
     assert engine.cancel() == 3
     assert sorted(killed) == [("n0", 100), ("n1", 101), ("n2", 102)]
 
@@ -133,8 +131,8 @@ def test_a_trainer_announced_after_cancel_returned_is_signalled(tmp_path, bus, c
     def runner(job, node, slot, bus):
         running.set()
         assert cancelled.wait(5.0)
-        bus.process_started(ProcessRecord(node=node, pid=4242, job_name=job.name))
-        bus.process_finished(node, 4242, job.name)
+        bus.process_started(node, 4242)
+        bus.process_finished(node, 4242)
         raise JobFailed("trainer terminated", "")
 
     runner.kill = lambda node, pid: killed.append((node, pid))
@@ -166,9 +164,9 @@ def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path, closing):
 def test_bus_empty_at_quiescence(tmp_path, bus, closing):
     listener = closing(Listener(bus, tmp_path, cache=None))
     for i in range(10):
-        bus.process_started(ProcessRecord(node="n", pid=i, job_name=f"j{i}"))
+        bus.process_started("n", i)
         bus.publish(fit_record(i))
-        bus.process_finished("n", i, f"j{i}")
+        bus.process_finished("n", i)
     listener.drain()
     assert len((tmp_path / RESULT_FILE).read_text().splitlines()) == 10
     assert bus.live_processes() == []

@@ -1,7 +1,7 @@
 import hashlib
 import os
+import select
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -544,30 +544,33 @@ def test_compare_verb_refuses_mixed_settings(tmp_path, capsys):
     assert run_cli("compare", runs / "one", runs / "two", "--allow-mixed") == 0
 
 
-def free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def start_worker(*argv):
+    """``evonas worker --listen <host>:0 ...`` in a subprocess; returns it and the port it
+    printed once its socket was bound."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evonas.cli", "worker", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+    )
+    readable, _, _ = select.select([proc.stdout], [], [], 10.0)
+    line = proc.stdout.readline() if readable else ""
+    if not line.startswith("worker listening on "):
+        stop_worker(proc)
+        pytest.fail(f"the worker printed no address: {line!r}")
+    return proc, int(line.rsplit(":", 1)[1])
+
+
+def stop_worker(proc):
+    """Terminate the worker and any trainer it left, its process group."""
+    os.killpg(proc.pid, signal.SIGTERM)
+    proc.wait(timeout=10)
+    proc.stdout.close()
 
 
 def test_worker_subprocess_serves_run(tmp_path, capsys):
-    """The worker CLI in a real subprocess, driven by a remote run."""
-    port = free_port()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "evonas.cli", "worker", "--listen", f"127.0.0.1:{port}", "--slots", "2"],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    """The worker CLI in a real subprocess on port 0, driven by a remote run at the
+    address it printed."""
+    proc, port = start_worker("--listen", "127.0.0.1:0", "--slots", "2")
     try:
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            try:
-                with socket.create_connection(("127.0.0.1", port), timeout=0.2):
-                    break
-            except OSError:
-                time.sleep(0.05)
-        else:
-            pytest.fail("worker subprocess never came up")
         g, t = write_configs(tmp_path, name="remote_demo", seed=9)
         code = run_cli(
             "run", "--global-config", g, "--train-config", t,
@@ -577,8 +580,7 @@ def test_worker_subprocess_serves_run(tmp_path, capsys):
         assert "best indi_gen" in capsys.readouterr().out
         assert (tmp_path / "runs" / "remote_demo" / "begin_2.txt").exists()
     finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+        stop_worker(proc)
 
 
 def test_run_and_retrain_close_every_file(tmp_path):
@@ -614,6 +616,22 @@ def test_interrupt_kills_trainers_without_retrying_and_keeps_finished_results(tm
     """SIGINT to the center while three trainers run and one has finished: the run exits
     promptly with status 130, starts no trainer after the signal, and the finished
     result is in cache.txt."""
+    interrupt_mid_generation(tmp_path, "--local-slots", "4")
+
+
+def test_interrupt_kills_the_trainers_of_a_worker_on_a_wildcard_address(tmp_path):
+    """The same interrupt, with the trainers on a worker subprocess started as the README
+    shows: it listens on 0.0.0.0 and the center reaches it at a loopback address."""
+    worker, port = start_worker("--listen", "0.0.0.0:0", "--slots", "4", "--backend", "command")
+    try:
+        interrupt_mid_generation(tmp_path, "--workers", f"127.0.0.1:{port}=4")
+    finally:
+        stop_worker(worker)
+
+
+def interrupt_mid_generation(tmp_path, *slots):
+    """Run generation 0's four trainers on ``slots``, SIGINT the center once the slot-0
+    trainer has finished, and check what the interrupt left."""
     trainer = tmp_path / "trainer.py"
     trainer.write_text(TRAINER, encoding="utf-8")
     starts = tmp_path / "starts.txt"
@@ -625,7 +643,7 @@ def test_interrupt_kills_trainers_without_retrying_and_keeps_finished_results(tm
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "evonas.cli", "run", "--global-config", str(g), "--train-config", str(t),
-         "--run-root", str(tmp_path / "runs"), "--local-slots", "4"],
+         "--run-root", str(tmp_path / "runs"), *slots],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:

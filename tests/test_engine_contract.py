@@ -21,7 +21,7 @@ import pytest
 from evonas.arch import canonical_text, identifier
 from evonas.arch.spaces import FixedBinarySpace
 from evonas.backends import SurrogateBackend
-from evonas.bus import DURATIONS_FILE, InProcessBus, Listener, ProcessRecord
+from evonas.bus import DURATIONS_FILE, InProcessBus, Listener
 from evonas.cache import ResultCache
 from evonas.engine import ThreadedEngine, local_runner
 from evonas.errors import JobFailed
@@ -401,11 +401,11 @@ class KillableRunner:
     def __call__(self, job, node, slot, bus):
         if job.name != self.blocking:
             return SurrogateBackend().evaluate(job)[0], self.short_s
-        bus.process_started(ProcessRecord(node=node, pid=self.PID, job_name=job.name))
+        bus.process_started(node, self.PID)
         try:
             self.killed.wait(10.0)
         finally:
-            bus.process_finished(node, self.PID, job.name)
+            bus.process_finished(node, self.PID)
         raise JobFailed("trainer terminated", "")
 
     def kill(self, node, pid):

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -65,15 +66,15 @@ class TallyBus(InProcessBus):
 
 
 class ProcessTallyBus(InProcessBus):
-    """Keeps every process record announced on it."""
+    """Keeps the (node, pid) of every trainer announced on it."""
 
     def __init__(self):
         super().__init__()
         self.started = []
 
-    def process_started(self, record):
-        self.started.append(record)
-        super().process_started(record)
+    def process_started(self, node, pid):
+        self.started.append((node, pid))
+        super().process_started(node, pid)
 
 
 TOY_TRAINER = (
@@ -89,7 +90,7 @@ def test_surrogate_job_round_trip_matches_in_process(worker, closing):
     assert value == expected_value
     assert duration == expected_duration
     assert bus.published == Counter()  # the transport returns the fitness; the engine publishes its record
-    assert bus.live_processes() == []  # process record removed at completion
+    assert bus.live_processes() == []  # no trainer is live after the job
 
 
 def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
@@ -131,9 +132,9 @@ def test_kill_message_is_accepted(worker):
 
 
 def test_no_pid_that_names_a_group_or_this_process_is_signalled(worker, monkeypatch):
-    """The center's terminator and the worker's kill message share one rule: 0 (this
-    process group), -1 (every process the user owns) and the process's own pid signal
-    nothing; any other pid gets SIGTERM."""
+    """Neither the center's terminator nor the worker's kill message signals 0 (this
+    process group), -1 (every process the user owns) or the process's own pid. The
+    terminator sends any other pid SIGTERM; the worker signals only a trainer it runs."""
     signalled = []
     monkeypatch.setattr(os, "kill", lambda pid, sig: signalled.append((pid, sig)))
     node = f"127.0.0.1:{worker.port}"
@@ -141,16 +142,33 @@ def test_no_pid_that_names_a_group_or_this_process_is_signalled(worker, monkeypa
         for pid in (0, -1, os.getpid()):
             kill(node, pid)
         assert signalled == [], kill
-        kill(node, 999_999)
-        assert signalled == [(999_999, signal.SIGTERM)], kill
-        signalled.clear()
+    TcpTransport().kill(node, 999_999)
+    assert signalled == []
+    local_terminator(node, 999_999)
+    assert signalled == [(999_999, signal.SIGTERM)]
+
+
+def test_a_kill_for_a_process_the_worker_did_not_start_gets_an_error_and_signals_nothing(worker):
+    """Any peer can send a kill frame: the worker answers one naming a process that is
+    not a trainer it runs with an error frame, and the process runs on."""
+    bystander = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
+    try:
+        with socket.create_connection(("127.0.0.1", worker.port), timeout=5.0) as sock:
+            send_msg(sock, {"type": "kill", "pid": bystander.pid})
+            reply = recv_msg(sock)
+        assert reply["type"] == "error" and str(bystander.pid) in reply["message"]
+        with pytest.raises(subprocess.TimeoutExpired):
+            bystander.wait(timeout=0.5)
+    finally:
+        bystander.kill()
+        bystander.wait()
 
 
 def test_in_process_jobs_announce_no_process_record(worker, tmp_path, closing, monkeypatch):
     """No terminator signals the center or a worker itself, so an in-process backend's
-    job gets no process record, locally or over TCP (no process_start frame); a command
-    job over TCP announces its trainer first. Every job's stream holds one result frame,
-    and that frame ends it."""
+    job announces no trainer, locally or over TCP (no process_start frame); a command
+    job over TCP announces its trainer first, under the node it was sent to. Every job's
+    stream holds one result frame, and that frame ends it."""
     streams = []  # the frame types the center read for each job, in order
     current = threading.local()
     recv, exchange = remote.recv_msg, TcpTransport._exchange
@@ -184,7 +202,7 @@ def test_in_process_jobs_announce_no_process_record(worker, tmp_path, closing, m
     bus = ProcessTallyBus()
     command_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=2)
     closing(TcpTransport()).run_job(command_job, node, 0, bus)
-    assert [record.pid != os.getpid() for record in bus.started] == [True]
+    assert [(where, pid != os.getpid()) for where, pid in bus.started] == [(node, True)]
     assert bus.live_processes() == []
     assert streams[-1] == ["process_start", "log", "log", "fitness"]
 
@@ -236,7 +254,7 @@ def test_threaded_engine_local_matches_simulated_values(tmp_path, closing):
 
 def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path, closing):
     """kill-all must target the trainer subprocess, so its pid (not the
-    center's) goes into the process record."""
+    center's) is announced, under the slot's node."""
     import textwrap
 
     from evonas.backends import CommandBackend
@@ -262,7 +280,7 @@ def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path, closing):
     assert next(iter(results.values())).ok
     log_line = (tmp_path / "run.log").read_text()
     reported_pid = int(log_line.split("mypid ", 1)[1].strip())
-    assert [p.pid for p in bus.started] == [reported_pid]
+    assert bus.started == [("local", reported_pid)]
     assert reported_pid != os.getpid()
     assert bus.live_processes() == []
 
@@ -295,6 +313,52 @@ def remote_engine(node, tmp_path, slots=1, transport=None):
     bus = InProcessBus()
     listener = Listener(bus, tmp_path, cache=None)
     return ThreadedEngine(store, bus, listener, remote_runner(transport))
+
+
+class ElsewhereNamedWorker(WorkerAgent):
+    """A worker whose own address is not the one the center dispatches to, as with a
+    wildcard bind, NAT or an SSH tunnel."""
+
+    @property
+    def address(self):
+        return "127.0.0.1:1"
+
+
+def test_cancel_signals_a_remote_trainer_through_the_node_its_job_was_sent_to(tmp_path):
+    """The center files a remote trainer under the node it sent the job to, not under
+    the worker's own address, so cancel() stops it and close() returns at once."""
+    sleep_s = 10
+    agent = ElsewhereNamedWorker("127.0.0.1", 0, slots=1, backends=("command",))
+    ready = threading.Event()
+    thread = threading.Thread(target=agent.serve_forever, args=(ready,), daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    node = f"127.0.0.1:{agent.port}"
+    engine = remote_engine(node, tmp_path)
+    sleeper = f"{sys.executable} -c 'import time; time.sleep({sleep_s})'"
+    the_job = job(backend="command", settings={"command": sleeper})
+    try:
+        engine.submit(the_job)
+        deadline = time.monotonic() + 10
+        while not (live := engine.bus.live_processes()):
+            assert time.monotonic() < deadline, "the trainer never started"
+            time.sleep(0.01)
+        cancelled = time.monotonic()
+        assert engine.cancel() == 1
+        result = engine.wait([the_job.name])[the_job.name]
+        engine.close()
+        elapsed = time.monotonic() - cancelled
+    finally:
+        engine.close()
+        engine.listener.close()
+        agent.stop()
+        thread.join(5.0)
+    assert elapsed < sleep_s / 2
+    assert (result.ok, result.error) == (False, "cancelled")
+    ((where, pid),) = live
+    assert where == node
+    with pytest.raises(ProcessLookupError):  # the worker reaped its trainer
+        os.kill(pid, 0)
 
 
 def test_sequential_jobs_on_one_slot_share_one_connection(worker, tmp_path):
@@ -406,7 +470,7 @@ class MalformedReplyWorker(WorkerAgent):
         b'{"type":"fitness","identifier":"x","duration_s":1.0}',
         b"[1,2]",
         b"\xff\xfe",
-        b'{"type":"process_start","node":"n","pid":"abc"}',
+        b'{"type":"process_start","pid":"abc"}',
         b'{"type":"fitness","identifier":"x","value":150.0,"duration_s":1.0}',
     ],
     ids=["fitness_without_value", "not_an_object", "not_utf8", "pid_not_an_integer", "value_out_of_range"],
