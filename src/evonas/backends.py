@@ -11,28 +11,30 @@ decimals:
   platform without GPUs.
 * ``lookup`` -- exact-match retrieval from a CSV benchmark table.
 * ``command`` -- runs an external trainer process and parses its final
-  ``FITNESS=<dd.dd>`` line, streaming all other stdout lines as log records.
+  ``FITNESS=<dd.dd>`` line, streaming all other stdout lines as log records
+  from the job's own thread (POSIX hosts only).
 
 Backends hold no shared mutable state; one instance per slot is safe.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
-import itertools
+import io
 import math
-import queue
+import os
 import random
+import selectors
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .arch import Genotype, flop_count, structure
 from .arch.ir import ArchIR
@@ -49,7 +51,6 @@ DEFAULT_TIME_BASE = 1.0      # fixed virtual seconds per job
 DEFAULT_TIME_PER_MAC = 1e-9  # virtual seconds per multiply-accumulate per epoch
 DEFAULT_TIMEOUT_S = 300.0    # wall-clock seconds a command job may run
 LOG_TAIL_LINES = 20          # trainer output lines a failed command job keeps
-LOG_QUEUE_LINES = 1000       # trainer output lines read ahead of the job's thread
 
 
 def _quantize(value: float) -> float:
@@ -90,31 +91,29 @@ def saturation(epochs: int, tau: float) -> float:
     return 1.0 - math.exp(-epochs / tau)
 
 
+def _setting(job: JobSpec, key: str, default: float) -> float:
+    raw = job.settings.get(key)
+    return float(raw) if raw is not None else default
+
+
 @dataclass
 class SurrogateBackend:
     """Closed-form fitness: ``100 * (a(g) * (1 - exp(-epochs/tau)) + noise)``.
 
     Deterministic given (genotype, settings, seed); with ``sigma == 0`` it is
-    exactly reproducible and monotone in the epoch budget. Job settings
-    override the instance defaults; ``fixed_asymptote`` pins ``a(g)`` for
-    tests.
+    exactly reproducible and monotone in the epoch budget. The job settings
+    ``tau``, ``sigma``, ``c0`` and ``c1`` set the curve and the duration, and
+    one that is absent takes its ``DEFAULT_*`` value; ``fixed_asymptote`` pins
+    ``a(g)`` for tests.
     """
 
     kind: str = "surrogate"
-    tau: float = DEFAULT_TAU
-    sigma: float = DEFAULT_SIGMA
-    time_base: float = DEFAULT_TIME_BASE
-    time_per_mac: float = DEFAULT_TIME_PER_MAC
     fixed_asymptote: float | None = None
-
-    def _setting(self, job: JobSpec, key: str, default: float) -> float:
-        raw = job.settings.get(key)
-        return float(raw) if raw is not None else default
 
     def evaluate(self, job: JobSpec, emit_log: EmitLog | None = None, slot_id: int = 0) -> tuple[float, float]:
         ir = decode_from_settings(job.genotype, job.settings)
-        tau = self._setting(job, "tau", self.tau)
-        sigma = self._setting(job, "sigma", self.sigma)
+        tau = _setting(job, "tau", DEFAULT_TAU)
+        sigma = _setting(job, "sigma", DEFAULT_SIGMA)
         a = self.fixed_asymptote
         if a is None:
             a = architecture_asymptote(job.identifier, ir)
@@ -123,8 +122,8 @@ class SurrogateBackend:
             noise = random.Random(f"{job.identifier}:{job.seed}").gauss(0.0, sigma)
         fitness = _quantize(100.0 * (a * saturation(job.epochs, tau) + noise))
         flops = flop_count(ir)
-        c0 = self._setting(job, "c0", self.time_base)
-        c1 = self._setting(job, "c1", self.time_per_mac)
+        c0 = _setting(job, "c0", DEFAULT_TIME_BASE)
+        c1 = _setting(job, "c1", DEFAULT_TIME_PER_MAC)
         duration = c0 + c1 * flops * job.epochs
         return fitness, duration
 
@@ -177,10 +176,12 @@ class CommandBackend:
     """External trainer command bound to a slot's device index.
 
     The template may reference ``{payload_path}``, ``{settings_path}``,
-    ``{slot_id}`` and ``{seed}``. The command's stdout is streamed as log
-    records; its final ``FITNESS=<dd.dd>`` line is the fitness, a percent: a
-    value that is not a number in [0, 100] fails the job. ``on_spawn`` (if
-    set) receives the child pid, so hosts can register the killable process.
+    ``{slot_id}`` and ``{seed}``. The command's stdout and stderr are read on
+    the calling thread, decoded as UTF-8, and streamed as log records; its
+    final ``FITNESS=<dd.dd>`` line is the fitness, a percent: a value that is
+    not a number in [0, 100] fails the job. ``timeout_s`` is a wall-clock
+    deadline, which a silent trainer meets too. ``on_spawn`` (if set)
+    receives the child pid, so hosts can register the killable process.
     """
 
     template: str
@@ -204,33 +205,15 @@ class CommandBackend:
             tail: deque[str] = deque(maxlen=LOG_TAIL_LINES)  # a trainer may print without end
             fitness: float | None = None
             try:
-                proc = subprocess.Popen(
-                    argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
-                )
+                proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
             except OSError as exc:
                 raise JobFailed(f"cannot launch trainer: {exc}") from exc
-            if self.on_spawn is not None:
-                self.on_spawn(proc.pid)
-            assert proc.stdout is not None
-            # a reader thread feeds stdout lines to this one, so the deadline
-            # holds even while the trainer prints nothing
-            lines: queue.Queue[str | None] = queue.Queue(maxsize=LOG_QUEUE_LINES)
-            stopped = threading.Event()
-            threading.Thread(target=_pump_lines, args=(proc.stdout, lines, stopped), daemon=True).start()
             deadline = started + self.timeout_s
-
-            def timed_out() -> JobFailed:
-                return JobFailed(f"trainer timed out after {self.timeout_s}s", "\n".join(tail))
-
+            lines = self._output_lines(proc, deadline)
             try:
-                while True:
-                    try:
-                        line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
-                    except queue.Empty:
-                        raise timed_out() from None
-                    if line is None:
-                        break
-                    line = line.rstrip("\n")
+                if self.on_spawn is not None:
+                    self.on_spawn(proc.pid)
+                for line in lines:
                     if line.startswith("FITNESS="):
                         try:
                             fitness = float(line.split("=", 1)[1])
@@ -240,12 +223,12 @@ class CommandBackend:
                     tail.append(line)
                     if emit_log is not None:
                         emit_log(line)
-                try:
-                    code = proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    raise timed_out() from None
+                code = proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                raise JobFailed(f"trainer timed out after {self.timeout_s}s", "\n".join(tail)) from None
             finally:
-                stopped.set()
+                lines.close()
+                proc.stdout.close()
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
@@ -259,29 +242,38 @@ class CommandBackend:
                 raise JobFailed(f"trainer reported a fitness outside [0, 100]: {fitness}", "\n".join(tail))
         return _quantize(fitness), time.monotonic() - started
 
+    def _output_lines(self, proc: subprocess.Popen, deadline: float) -> Iterator[str]:
+        """A trainer's output lines, read on the calling thread until EOF.
+
+        Each wait on the pipe ends at ``deadline``, which then raises
+        ``TimeoutExpired``, so a silent trainer cannot hold the job past it. The
+        output is decoded as UTF-8 with undecodable bytes replaced by U+FFFD, and
+        ``\\r\\n`` and ``\\r`` end a line as ``\\n`` does. A trainer that prints faster
+        than its lines are used is held back by the pipe's own buffer. Waiting on
+        a pipe with ``selectors`` needs a POSIX host.
+        """
+        fd = proc.stdout.fileno()
+        decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
+        pending = ""
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            chunk = None
+            while chunk != b"":
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not selector.select(remaining):
+                    raise subprocess.TimeoutExpired(proc.args, self.timeout_s)
+                chunk = os.read(fd, 1 << 16)
+                *done, pending = (pending + decoder.decode(chunk, final=not chunk)).split("\n")
+                yield from done
+        if pending:  # a last line without its newline
+            yield pending
+
 
 def _command_argv(template: str, payload_path: Path, settings_path: Path, slot_id: int, seed: int) -> list[str]:
     """A trainer's argv: the command template with its four placeholders filled, split as a shell would."""
     return shlex.split(
         template.format(payload_path=payload_path, settings_path=settings_path, slot_id=slot_id, seed=seed)
     )
-
-
-def _pump_lines(stream, lines: queue.Queue, stopped: threading.Event) -> None:
-    """Copy a trainer's output lines into ``lines``, then None at EOF.
-
-    A full ``lines`` holds the copy back, and with it the trainer's writes, so
-    a trainer that prints faster than its lines are read fills no memory.
-    Once ``stopped`` is set, the lines left are read and dropped.
-    """
-    with stream:
-        for line in itertools.chain(stream, [None]):
-            while not stopped.is_set():
-                try:
-                    lines.put(line, timeout=0.1)
-                    break
-                except queue.Full:
-                    pass
 
 
 BACKEND_KINDS = ("surrogate", "lookup", "command")

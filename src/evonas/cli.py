@@ -83,7 +83,7 @@ def _crash(text: str) -> FaultEvent:
     node, _, at = text.partition("@")
     try:
         if node:
-            return FaultEvent("crash", node, float(at))
+            return FaultEvent(node, float(at))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"needs node@time, e.g. w1@7.0, got {text!r}")

@@ -37,17 +37,16 @@ from .slots import SlotStore
 
 @dataclass(frozen=True)
 class FaultEvent:
-    kind: str
+    """A crash of worker ``node`` at virtual time ``at``."""
+
     node: str
     at: float
 
 
 def parse_fault_script(faults: Iterable[FaultEvent]) -> tuple[FaultEvent, ...]:
-    """Validate a fault script; only worker crashes are scriptable."""
+    """Validate a fault script: every crash time is a non-negative number."""
     faults = tuple(faults)
     for fault in faults:
-        if fault.kind != "crash":
-            raise ConfigError(f"unknown fault kind {fault.kind!r}")
         if not fault.at >= 0:  # also refuses NaN, which would disorder the event heap
             raise ConfigError(f"fault time must be non-negative, got {fault.at}")
     return faults

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .backends import SurrogateBackend, saturation, _quantize
+from .backends import DEFAULT_TAU, SurrogateBackend, saturation, _quantize
 from .jobs import JobSpec
 
 
@@ -40,11 +40,10 @@ def main(argv: list[str] | None = None) -> int:
         name="toy", identifier=identifier, payload=payload, backend="surrogate",
         settings=settings, seed=args.seed, epochs=epochs,
     )
-    backend = SurrogateBackend()
-    fitness, _ = backend.evaluate(job)
+    fitness, _ = SurrogateBackend().evaluate(job)
 
     # per-epoch curve: same saturating form the final fitness follows
-    tau = float(settings.get("tau", backend.tau))
+    tau = float(settings.get("tau", DEFAULT_TAU))
     full = saturation(epochs, tau)
     for epoch in range(1, epochs + 1):
         acc = fitness * saturation(epoch, tau) / full if full > 0 else 0.0

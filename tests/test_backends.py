@@ -58,8 +58,8 @@ def job_for(genotype, epochs=50, seed=0, settings=None):
 # -------------------------------------------------------------- surrogate
 
 def test_zero_epochs_gives_zero_fitness_when_noiseless():
-    backend = SurrogateBackend(sigma=0.0)
-    value, _ = backend.evaluate(job_for(vb_genotype(), epochs=0))
+    backend = SurrogateBackend()
+    value, _ = backend.evaluate(job_for(vb_genotype(), epochs=0, settings={"sigma": "0.0"}))
     assert value == 0.0
 
 
@@ -67,37 +67,39 @@ def test_large_epoch_budget_approaches_asymptote():
     from evonas.arch import decode
 
     g = vb_genotype()
-    backend = SurrogateBackend(sigma=0.0)
+    backend = SurrogateBackend()
     a = architecture_asymptote(identifier(g), decode(g, (3, 32, 32), 10))
-    value, _ = backend.evaluate(job_for(g, epochs=10_000))
+    value, _ = backend.evaluate(job_for(g, epochs=10_000, settings={"sigma": "0.0"}))
     assert value == pytest.approx(100.0 * a, abs=0.005)
 
 
 def test_pinned_asymptote_closed_form_values():
     # 100 * 0.9 * (1 - exp(-50/20)) = 82.61..; at 600 epochs the curve saturates at 90.00
-    backend = SurrogateBackend(fixed_asymptote=0.9, tau=20.0, sigma=0.0)
-    search, _ = backend.evaluate(job_for(vb_genotype(), epochs=50))
-    retrain, _ = backend.evaluate(job_for(vb_genotype(), epochs=600))
+    backend = SurrogateBackend(fixed_asymptote=0.9)
+    settings = {"tau": "20.0", "sigma": "0.0"}
+    search, _ = backend.evaluate(job_for(vb_genotype(), epochs=50, settings=settings))
+    retrain, _ = backend.evaluate(job_for(vb_genotype(), epochs=600, settings=settings))
     assert search == pytest.approx(round(100 * 0.9 * (1 - math.exp(-2.5)), 2))
     assert search == 82.61
     assert retrain == 90.00
 
 
 def test_fitness_monotone_in_epoch_budget():
-    backend = SurrogateBackend(sigma=0.0)
+    backend = SurrogateBackend()
     g = vb_genotype()
-    values = [backend.evaluate(job_for(g, epochs=e))[0] for e in (1, 5, 20, 50, 200, 600)]
+    values = [backend.evaluate(job_for(g, epochs=e, settings={"sigma": "0.0"}))[0] for e in (1, 5, 20, 50, 200, 600)]
     assert values == sorted(values)
     # the retrain phase can only improve on the search phase
     assert values[-1] >= values[3]
 
 
 def test_surrogate_deterministic_under_identical_inputs():
-    backend = SurrogateBackend(sigma=0.05)
-    a = backend.evaluate(job_for(vb_genotype(), seed=9))
-    b = backend.evaluate(job_for(vb_genotype(), seed=9))
+    backend = SurrogateBackend()
+    noisy = {"sigma": "0.05"}
+    a = backend.evaluate(job_for(vb_genotype(), seed=9, settings=noisy))
+    b = backend.evaluate(job_for(vb_genotype(), seed=9, settings=noisy))
     assert a == b
-    c = backend.evaluate(job_for(vb_genotype(), seed=10))
+    c = backend.evaluate(job_for(vb_genotype(), seed=10, settings=noisy))
     assert a[0] != c[0]  # per-job seed moves the noise
 
 
@@ -108,15 +110,6 @@ def test_duration_grows_with_epochs_and_flops():
     longer = backend.evaluate(job_for(vb_genotype(8), epochs=100))[1]
     assert large > small
     assert longer > small
-
-
-def test_settings_override_instance_defaults():
-    g = vb_genotype()
-    by_field = SurrogateBackend(fixed_asymptote=0.9, tau=10.0, sigma=0.0)
-    by_setting = SurrogateBackend(fixed_asymptote=0.9, sigma=0.0)
-    a, _ = by_field.evaluate(job_for(g, epochs=50))
-    b, _ = by_setting.evaluate(job_for(g, epochs=50, settings={"tau": "10.0"}))
-    assert a == b
 
 
 SPACES = [FixedBinarySpace(stage_channels=(24, 48)), VariableBlocksSpace(), CellGraphSpace(cell_channels=20)]
@@ -459,7 +452,7 @@ def test_a_chatty_trainer_keeps_only_its_log_tail_in_memory(tmp_path):
 
 def test_a_job_that_stops_reading_its_trainer_leaves_no_reader_thread(tmp_path):
     """A job whose log sink fails stops reading while the trainer still prints: the
-    reader thread, held back by the full line queue, drops the rest and exits."""
+    job kills its trainer and leaves no thread behind that still reads it."""
     import time
 
     backend = script_backend(
@@ -481,6 +474,72 @@ def test_a_job_that_stops_reading_its_trainer_leaves_no_reader_thread(tmp_path):
     while threading.active_count() > before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == before
+
+
+def test_a_command_job_reads_its_trainer_on_the_calling_thread(tmp_path):
+    """While the trainer's lines stream, no thread runs beyond those that ran before."""
+    backend = script_backend(tmp_path, "print('epoch 1'); print('epoch 2'); print('FITNESS=40.00')")
+    before = threading.active_count()
+    counts = []
+    value, _ = backend.evaluate(job_for(vb_genotype()), emit_log=lambda line: counts.append(threading.active_count()))
+    assert value == 40.0
+    assert counts == [before, before]
+
+
+def test_a_trainer_that_prints_undecodable_bytes_still_reports_its_fitness(tmp_path):
+    """A byte that is not UTF-8 becomes U+FFFD in its log line, and the FITNESS line
+    after it is read at once, not after the deadline."""
+    import time
+
+    backend = script_backend(
+        tmp_path,
+        """
+        import sys
+        sys.stdout.buffer.write(b"epoch 1 caf\\xe9\\n")
+        sys.stdout.buffer.write(b"FITNESS=50.00\\n")
+        """,
+    )
+    backend.timeout_s = 5.0
+    lines = []
+    started = time.monotonic()
+    value, _ = backend.evaluate(job_for(vb_genotype()), emit_log=lines.append)
+    assert time.monotonic() - started < 2.5
+    assert value == 50.0
+    assert lines == ["epoch 1 caf\ufffd"]
+
+
+def test_carriage_returns_end_a_trainer_line(tmp_path):
+    """``\\r\\n`` and a lone ``\\r`` end a line as ``\\n`` does, as in text mode."""
+    backend = script_backend(
+        tmp_path,
+        """
+        import sys
+        sys.stdout.buffer.write(b"a\\r\\nb\\rc\\nFITNESS=12.50")
+        """,
+    )
+    lines = []
+    value, _ = backend.evaluate(job_for(vb_genotype()), emit_log=lines.append)
+    assert value == 12.5
+    assert lines == ["a", "b", "c"]
+
+
+def test_a_failing_on_spawn_leaves_no_trainer_running(tmp_path):
+    """The host's registration of the trainer fails: the error reaches the caller,
+    and the trainer it launched is killed and reaped."""
+    import os
+
+    backend = script_backend(tmp_path, "import time; time.sleep(3); print('FITNESS=50.00')")
+    pids = []
+
+    def on_spawn(pid):
+        pids.append(pid)
+        raise OSError("cannot register the trainer")
+
+    backend.on_spawn = on_spawn
+    with pytest.raises(OSError, match="cannot register"):
+        backend.evaluate(job_for(vb_genotype()))
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
 
 
 def test_command_missing_fitness_line_fails(tmp_path):

@@ -125,7 +125,7 @@ def run_farm(root, workers, jobs, scripts, crashes, retry_budget):
     with Listener(bus, root / "farm", ResultCache(root / "farm" / "cache.txt", DIGEST)) as listener:
         farm = SimulatedFarm(
             workers, ScriptedBackend(script), bus, listener, retry_budget=retry_budget,
-            faults=[FaultEvent("crash", node, at) for node, at in crashes.items()],
+            faults=[FaultEvent(node, at) for node, at in crashes.items()],
         )
         results = farm.run_jobs(jobs)
     return farm, script, results

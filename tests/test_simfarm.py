@@ -125,7 +125,7 @@ def test_crashed_worker_requeues_job_on_survivor(tmp_path, make_farm):
         tmp_path,
         {"w1": 1, "w2": 1},
         duration=10.0,
-        faults=[FaultEvent("crash", "w1", 7.0)],
+        faults=[FaultEvent("w1", 7.0)],
     )
     results = farm.run_jobs(make_jobs(2))
     assert all(r.ok for r in results.values())
@@ -146,7 +146,7 @@ def test_job_requeued_exactly_once_per_retry_budget(tmp_path, make_farm):
         {"w1": 1},
         duration=10.0,
         retry_budget=1,
-        faults=[FaultEvent("crash", "w1", 3.0)],
+        faults=[FaultEvent("w1", 3.0)],
     )
     results = farm.run_jobs(make_jobs(1))
     job = make_jobs(1)[0]
@@ -161,7 +161,7 @@ def test_job_requeued_exactly_once_per_retry_budget(tmp_path, make_farm):
 def test_failed_job_resolves_with_zero_fitness_record(tmp_path, make_farm):
     farm, bus, listener = make_farm(
         tmp_path, {"w1": 1}, duration=4.0, retry_budget=0,
-        faults=[FaultEvent("crash", "w1", 2.0)],
+        faults=[FaultEvent("w1", 2.0)],
     )
     results = farm.run_jobs(make_jobs(1))
     (result,) = results.values()
@@ -222,7 +222,7 @@ def test_idle_slots_plus_attempts_in_flight_are_the_slots_of_live_nodes(workers,
         with Listener(bus, Path(tmp), cache=None) as listener:
             farm = SimulatedFarm(
                 workers, SurrogateBackend(), bus, listener, duration=1.0, retry_budget=retry_budget,
-                faults=[FaultEvent("crash", node, at) for node, at in crashes.items()],
+                faults=[FaultEvent(node, at) for node, at in crashes.items()],
             )
 
             def check():
@@ -240,12 +240,10 @@ def test_idle_slots_plus_attempts_in_flight_are_the_slots_of_live_nodes(workers,
 
 
 def test_fault_script_validation():
-    with pytest.raises(ConfigError, match="unknown fault kind"):
-        parse_fault_script([FaultEvent("meteor", "w", 1.0)])
     for at in (-3.0, float("nan")):
         with pytest.raises(ConfigError, match="must be non-negative"):
-            parse_fault_script([FaultEvent("crash", "w", at)])
-    fault = FaultEvent("crash", "w", 3.0)
+            parse_fault_script([FaultEvent("w", at)])
+    fault = FaultEvent("w", 3.0)
     assert parse_fault_script(iter([fault])) == (fault,)
 
 
