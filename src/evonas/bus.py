@@ -1,13 +1,10 @@
 """Record bus: the channel between running jobs and the run directory.
 
-Jobs publish two families of records. A live trainer is presence state: its
-``(node, pid)`` while it runs, ``node`` being the node its job was sent to,
-where a kill goes. ``stop`` signals every live trainer through a terminator,
-and one announced later is signalled instead of registered. Run records --
-log lines and each job's one ``JobResult``, which a cancelled job never
-publishes -- are handed, on the publishing thread, to the bus's one listener,
-which writes them into the cache, result, log, and duration files under its
-lock, in publish order.
+Jobs publish run records -- log lines and each job's one ``JobResult``,
+which a cancelled job never publishes. Each is handed, on the publishing
+thread, to the bus's one listener, which writes them into the cache, result,
+log, and duration files under its lock, in publish order. Which trainer
+processes run is not the bus's business: the threaded engine files them.
 The bus keeps no record: one published with no listener attached, or after
 the listener closed, is dropped. A restarted run has nothing to replay; the
 cache (first write wins) and the listener's set of names already in
@@ -25,7 +22,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .cache import ResultCache
 from .errors import PersistError
@@ -46,47 +42,16 @@ RunRecord = LogRecord | JobResult
 
 
 class InProcessBus:
-    """Many publishers, one listener; the bus keeps only the table of live trainer processes."""
+    """Many publishers, one listener."""
 
     def __init__(self) -> None:
         self.listener: Listener | None = None  # set by the listener that attaches itself
-        self._procs: set[tuple[str, int]] = set()  # (node, pid) of each live trainer
-        self._kill: Callable[[str, int], None] | None = None  # set by stop(): signals each later trainer
-        self._lock = threading.Lock()
 
     def publish(self, record: RunRecord) -> None:
         """Hand a run record to the listener, or drop it when none is attached."""
         listener = self.listener
         if listener is not None:
             listener._apply(record)
-
-    def process_started(self, node: str, pid: int) -> None:
-        """Register a trainer that started; after ``stop``, signal it instead, on this thread."""
-        with self._lock:
-            kill = self._kill
-            if kill is None:
-                self._procs.add((node, pid))
-                return
-        kill(node, pid)
-
-    def stop(self, kill: Callable[[str, int], None]) -> int:
-        """Signal every live trainer through ``kill``, and hand it every trainer announced
-        from now on; returns the number signalled. One lock covers the snapshot and the
-        hand-over, so no trainer is missed between them."""
-        with self._lock:
-            self._kill = kill
-            live = sorted(self._procs)
-        for node, pid in live:
-            kill(node, pid)
-        return len(live)
-
-    def process_finished(self, node: str, pid: int) -> None:
-        with self._lock:
-            self._procs.discard((node, pid))
-
-    def live_processes(self) -> list[tuple[str, int]]:
-        with self._lock:
-            return sorted(self._procs)
 
 
 class Listener:

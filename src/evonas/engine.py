@@ -15,17 +15,23 @@ placed on its slot itself, and exits when its slot goes idle. The runner's
 ``kill(node, pid)`` is the engine's terminator, and its ``close()`` runs when
 the engine closes; an in-process job announces no trainer.
 
-``cancel()`` is the one call that stops an engine: no attempt starts after
-it, queued jobs resolve as ``cancelled``, and a failed or killed attempt is
-not retried. Its terminator goes to the bus, which signals each live trainer,
-and each one announced later, at the node its job was sent to. ``close()``
-drops the queued jobs, lets the running attempts finish, joins every slot
-thread, and closes the slot runner's idle worker connections.
+A runner announces each trainer process it spawns to the engine, which files
+its pid under the slot of the attempt that started it, under the same lock as
+the core; the entry goes in the critical section that reports the attempt's
+end. ``cancel()`` is the one call that stops an engine: no attempt starts
+after it, queued jobs resolve as ``cancelled``, and a failed or killed
+attempt is not retried. In the critical section that cancels the core it
+collects the trainers of the attempts still in flight, and signals them
+outside it, at the node each job was sent to; a trainer announced after it
+is signalled at once. ``close()`` drops the queued jobs, lets the running
+attempts finish (it signals no trainer), joins every slot thread, and closes
+the slot runner's idle worker connections.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
 import signal
@@ -34,46 +40,40 @@ import time
 from typing import Callable
 
 from .backends import CommandBackend
-from .bus import InProcessBus, Listener, LogRecord
+from .bus import InProcessBus, Listener, LogRecord, RunRecord
 from .jobs import JobResult, JobSpec
 from .scheduler import ATTEMPT_FAILURES, RETRY_BUDGET, Attempt, Scheduler
 from .slots import SlotStore
 
 logger = logging.getLogger(__name__)
 
-#: Runs one job on one slot, publishing its log records and announcing each
-#: trainer process it spawns under the slot's node; returns (value, duration).
-#: The engine's scheduler core publishes the result. A runner may carry
-#: ``kill(node, pid)`` and ``close()`` attributes.
-SlotRunner = Callable[[JobSpec, str, int, InProcessBus], tuple[float, float]]
+#: Runs one job on one slot of a node; returns (value, duration). Its fourth
+#: argument is the engine: the runner hands it the job's log records
+#: (``publish``) and announces each trainer process it spawns
+#: (``process_started(node, slot, pid)``). The engine's scheduler core
+#: publishes the result. A runner may carry ``kill(node, pid)`` and
+#: ``close()`` attributes.
+SlotRunner = Callable[[JobSpec, str, int, "ThreadedEngine"], tuple[float, float]]
 
 
 def local_runner(backend) -> SlotRunner:
     """Slot runner that executes a backend in this process.
 
-    A command backend's spawned trainer is live on the bus while it runs:
-    that is the unit a kill can stop. An in-process backend announces none, since
-    no terminator signals this process. A command backend is copied per job,
-    so concurrent slots share no mutable state.
+    A command backend announces its spawned trainer, filed under the job's
+    slot while the attempt runs: that is the unit a kill can stop. An
+    in-process backend announces none, since no terminator signals this
+    process. A command backend is copied per job, so concurrent slots share
+    no mutable state.
     """
 
-    def run(job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
+    def run(job: JobSpec, node: str, slot: int, engine: ThreadedEngine) -> tuple[float, float]:
         def emit_log(line: str) -> None:
-            bus.publish(LogRecord(job_name=job.name, line=line))
+            engine.publish(LogRecord(job_name=job.name, line=line))
 
-        if not isinstance(backend, CommandBackend):
-            return backend.evaluate(job, emit_log=emit_log, slot_id=slot)
-        pids: list[int] = []
-
-        def announce(pid: int) -> None:
-            pids.append(pid)
-            bus.process_started(node, pid)
-
-        try:
-            return dataclasses.replace(backend, on_spawn=announce).evaluate(job, emit_log=emit_log, slot_id=slot)
-        finally:
-            for pid in pids:
-                bus.process_finished(node, pid)
+        evaluator = backend
+        if isinstance(backend, CommandBackend):
+            evaluator = dataclasses.replace(backend, on_spawn=functools.partial(engine.process_started, node, slot))
+        return evaluator.evaluate(job, emit_log=emit_log, slot_id=slot)
 
     run.kill = local_terminator
     return run
@@ -116,6 +116,21 @@ class ThreadedEngine:
         self._resolved = threading.Condition(self._lock)  # notified once the waited jobs resolved
         self._threads: list[threading.Thread] = []  # slot threads, pruned of finished ones
         self._error: BaseException | None = None  # what a slot thread raised outside an attempt
+        self._trainers: dict[tuple[str, int], int] = {}  # (node, slot) -> pid of the trainer its attempt runs
+        self._cancelled = False  # set by cancel() alone: a trainer announced after it is signalled at once
+
+    def publish(self, record: RunRecord) -> None:
+        """Hand a slot runner's run record to the bus."""
+        self.bus.publish(record)
+
+    def process_started(self, node: str, slot: int, pid: int) -> None:
+        """File the trainer that the attempt on ``(node, slot)`` spawned; after ``cancel()``,
+        signal it instead, on the announcing thread."""
+        with self._lock:
+            if not self._cancelled:
+                self._trainers[node, slot] = pid
+                return
+        self.terminator(node, pid)
 
     def _advance(self, own: tuple[str, int] | None) -> Attempt | None:
         """Start a slot thread for each attempt the core places now, except one on the
@@ -140,11 +155,12 @@ class ThreadedEngine:
                 job, node, slot = attempt.job, attempt.node, attempt.slot
                 started = time.monotonic()
                 try:
-                    outcome, seconds = self.runner(job, node, slot, self.bus)
+                    outcome, seconds = self.runner(job, node, slot, self)
                 except ATTEMPT_FAILURES as exc:
                     logger.warning("job %s attempt %d failed on %s:%d: %s", job.name, attempt.tries, node, slot, exc)
                     outcome, seconds = str(exc), time.monotonic() - started
                 with self._lock:
+                    self._trainers.pop((node, slot), None)
                     self.core.ended(attempt.token, outcome, seconds)
                     attempt = self._advance((node, slot))
         except BaseException as exc:  # a fault of the program, not of the attempt: wait raises it
@@ -153,12 +169,17 @@ class ThreadedEngine:
                 self._resolved.notify()
 
     def cancel(self) -> int:
-        """Start no further attempt and send one termination command per live trainer;
-        returns the number sent. Queued jobs and killed attempts resolve as cancelled."""
+        """Start no further attempt and send one termination command per trainer of an attempt
+        in flight, and per trainer announced later; returns the number sent now. Queued jobs
+        and killed attempts resolve as cancelled."""
         with self._lock:
-            self.core.cancel()
+            self._cancelled = True
+            held = [(a.node, a.slot) for a in self.core.cancel() if (a.node, a.slot) in self._trainers]
+            trainers = [(node, self._trainers[node, slot]) for node, slot in held]
             self._advance(None)
-        return self.bus.stop(self.terminator)
+        for node, pid in trainers:
+            self.terminator(node, pid)
+        return len(trainers)
 
     def submit(self, job: JobSpec) -> None:
         with self._lock:
@@ -188,8 +209,9 @@ class ThreadedEngine:
         return self.wait([job.name for job in jobs])
 
     def close(self) -> None:
-        """Drop the queued jobs, which resolve as cancelled, let the running attempts finish,
-        join every slot thread, then release what the slot runner holds (idle connections)."""
+        """Drop the queued jobs, which resolve as cancelled, let the running attempts finish
+        (no trainer is signalled, unless ``cancel()`` ran), join every slot thread, then
+        release what the slot runner holds (idle connections)."""
         with self._lock:
             self.core.cancel()
             self._advance(None)

@@ -46,14 +46,15 @@ class JobSpec:
         }
 
     @staticmethod
-    def from_message(msg: dict, settings: dict[str, str] | None = None) -> "JobSpec":
-        """The job a ``job`` frame names; ``settings``, when given, stands in for the frame's own."""
+    def from_message(msg: dict, settings: dict[str, str]) -> "JobSpec":
+        """The job a ``job`` frame names, under ``settings``: the frame's own, or those its
+        connection carries when the frame sends none."""
         return JobSpec(
             name=msg["name"],
             identifier=msg["identifier"],
             payload=msg["payload"],
             backend=msg["backend"],
-            settings=msg.get("settings", {}) if settings is None else settings,
+            settings=settings,
             seed=int(msg.get("seed", 0)),
             epochs=int(msg.get("epochs", 1)),
         )

@@ -8,18 +8,18 @@ frame: a ``fitness`` (``{"type":"fitness","value":...,"duration_s":...}``) or
 an ``error``. A ``log`` frame holds only its ``line``. A job whose backend
 spawns a trainer process (the command backend) also gets a ``process_start``
 that holds only the trainer's ``pid``, the unit the engine's ``cancel()``
-stops with a ``kill`` message; an in-process backend gets none. The center
-files the trainer under the node it sent the job to, the ``--workers``
-address, so a kill reaches a worker that binds a wildcard address or sits
-behind NAT or a tunnel; it republishes the log frames on its bus and returns
-the fitness frame's value and duration to the engine, whose scheduler core
-publishes the job's one result. A worker signals only a trainer it started
-and that still runs; a ``kill`` for any other pid gets an ``error`` frame. A
-frame that breaks the protocol -- a body that is not a UTF-8 JSON object, or a
-``fitness`` or ``process_start`` frame with a missing or ill-typed field --
-fails the attempt as a lost worker, and its connection is closed. A request
-the worker cannot read gets an ``error`` frame, and the connection goes on
-serving.
+stops with a ``kill`` message; an in-process backend gets none. The center's
+engine files the trainer under the slot of its job, whose node is the
+``--workers`` address the job was sent to, so a kill reaches a worker that
+binds a wildcard address or sits behind NAT or a tunnel; the center
+republishes the log frames on its bus and returns the fitness frame's value
+and duration to the engine, whose scheduler core publishes the job's one
+result. A worker signals only a trainer it started and that still runs; a
+``kill`` for any other pid gets an ``error`` frame. A frame that breaks the
+protocol -- a body that is not a UTF-8 JSON object, or a ``fitness`` or
+``process_start`` frame with a missing or ill-typed field -- fails the
+attempt as a lost worker, and its connection is closed. A request the worker
+cannot read gets an ``error`` frame, and the connection goes on serving.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after the job's result frame and sends the
@@ -33,12 +33,14 @@ a connection's first job gets an ``error`` frame, and so does a frame without
 the key, which is never read as empty settings. The value is null, never a
 missing key: a worker that predates it answers null with an ``error`` frame,
 where a missing key would train under default settings. A ``kill`` uses a
-connection of its own, so it never waits behind a running job. Both ends set
-``TCP_NODELAY``: on a reused connection Nagle's algorithm would hold the
-small reply frames back until the peer's delayed ACK arrives. An older worker
-that still sends a frame after the result is served too: a frame already
-waiting on an idle connection makes the center drop it and send the next job
-on a new one, and a frame of a type the center does not know is skipped.
+connection of its own, so it never waits behind a running job, and it waits
+at most the connect timeout for its answer, so a silent worker does not hold
+back the kills after it. Both ends set ``TCP_NODELAY``: on a reused
+connection Nagle's algorithm would hold the small reply frames back until
+the peer's delayed ACK arrives. An older worker that still sends a frame
+after the result is served too: a frame already waiting on an idle
+connection makes the center drop it and send the next job on a new one, and
+a frame of a type the center does not know is skipped.
 
 The worker agent CLI is ``evonas worker --listen <addr> --slots <n> --backend
 <kind>``; once bound, it prints the address it listens on, so port 0 can be used.
@@ -56,8 +58,8 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from .backends import CommandBackend, build_backend
-from .bus import InProcessBus, LogRecord
-from .engine import local_terminator
+from .bus import LogRecord
+from .engine import ThreadedEngine, local_terminator
 from .errors import JobFailed, WorkerLostError
 from .jobs import JobSpec
 
@@ -337,12 +339,13 @@ class TcpTransport:
         for sock in idle:
             sock.close()
 
-    def run_job(self, job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
-        """Dispatch one job to the worker at ``node``, announcing its trainers under ``node``
-        and republishing its log records; returns the fitness frame's (value, duration)."""
+    def run_job(self, job: JobSpec, node: str, slot: int, engine: ThreadedEngine) -> tuple[float, float]:
+        """Dispatch one job to the worker at ``node``, announcing its trainers to ``engine``
+        under ``(node, slot)`` and republishing its log records there; returns the fitness
+        frame's (value, duration)."""
         sock, sent = self._checkout(node)
         try:
-            return self._exchange(sock, sent, job, node, slot, bus)
+            return self._exchange(sock, sent, job, node, slot, engine)
         except _ClosedBeforeReply:
             if sent is None:  # not a reused connection
                 raise
@@ -350,16 +353,15 @@ class TcpTransport:
         # the liveness check to see it (a worker older than connection reuse
         # closes after every job). No frame came back, so the worker had not
         # taken the job up: send it once more, on a new connection.
-        return self._exchange(self._connect(node), None, job, node, slot, bus)
+        return self._exchange(self._connect(node), None, job, node, slot, engine)
 
     def _exchange(
-        self, sock: socket.socket, sent: dict | None, job: JobSpec, node: str, slot: int, bus: InProcessBus
+        self, sock: socket.socket, sent: dict | None, job: JobSpec, node: str, slot: int, engine: ThreadedEngine
     ) -> tuple[float, float]:
         """Send one job over ``sock``, whose last job frame sent the settings ``sent``
         (None on a new connection), and read its stream through its result frame, the last one."""
         result: tuple[float, float] | None = None
         error: JobFailed | None = None
-        pids: list[int] = []
         replied = False
         request = job.to_message()
         request["slot"] = slot
@@ -378,11 +380,9 @@ class TcpTransport:
                 replied = True
                 kind = msg.get("type")
                 if kind == "process_start":
-                    pid = _field(msg, "pid", int)
-                    pids.append(pid)
-                    bus.process_started(node, pid)
+                    engine.process_started(node, slot, _field(msg, "pid", int))
                 elif kind == "log":
-                    bus.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
+                    engine.publish(LogRecord(job_name=job.name, line=msg.get("line", "")))
                 elif kind == "fitness":
                     value = float(_field(msg, "value", (int, float)))
                     duration = float(_field(msg, "duration_s", (int, float)))
@@ -399,29 +399,30 @@ class TcpTransport:
         except BaseException:  # the stream is out of step: never reuse the connection
             sock.close()
             raise
-        finally:
-            for pid in pids:  # the stream ended, or the connection died before it did
-                bus.process_finished(node, pid)
         self._checkin(node, sock, sent)
         if error is not None:
             raise error
         return result
 
     def kill(self, node: str, pid: int) -> None:
+        """Ask the worker at ``node`` to signal trainer ``pid``. Each step waits at most
+        ``connect_timeout``; a worker that cannot be reached or does not answer is logged,
+        so the kills after it still go out."""
         try:
             with self._connect(node) as sock:
+                sock.settimeout(self.connect_timeout)
                 send_msg(sock, {"type": "kill", "pid": pid})
                 recv_msg(sock)
-        except WorkerLostError:
-            logger.warning("could not deliver kill to %s pid %d", node, pid)
+        except (WorkerLostError, OSError) as exc:
+            logger.warning("could not deliver kill to %s pid %d: %s", node, pid, exc)
 
 
 def remote_runner(transport: TcpTransport):
     """Slot runner over ``transport``; it carries the transport's ``kill`` and ``close``,
     so an engine built on it kills remote trainers and closes idle connections."""
 
-    def run(job: JobSpec, node: str, slot: int, bus: InProcessBus) -> tuple[float, float]:
-        return transport.run_job(job, node, slot, bus)
+    def run(job: JobSpec, node: str, slot: int, engine: ThreadedEngine) -> tuple[float, float]:
+        return transport.run_job(job, node, slot, engine)
 
     run.kill = transport.kill
     run.close = transport.close

@@ -48,21 +48,22 @@ class ComparisonRow:
     mixed: bool = False
     digest: str = ""
 
-    def csv_line(self) -> str:
+    def cells(self) -> list[str]:
+        """The row's values in ``CSV_HEADER`` order: NA for a missing one, two decimals for
+        accuracies and GPU-days."""
+
         def num(v, fmt="{:.2f}"):
             return "NA" if v is None else fmt.format(v)
 
-        return ",".join(
-            [
-                self.algorithm,
-                num(self.search_acc),
-                num(self.retrain_acc),
-                "NA" if self.params is None else str(self.params),
-                "NA" if self.flops is None else str(self.flops),
-                f"{self.gpu_days:.2f}",
-                str(self.evaluations),
-            ]
-        )
+        return [
+            self.algorithm,
+            num(self.search_acc),
+            num(self.retrain_acc),
+            num(self.params, "{}"),
+            num(self.flops, "{}"),
+            num(self.gpu_days),
+            str(self.evaluations),
+        ]
 
 
 def read_settings(run_dir: Path) -> dict[str, str]:
@@ -180,30 +181,15 @@ def compare(run_dirs: list[Path | str], allow_mixed: bool = False) -> tuple[list
 
 
 def render_csv(rows: list[ComparisonRow]) -> str:
-    return CSV_HEADER + "\n" + "".join(row.csv_line() + "\n" for row in rows)
+    return CSV_HEADER + "\n" + "".join(",".join(row.cells()) + "\n" for row in rows)
 
 
 def render_text(rows: list[ComparisonRow]) -> str:
     headers = ["algorithm", "search", "retrain", "params", "flops", "gpu_days", "evals", "notes"]
     table = [headers]
     for row in rows:
-        notes = []
-        if row.partial:
-            notes.append("partial")
-        if row.mixed:
-            notes.append("mixed-settings")
-        table.append(
-            [
-                row.algorithm,
-                "NA" if row.search_acc is None else f"{row.search_acc:.2f}",
-                "NA" if row.retrain_acc is None else f"{row.retrain_acc:.2f}",
-                "NA" if row.params is None else str(row.params),
-                "NA" if row.flops is None else str(row.flops),
-                f"{row.gpu_days:.2f}",
-                str(row.evaluations),
-                ",".join(notes) or "-",
-            ]
-        )
+        notes = [note for note, flagged in (("partial", row.partial), ("mixed-settings", row.mixed)) if flagged]
+        table.append(row.cells() + [",".join(notes) or "-"])
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
     lines.insert(1, "-" * len(lines[0]))

@@ -293,7 +293,7 @@ def test_a_job_gives_the_same_fitness_and_duration_after_crossing_the_wire(miss_
     job = job_spec("indi_gen00_no00", identifier(g), g, run_settings, seed)
     message = job.to_message()
     assert set(message) == WIRE_KEYS
-    wired = JobSpec.from_message(message)
+    wired = JobSpec.from_message(message, message["settings"])
     assert wired == job and wired.built_from is None and job.built_from is g
     for backend in (SurrogateBackend(), LookupBackend(str(miss_table), fallback="surrogate")):
         outcomes = []

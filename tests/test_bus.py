@@ -1,3 +1,5 @@
+import itertools
+import sys
 import threading
 import time
 
@@ -54,13 +56,6 @@ def test_records_published_with_no_listener_are_dropped(tmp_path, bus):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_process_records_present_exactly_while_running(bus):
-    bus.process_started("n1", 4242)
-    assert bus.live_processes() == [("n1", 4242)]
-    bus.process_finished("n1", 4242)
-    assert bus.live_processes() == []
-
-
 def test_listener_routes_fitness_to_cache_result_and_durations(tmp_path, bus, closing):
     cache = ResultCache(tmp_path / "cache.txt", DIGEST)
     listener = closing(Listener(bus, tmp_path, cache))
@@ -94,59 +89,163 @@ def test_thousand_publishes_consumed_exactly_once(tmp_path, bus, closing):
     assert len(set(result_lines)) == 500  # none duplicated
 
 
-def cancelling_engine(tmp_path, bus, closing, killed):
-    """A ThreadedEngine whose runner records each termination command instead of sending it."""
+def make_job(i):
+    return JobSpec(name=f"indi_gen00_no{i:02d}", identifier=format(i, "x").rjust(56, "0"), payload="", backend="surrogate")
 
-    def runner(job, node, slot, bus):
-        raise AssertionError("no job runs")
 
-    runner.kill = lambda node, pid: killed.append((node, pid))
+class AnnouncingRunner:
+    """Slot runner: each job announces a trainer, pid ``pids[job.name]``, to the engine.
+    A job in ``hold`` then runs until a termination command reaches it; any other job
+    succeeds at once. Records each termination command instead of sending it."""
+
+    def __init__(self, pids, hold=()):
+        self.pids = pids
+        self.hold = set(hold)
+        self.killed = []
+        self.running = threading.Semaphore(0)  # released once per held job whose trainer was announced
+        self._signalled = threading.Event()
+
+    def __call__(self, job, node, slot, engine):
+        engine.process_started(node, slot, self.pids[job.name])
+        if job.name not in self.hold:
+            return 50.0, 1.0
+        self.running.release()
+        assert self._signalled.wait(5.0)
+        raise JobFailed("trainer terminated", "")
+
+    def kill(self, node, pid):
+        self.killed.append((node, pid))
+        self._signalled.set()
+
+
+def cancelling_engine(tmp_path, bus, closing, runner, nodes=("local",)):
+    """A ThreadedEngine with one slot per node, whose runner records each termination command."""
     listener = closing(Listener(bus, tmp_path, cache=None))
-    return closing(ThreadedEngine(SlotStore([("local", 0)]), bus, listener, runner))
+    return closing(ThreadedEngine(SlotStore([(node, 0) for node in nodes]), bus, listener, runner))
+
+
+def test_process_records_present_exactly_while_running(tmp_path, bus, closing):
+    """The engine files a trainer under its attempt's slot while the attempt runs and drops
+    it when the attempt ends: cancel() signals the trainer of the attempt in flight, not
+    that of the attempt that finished on the same slot before it."""
+    done, held = make_job(0), make_job(1)
+    runner = AnnouncingRunner({done.name: 4242, held.name: 4343}, hold=[held.name])
+    engine = cancelling_engine(tmp_path, bus, closing, runner, nodes=["n1"])
+    assert engine.run_jobs([done])[done.name].ok
+    engine.submit(held)
+    assert runner.running.acquire(timeout=5.0)
+    assert engine.cancel() == 1
+    assert runner.killed == [("n1", 4343)]
+    assert engine.wait([held.name])[held.name].error == "cancelled"
 
 
 def test_kill_all_sends_one_termination_per_live_process(tmp_path, bus, closing):
-    """ThreadedEngine.cancel: one terminator call per live trainer; returns the count."""
-    killed = []
-    engine = cancelling_engine(tmp_path, bus, closing, killed)
-    for i in range(3):
-        bus.process_started(f"n{i}", 100 + i)
+    """ThreadedEngine.cancel: one terminator call per trainer of an attempt in flight; returns the count."""
+    jobs = [make_job(i) for i in range(3)]
+    runner = AnnouncingRunner({job.name: 100 + i for i, job in enumerate(jobs)}, hold=[job.name for job in jobs])
+    engine = cancelling_engine(tmp_path, bus, closing, runner, nodes=["n0", "n1", "n2"])
+    for job in jobs:  # each is placed on the lowest idle slot as it is submitted
+        engine.submit(job)
+    for _ in jobs:
+        assert runner.running.acquire(timeout=5.0)
     assert engine.cancel() == 3
-    assert sorted(killed) == [("n0", 100), ("n1", 101), ("n2", 102)]
+    assert sorted(runner.killed) == [("n0", 100), ("n1", 101), ("n2", 102)]
 
 
 def test_kill_all_noop_without_live_processes(tmp_path, bus, closing):
-    killed = []
-    engine = cancelling_engine(tmp_path, bus, closing, killed)
+    runner = AnnouncingRunner({})
+    engine = cancelling_engine(tmp_path, bus, closing, runner)
     assert engine.cancel() == 0
-    assert killed == []
+    assert runner.killed == []
 
 
 def test_a_trainer_announced_after_cancel_returned_is_signalled(tmp_path, bus, closing):
-    """A slot runner that spawns its trainer after cancel() took its snapshot of the live
-    processes: announcing it on the bus hands its pid to the terminator at once."""
+    """A slot runner that spawns its trainer after cancel() collected the trainers to
+    signal: announcing it to the engine hands its pid to the terminator at once."""
     killed = []
     running, cancelled = threading.Event(), threading.Event()
 
-    def runner(job, node, slot, bus):
+    def runner(job, node, slot, engine):
         running.set()
         assert cancelled.wait(5.0)
-        bus.process_started(node, 4242)
-        bus.process_finished(node, 4242)
+        engine.process_started(node, slot, 4242)
         raise JobFailed("trainer terminated", "")
 
     runner.kill = lambda node, pid: killed.append((node, pid))
-    listener = closing(Listener(bus, tmp_path, cache=None))
-    engine = closing(ThreadedEngine(SlotStore([("local", 0)]), bus, listener, runner))
-    job = JobSpec(name="indi_gen00_no00", identifier="a" * 56, payload="", backend="surrogate")
+    engine = cancelling_engine(tmp_path, bus, closing, runner)
+    job = make_job(0)
     engine.submit(job)
     assert running.wait(5.0)
-    assert engine.cancel() == 0  # nothing was live yet
+    assert engine.cancel() == 0  # nothing was announced yet
     cancelled.set()
     result = engine.wait([job.name])[job.name]
     assert killed == [("local", 4242)]
     assert (result.ok, result.error) == (False, "cancelled")
-    assert bus.live_processes() == []
+
+
+def test_a_trainer_announced_while_close_runs_is_not_signalled(tmp_path, bus, closing):
+    """close() lets the running attempts finish: a trainer announced after it dropped the
+    queued jobs is filed, not signalled, and its attempt's result stands."""
+    job = make_job(0)
+    runner = AnnouncingRunner({job.name: 4242})
+    engine = cancelling_engine(tmp_path, bus, closing, runner)
+    running, closed = threading.Event(), threading.Event()
+    cancel_core = engine.core.cancel
+
+    def core_cancel():  # close() cancels the core before it joins the slot threads
+        attempts = cancel_core()
+        closed.set()
+        return attempts
+
+    def announce_after_close(job, node, slot, engine):
+        running.set()
+        assert closed.wait(5.0)
+        return runner(job, node, slot, engine)
+
+    engine.core.cancel = core_cancel
+    engine.runner = announce_after_close
+    engine.submit(job)
+    assert running.wait(5.0)
+    engine.close()
+    assert runner.killed == []
+    assert engine.wait([job.name])[job.name].ok
+
+
+def test_cancel_racing_announcements_signals_each_trainer_exactly_once(tmp_path, bus, closing):
+    """Trainers announced on eight slots while cancel() runs, with thread switches forced
+    at every few instructions: each announced trainer is signalled once, whether cancel()
+    collected it or it was announced after, and no other pid is signalled."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(100):
+            pids = itertools.count(1)
+            announced, killed, stops = [], [], {}
+
+            def runner(job, node, slot, engine):
+                pid = next(pids)
+                stops[pid] = threading.Event()
+                announced.append((node, pid))
+                engine.process_started(node, slot, pid)
+                assert stops[pid].wait(5.0), f"trainer {pid} was never signalled"
+                raise JobFailed("trainer terminated", "")
+
+            def kill(node, pid):
+                killed.append((node, pid))
+                stops[pid].set()
+
+            runner.kill = kill
+            listener = closing(Listener(bus, tmp_path / str(round_), cache=None))
+            engine = closing(ThreadedEngine(SlotStore([("n", i) for i in range(8)]), bus, listener, runner))
+            jobs = [make_job(i) for i in range(12)]
+            for job in jobs:
+                engine.submit(job)
+            engine.cancel()
+            results = engine.wait([job.name for job in jobs])
+            assert all(result.error == "cancelled" for result in results.values())
+            assert sorted(killed) == sorted(announced), round_
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path, closing):
@@ -162,11 +261,12 @@ def test_in_process_bus_throughput_ten_thousand_per_second(tmp_path, closing):
 
 
 def test_bus_empty_at_quiescence(tmp_path, bus, closing):
-    listener = closing(Listener(bus, tmp_path, cache=None))
-    for i in range(10):
-        bus.process_started("n", i)
-        bus.publish(fit_record(i))
-        bus.process_finished("n", i)
-    listener.drain()
+    """Ten jobs, each announcing a trainer, run to their end: ten results are written and
+    no trainer stays filed, so cancel() signals none."""
+    jobs = [make_job(i) for i in range(10)]
+    runner = AnnouncingRunner({job.name: i for i, job in enumerate(jobs)})
+    engine = cancelling_engine(tmp_path, bus, closing, runner, nodes=["n"])
+    assert all(result.ok for result in engine.run_jobs(jobs).values())
     assert len((tmp_path / RESULT_FILE).read_text().splitlines()) == 10
-    assert bus.live_processes() == []
+    assert engine.cancel() == 0
+    assert runner.killed == []

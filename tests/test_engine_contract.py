@@ -358,10 +358,7 @@ def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, 
     engine.submit(long_job)
     assert engine.run_jobs([short_job])[short_job.name].ok  # on the farm the clock reaches 4 s
     if engine_kind == "threaded":
-        deadline = time.monotonic() + 10
-        while not bus.live_processes():  # the long job's trainer runs
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
+        assert runner.announced.wait(10.0)  # the long job's trainer runs
     assert engine.stats.busy_seconds == 4.0
     assert engine.cancel() == 1
     killed = engine.wait([long_job.name])[long_job.name]
@@ -372,7 +369,6 @@ def test_killed_attempt_resolves_as_cancelled_and_is_charged(tmp_path, closing, 
     assert engine.stats.busy_seconds == pytest.approx(4.0 + killed.duration_s)
     assert [r.name for r in bus.fitness] == [short_job.name]
     assert engine.stats.jobs == 1
-    assert bus.live_processes() == []
 
 
 class TimedBackend(SurrogateBackend):
@@ -396,16 +392,15 @@ class KillableRunner:
     def __init__(self, blocking, short_s):
         self.blocking = blocking
         self.short_s = short_s
+        self.announced = threading.Event()
         self.killed = threading.Event()
 
-    def __call__(self, job, node, slot, bus):
+    def __call__(self, job, node, slot, engine):
         if job.name != self.blocking:
             return SurrogateBackend().evaluate(job)[0], self.short_s
-        bus.process_started(node, self.PID)
-        try:
-            self.killed.wait(10.0)
-        finally:
-            bus.process_finished(node, self.PID)
+        engine.process_started(node, slot, self.PID)
+        self.announced.set()
+        self.killed.wait(10.0)
         raise JobFailed("trainer terminated", "")
 
     def kill(self, node, pid):

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -65,16 +66,31 @@ class TallyBus(InProcessBus):
         super().publish(record)
 
 
-class ProcessTallyBus(InProcessBus):
-    """Keeps the (node, pid) of every trainer announced on it."""
+class RecordingSink:
+    """Stands in for the engine a slot runner reports to: counts the records published
+    through it, by type, and keeps the (node, slot, pid) of every trainer announced."""
 
     def __init__(self):
-        super().__init__()
+        self.published = Counter()
         self.started = []
 
-    def process_started(self, node, pid):
+    def publish(self, record):
+        self.published[type(record).__name__] += 1
+
+    def process_started(self, node, slot, pid):
+        self.started.append((node, slot, pid))
+
+
+class ProcessTallyEngine(ThreadedEngine):
+    """Keeps the (node, pid) of every trainer announced to it, once the engine filed it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.started = []
+
+    def process_started(self, node, slot, pid):
+        super().process_started(node, slot, pid)
         self.started.append((node, pid))
-        super().process_started(node, pid)
 
 
 TOY_TRAINER = (
@@ -84,25 +100,25 @@ TOY_TRAINER = (
 
 
 def test_surrogate_job_round_trip_matches_in_process(worker, closing):
-    bus = TallyBus()
-    value, duration = closing(TcpTransport()).run_job(job(), f"127.0.0.1:{worker.port}", 0, bus)
+    sink = RecordingSink()
+    value, duration = closing(TcpTransport()).run_job(job(), f"127.0.0.1:{worker.port}", 0, sink)
     expected_value, expected_duration = SurrogateBackend().evaluate(job())
     assert value == expected_value
     assert duration == expected_duration
-    assert bus.published == Counter()  # the transport returns the fitness; the engine publishes its record
-    assert bus.live_processes() == []  # no trainer is live after the job
+    assert sink.published == Counter()  # the transport returns the fitness; the engine publishes its record
+    assert sink.started == []  # an in-process backend starts no trainer
 
 
 def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
     node = f"127.0.0.1:{worker.port}"
     transport = closing(TcpTransport())
-    bus = TallyBus()
+    sink = RecordingSink()
     the_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=5)
-    value, _ = transport.run_job(the_job, node, 1, bus)
+    value, _ = transport.run_job(the_job, node, 1, sink)
     expected_value, _ = SurrogateBackend().evaluate(the_job)
     assert value == expected_value
     # 5 epoch lines streamed back as log records, and no job result from the transport
-    assert bus.published == Counter(LogRecord=5)
+    assert sink.published == Counter(LogRecord=5)
     # through an engine the job gets exactly one published result, from the engine's scheduler core
     bus = TallyBus()
     listener = closing(Listener(bus, tmp_path, cache=None))
@@ -113,10 +129,9 @@ def test_command_job_runs_toy_trainer_over_loopback(worker, tmp_path, closing):
 
 
 def test_unsupported_backend_is_job_failure(worker, closing):
-    bus = InProcessBus()
     with pytest.raises(JobFailed):
         closing(TcpTransport()).run_job(job(backend="lookup", settings={"table": "x.csv"}),
-                               f"127.0.0.1:{worker.port}", 0, bus)
+                               f"127.0.0.1:{worker.port}", 0, RecordingSink())
 
 
 def test_unreachable_worker_raises_worker_lost():
@@ -124,11 +139,61 @@ def test_unreachable_worker_raises_worker_lost():
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     with pytest.raises(WorkerLostError):
-        TcpTransport(connect_timeout=0.2).run_job(job(), f"127.0.0.1:{port}", 0, InProcessBus())
+        TcpTransport(connect_timeout=0.2).run_job(job(), f"127.0.0.1:{port}", 0, RecordingSink())
 
 
 def test_kill_message_is_accepted(worker):
     TcpTransport().kill(f"127.0.0.1:{worker.port}", 999_999)  # no such pid: harmless no-op
+
+
+@pytest.fixture
+def silent_node():
+    """The address of a socket that listens but never accepts, as a frozen worker's does:
+    a connection to it opens through the backlog, and no answer ever comes."""
+    with socket.socket() as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(4)
+        yield f"127.0.0.1:{server.getsockname()[1]}"
+
+
+def test_a_kill_to_a_silent_worker_returns_within_the_connect_timeout(silent_node):
+    transport = TcpTransport(connect_timeout=0.5, io_timeout=3.0)
+    started = time.monotonic()
+    transport.kill(silent_node, 4242)  # logged, not raised
+    assert time.monotonic() - started < 2.0
+
+
+def test_cancel_signals_the_trainer_after_a_silent_worker(worker, silent_node, tmp_path, closing, monkeypatch):
+    """The kill to a worker that never answers costs cancel() at most the connect timeout,
+    and the kill for the trainer after it still reaches its worker."""
+    delivered = []
+    monkeypatch.setattr(worker, "_kill", lambda msg: (delivered.append(msg["pid"]), {"type": "ok"})[1])
+    live = f"localhost:{worker.port}"
+    assert silent_node < live  # the silent node's slot is placed, and its trainer signalled, first
+    running, release = threading.Semaphore(0), threading.Event()
+
+    def runner(job, node, slot, engine):
+        engine.process_started(node, slot, 4242 if node == silent_node else 4343)
+        running.release()
+        release.wait(10.0)
+        raise JobFailed("trainer terminated", "")
+
+    runner.kill = closing(TcpTransport(connect_timeout=0.5, io_timeout=3.0)).kill
+    bus = InProcessBus()
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    engine = closing(ThreadedEngine(SlotStore([(silent_node, 0), (live, 0)]), bus, listener, runner))
+    for i in range(2):
+        engine.submit(job(name=f"indi_gen00_no{i:02d}"))
+    for _ in range(2):
+        assert running.acquire(timeout=5.0)
+    started = time.monotonic()
+    try:
+        assert engine.cancel() == 2
+        elapsed = time.monotonic() - started
+    finally:
+        release.set()
+    assert delivered == [4343]
+    assert elapsed < 2.0
 
 
 def test_no_pid_that_names_a_group_or_this_process_is_signalled(worker, monkeypatch):
@@ -193,17 +258,17 @@ def test_in_process_jobs_announce_no_process_record(worker, tmp_path, closing, m
         "tcp": (SlotStore([(node, 0), (node, 1)]), remote_runner(closing(TcpTransport()))),
     }
     for where, (store, runner) in runners.items():
-        bus = ProcessTallyBus()
+        bus = InProcessBus()
         listener = closing(Listener(bus, tmp_path / where, cache=None))
-        results = closing(ThreadedEngine(store, bus, listener, runner)).run_jobs(jobs)
+        engine = closing(ProcessTallyEngine(store, bus, listener, runner))
+        results = engine.run_jobs(jobs)
         assert all(r.ok for r in results.values()), where
-        assert bus.started == [], where
+        assert engine.started == [], where
     assert streams == [["fitness"]] * len(jobs)
-    bus = ProcessTallyBus()
+    sink = RecordingSink()
     command_job = job(backend="command", settings={"command": TOY_TRAINER}, epochs=2)
-    closing(TcpTransport()).run_job(command_job, node, 0, bus)
-    assert [(where, pid != os.getpid()) for where, pid in bus.started] == [(node, True)]
-    assert bus.live_processes() == []
+    closing(TcpTransport()).run_job(command_job, node, 0, sink)
+    assert [(where, pid != os.getpid()) for where, _, pid in sink.started] == [(node, True)]
     assert streams[-1] == ["process_start", "log", "log", "fitness"]
 
 
@@ -272,17 +337,17 @@ def test_local_command_jobs_register_the_spawned_trainer_pid(tmp_path, closing):
     )
     backend = CommandBackend(template=f"{sys.executable} {script}")
 
-    bus = ProcessTallyBus()
+    bus = InProcessBus()
     store = SlotStore([("local", 0)])
     listener = closing(Listener(bus, tmp_path, cache=None))
-    engine = closing(ThreadedEngine(store, bus, listener, local_runner(backend)))
+    engine = closing(ProcessTallyEngine(store, bus, listener, local_runner(backend)))
     results = engine.run_jobs([job(backend="command", settings={"command": backend.template})])
     assert next(iter(results.values())).ok
     log_line = (tmp_path / "run.log").read_text()
     reported_pid = int(log_line.split("mypid ", 1)[1].strip())
-    assert bus.started == [("local", reported_pid)]
+    assert engine.started == [("local", reported_pid)]
     assert reported_pid != os.getpid()
-    assert bus.live_processes() == []
+    assert engine.cancel() == 0  # the trainer's entry went with its attempt
 
 
 def record_connections(agent):
@@ -312,7 +377,7 @@ def remote_engine(node, tmp_path, slots=1, transport=None):
     store = SlotStore([(node, i) for i in range(slots)])
     bus = InProcessBus()
     listener = Listener(bus, tmp_path, cache=None)
-    return ThreadedEngine(store, bus, listener, remote_runner(transport))
+    return ProcessTallyEngine(store, bus, listener, remote_runner(transport))
 
 
 class ElsewhereNamedWorker(WorkerAgent):
@@ -340,7 +405,7 @@ def test_cancel_signals_a_remote_trainer_through_the_node_its_job_was_sent_to(tm
     try:
         engine.submit(the_job)
         deadline = time.monotonic() + 10
-        while not (live := engine.bus.live_processes()):
+        while not (live := engine.started):
             assert time.monotonic() < deadline, "the trainer never started"
             time.sleep(0.01)
         cancelled = time.monotonic()
@@ -404,7 +469,7 @@ def test_lookup_jobs_over_one_connection_read_the_table_once(tmp_path, monkeypat
     transport = TcpTransport()
     lookup_job = job(backend="lookup", settings={"table": str(table)})
     try:
-        values = [transport.run_job(lookup_job, f"127.0.0.1:{agent.port}", 0, InProcessBus())[0] for _ in range(3)]
+        values = [transport.run_job(lookup_job, f"127.0.0.1:{agent.port}", 0, RecordingSink())[0] for _ in range(3)]
     finally:
         transport.close()
         agent.stop()
@@ -498,10 +563,10 @@ def test_unsupported_backend_ends_its_stream_and_keeps_the_connection(worker):
     handlers = record_connections(worker)
     transport = TcpTransport()
     node = f"127.0.0.1:{worker.port}"
-    bus = InProcessBus()
+    sink = RecordingSink()
     with pytest.raises(JobFailed, match="not supported"):
-        transport.run_job(job(backend="lookup", settings={"table": "x.csv"}), node, 0, bus)
-    value, _ = transport.run_job(job(), node, 0, bus)
+        transport.run_job(job(backend="lookup", settings={"table": "x.csv"}), node, 0, sink)
+    value, _ = transport.run_job(job(), node, 0, sink)
     transport.close()
     assert value == SurrogateBackend().evaluate(job())[0]
     assert len(handlers) == 1
@@ -754,23 +819,27 @@ def test_a_connection_is_opened_once_per_busy_slot_not_once_per_job(worker, tmp_
     assert len(opened) == 2
 
 
-def test_no_live_process_record_after_any_job(worker):
-    transport = TcpTransport()
+def test_no_live_process_record_after_any_job(worker, tmp_path, closing):
+    """Whether its job succeeds, its trainer fails or the worker rejects it, an attempt's
+    trainer entry goes with the attempt: after the jobs, cancel() signals no trainer."""
     node = f"127.0.0.1:{worker.port}"
     bus = InProcessBus()
-    for the_job in (
+    listener = closing(Listener(bus, tmp_path, cache=None))
+    runner = remote_runner(closing(TcpTransport()))
+    engine = closing(ProcessTallyEngine(SlotStore([(node, 0)]), bus, listener, runner, retry_budget=0))
+    outcomes = []
+    for i, the_job in enumerate((
         job(),
         job(backend="command", settings={"command": TOY_TRAINER}, epochs=2),
         job(backend="command", settings={"command": f"{sys.executable} -c 'import sys; sys.exit(3)'"}),
         job(backend="lookup", settings={"table": "x.csv"}),
         job(),
-    ):
-        try:
-            transport.run_job(the_job, node, 0, bus)
-        except JobFailed:
-            pass
-        assert bus.live_processes() == []
-    transport.close()
+    )):
+        (result,) = engine.run_jobs([replace(the_job, name=f"indi_gen00_no{i:02d}")]).values()
+        outcomes.append(result.ok)
+    assert outcomes == [True, True, False, False, True]
+    assert len(engine.started) == 2
+    assert engine.cancel() == 0
 
 
 def record_job_frames(monkeypatch):
@@ -802,8 +871,8 @@ def test_a_connection_carries_the_settings_until_they_change(worker, monkeypatch
     jobs += [job(epochs=6)]
     try:
         with pytest.raises(JobFailed, match="not supported"):  # same settings, a kind it does not serve
-            transport.run_job(job(backend="lookup"), node, 0, InProcessBus())
-        values = [transport.run_job(the_job, node, 0, InProcessBus()) for the_job in jobs]
+            transport.run_job(job(backend="lookup"), node, 0, RecordingSink())
+        values = [transport.run_job(the_job, node, 0, RecordingSink()) for the_job in jobs]
     finally:
         transport.close()
     assert values == [SurrogateBackend().evaluate(the_job) for the_job in jobs]
@@ -907,9 +976,9 @@ def test_a_worker_that_reads_settings_from_every_frame_refuses_null_settings():
     transport = TcpTransport()
     node = f"127.0.0.1:{agent.port}"
     try:
-        first = transport.run_job(job(), node, 0, InProcessBus())
+        first = transport.run_job(job(), node, 0, RecordingSink())
         with pytest.raises(JobFailed):
-            transport.run_job(job(), node, 0, InProcessBus())
+            transport.run_job(job(), node, 0, RecordingSink())
     finally:
         transport.close()
         agent.stop()

@@ -6,7 +6,10 @@ from evonas.errors import ReportError
 from evonas.report import (
     CSV_HEADER,
     RETRAIN_FILE,
+    ComparisonRow,
     compare,
+    render_csv,
+    render_text,
     retrain_best,
     summarize_run,
 )
@@ -125,6 +128,30 @@ def test_csv_na_fields_for_partial_rows(make_harness):
     fields = line.split(",")
     assert fields[2] == "NA"  # retrain column
     assert fields[0] == "test_run"
+
+
+def test_text_table_and_csv_format_each_row_alike():
+    """The text table and the CSV show the same cells for a row -- NA for a missing value,
+    two decimals for accuracies and GPU-days -- and the table adds the notes column."""
+    rows = [
+        ComparisonRow("aging_evolution", 91.234, 93.5, 123456, 7890123, 1.25, 40, mixed=True),
+        ComparisonRow("nsga2", 88.0, None, 2345, 67890, 0.004, 12, partial=True),
+        ComparisonRow("random", None, None, None, None, 0.0, 0, partial=True, mixed=True),
+    ]
+    assert render_text(rows) == (
+        "algorithm        search  retrain  params  flops    gpu_days  evals  notes\n"
+        "-------------------------------------------------------------------------\n"
+        "aging_evolution  91.23   93.50    123456  7890123  1.25      40     mixed-settings\n"
+        "nsga2            88.00   NA       2345    67890    0.00      12     partial\n"
+        "random           NA      NA       NA      NA       0.00      0      partial,mixed-settings\n"
+        "flops are multiply-accumulates; accuracy columns are percent\n"
+    )
+    assert render_csv(rows) == (
+        f"{CSV_HEADER}\n"
+        "aging_evolution,91.23,93.50,123456,7890123,1.25,40\n"
+        "nsga2,88.00,NA,2345,67890,0.00,12\n"
+        "random,NA,NA,NA,NA,0.00,0\n"
+    )
 
 
 def test_gpu_days_definition(tmp_path):
