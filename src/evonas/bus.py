@@ -6,9 +6,11 @@ thread, to the bus's one listener, which writes them into the cache, result,
 log, and duration files under its lock, in publish order. Which trainer
 processes run is not the bus's business: the threaded engine files them.
 The bus keeps no record: one published with no listener attached, or after
-the listener closed, is dropped. A restarted run has nothing to replay; the
-cache (first write wins) and the listener's set of names already in
-``results.txt`` keep a re-run job from being counted twice.
+the listener closed, is dropped. A restarted run has nothing to replay, and
+the cache (first write wins) keeps a job whose result reached it from
+training again. A job that does train again (a second retrain, a resume
+without the cache) was paid for again: it gets another result and duration
+line.
 
 A cache entry is flushed as its result is applied, when its job resolves, so
 a finished training survives a crash of this process: that takes a flush,
@@ -60,10 +62,9 @@ class Listener:
     It attaches itself to ``bus`` when built and detaches at ``close()``.
     Routing: Log -> ``run.log`` (prefixed with the job name); JobResult ->
     one cache entry (first write wins), one ``name=value`` line in
-    ``results.txt`` and one duration line in ``durations.txt``. A job name
-    already in ``results.txt`` (a job re-run after a restart) gets no second
-    result or duration line. A drain writes the lines applied since the last
-    one through to every file once, not once per line.
+    ``results.txt`` and one duration line in ``durations.txt``. A drain
+    writes the lines applied since the last one through to every file once,
+    not once per line.
     """
 
     def __init__(self, bus: InProcessBus, run_dir: Path | str, cache: ResultCache | None = None):
@@ -72,13 +73,8 @@ class Listener:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.cache = cache
         self._lock = threading.Lock()
-        self._routed_names: set[str] = set()
         self._files: dict[str, object] = {}
         self._applied = 0  # records applied since the last drain
-        results = self.run_dir / RESULT_FILE
-        if results.exists():
-            for line in results.read_text(encoding="utf-8").splitlines():
-                self._routed_names.add(line.split("=", 1)[0])
         bus.listener = self
 
     def _append(self, filename: str, line: str) -> None:
@@ -119,10 +115,8 @@ class Listener:
                 return
             if self.cache is not None:
                 self.cache.insert(record.identifier, record.value)
-            if record.name not in self._routed_names:
-                self._append(RESULT_FILE, f"{record.name}={record.value:.2f}")
-                self._append(DURATIONS_FILE, f"{record.name} {record.identifier} {record.duration_s:.6f}")
-                self._routed_names.add(record.name)
+            self._append(RESULT_FILE, f"{record.name}={record.value:.2f}")
+            self._append(DURATIONS_FILE, f"{record.name} {record.identifier} {record.duration_s:.6f}")
 
     def drain(self) -> int:
         """Write every file through; returns the number of records applied since the last drain."""

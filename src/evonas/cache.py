@@ -31,6 +31,17 @@ ENTRY_RE = re.compile(r"^([0-9a-f]{56}) = (\d{1,3}\.\d{2})$")
 IDENTIFIER_RE = re.compile(r"[0-9a-f]{56}")
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``path`` whole or not at all: through a temporary file renamed over it, so a
+    crash or an interrupt mid-write leaves no empty or cut file."""
+    tmp = path.with_suffix(".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except OSError as exc:
+        raise PersistError(f"cannot write {path}: {exc}") from exc
+
+
 class ResultCache:
     def __init__(self, path: Path | str, settings_digest: str):
         self.path = Path(path)
@@ -41,10 +52,7 @@ class ResultCache:
             self._load()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                self.path.write_text(f"{HEADER_PREFIX}{settings_digest}\n", encoding="utf-8")
-            except OSError as exc:
-                raise PersistError(f"cannot create cache file {self.path}: {exc}") from exc
+            write_atomic(self.path, f"{HEADER_PREFIX}{settings_digest}\n")
 
     def _load(self) -> None:
         data = self.path.read_bytes()

@@ -22,7 +22,7 @@ from .arch import identifier
 from .arch.spaces import DECODE_KEYS, FixedBinarySpace
 from .backends import BACKEND_KINDS, SurrogateBackend, build_backend
 from .bus import InProcessBus, Listener
-from .cache import ResultCache
+from .cache import ResultCache, write_atomic
 from .config import (
     BackendConfig,
     canonical_settings_text,
@@ -144,7 +144,7 @@ def cmd_run(args) -> int:
     settings_path = run_dir / SETTINGS_FILE
     settings_text = canonical_settings_text(settings)
     if not settings_path.exists():
-        settings_path.write_text(settings_text, encoding="utf-8")
+        write_atomic(settings_path, settings_text)
     elif settings_path.read_text(encoding="utf-8") != settings_text:
         # checked before anything is written: the run keeps the settings it started with
         raise ConfigError(

@@ -22,10 +22,10 @@ end. ``cancel()`` is the one call that stops an engine: no attempt starts
 after it, queued jobs resolve as ``cancelled``, and a failed or killed
 attempt is not retried. In the critical section that cancels the core it
 collects the trainers of the attempts still in flight, and signals them
-outside it, at the node each job was sent to; a trainer announced after it
-is signalled at once. ``close()`` drops the queued jobs, lets the running
-attempts finish (it signals no trainer), joins every slot thread, and closes
-the slot runner's idle worker connections.
+outside it, at the node each job was sent to, counting the signals that went
+out; a trainer announced after it is signalled at once. ``close()`` drops the
+queued jobs, lets the running attempts finish (it signals no trainer), joins
+every slot thread, and closes the slot runner's idle worker connections.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ logger = logging.getLogger(__name__)
 #: argument is the engine: the runner hands it the job's log records
 #: (``publish``) and announces each trainer process it spawns
 #: (``process_started(node, slot, pid)``). The engine's scheduler core
-#: publishes the result. A runner may carry ``kill(node, pid)`` and
-#: ``close()`` attributes.
+#: publishes the result. A runner may carry ``kill(node, pid)``, which
+#: returns whether its signal went out, and ``close()`` attributes.
 SlotRunner = Callable[[JobSpec, str, int, "ThreadedEngine"], tuple[float, float]]
 
 
@@ -79,19 +79,20 @@ def local_runner(backend) -> SlotRunner:
     return run
 
 
-def local_terminator(node: str, pid: int) -> None:
-    """Terminate a locally spawned trainer process.
+def local_terminator(node: str, pid: int) -> bool:
+    """Terminate a locally spawned trainer process; returns whether the signal went out.
 
     Never this process, and never a pid that ``os.kill`` reads as a group
     (0 is this process group, a negative pid a group or every process the
     user owns): a pid may arrive from the network.
     """
     if pid <= 0 or pid == os.getpid():
-        return
+        return False
     try:
         os.kill(pid, signal.SIGTERM)
     except (ProcessLookupError, PermissionError):
-        pass
+        return False
+    return True
 
 
 class ThreadedEngine:
@@ -108,7 +109,7 @@ class ThreadedEngine:
         self.listener = listener
         self.runner = runner
         # read once: a wrapper later set as ``runner`` keeps the runner's kill and close
-        self.terminator: Callable[[str, int], None] = getattr(runner, "kill", lambda node, pid: None)
+        self.terminator: Callable[[str, int], bool] = getattr(runner, "kill", lambda node, pid: False)
         self.on_close: Callable[[], None] | None = getattr(runner, "close", None)
         self.core = Scheduler(store, bus, retry_budget)
         self.stats = self.core.stats
@@ -170,16 +171,14 @@ class ThreadedEngine:
 
     def cancel(self) -> int:
         """Start no further attempt and send one termination command per trainer of an attempt
-        in flight, and per trainer announced later; returns the number sent now. Queued jobs
-        and killed attempts resolve as cancelled."""
+        in flight, and per trainer announced later; returns the number of those sent now that
+        went out. Queued jobs and killed attempts resolve as cancelled."""
         with self._lock:
             self._cancelled = True
             held = [(a.node, a.slot) for a in self.core.cancel() if (a.node, a.slot) in self._trainers]
             trainers = [(node, self._trainers[node, slot]) for node, slot in held]
             self._advance(None)
-        for node, pid in trainers:
-            self.terminator(node, pid)
-        return len(trainers)
+        return sum(bool(self.terminator(node, pid)) for node, pid in trainers)
 
     def submit(self, job: JobSpec) -> None:
         with self._lock:

@@ -23,8 +23,9 @@ cannot read gets an ``error`` frame, and the connection goes on serving.
 
 A job connection outlives its job: the worker serves messages on it until
 EOF, and the center keeps it idle after the job's result frame and sends the
-next job for that worker over it, so a busy slot holds one connection rather
-than one per job. A connection also carries the run's settings: the first
+next job of the same slot over it, so a slot holds one connection rather than
+one per job, and a connection carries the jobs of one slot only. A connection
+also carries the run's settings: the first
 ``job`` frame on it holds the whole settings map, and a later one whose
 settings equal the previous frame's holds ``"settings": null``. The worker
 keeps, per connection, the settings last sent and the one backend built from
@@ -67,10 +68,11 @@ logger = logging.getLogger(__name__)
 
 _HEADER = struct.Struct(">I")
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds an encoder per call
 
 
 def send_msg(sock: socket.socket, payload: dict) -> None:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _encode(payload).encode("utf-8")
     sock.sendall(_HEADER.pack(len(body)) + body)
 
 
@@ -288,18 +290,19 @@ def _closed_by_peer(sock: socket.socket) -> bool:
 class TcpTransport:
     """Center-side client for worker agents.
 
-    Job connections are pooled per node: ``run_job`` takes an idle one (or
-    connects), holds it for the job, and puts it back only after the job's
-    stream ended cleanly with its result frame; any other end closes it.
-    A pooled connection keeps the settings it last sent, and goes with them.
-    A job whose reused connection closes before any reply is sent once more
-    on a new connection, within the same attempt.
+    Each ``(node, slot)`` keeps its own job connection, as it runs one job at
+    a time: ``run_job`` takes its slot's idle one (or connects), holds it for
+    the job, and puts it back only after the job's stream ended cleanly with
+    its result frame; any other end closes it. An idle connection keeps the
+    settings it last sent, and goes with them. A job whose reused connection
+    closes before any reply is sent once more on a new connection, within the
+    same attempt.
     """
 
     connect_timeout: float = 5.0
     io_timeout: float = 600.0
-    # node -> idle connections, each with the settings it last sent
-    _idle: dict[str, list[tuple[socket.socket, dict]]] = field(
+    # (node, slot) -> the slot's idle connection, with the settings it last sent
+    _idle: dict[tuple[str, int], tuple[socket.socket, dict]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
@@ -314,27 +317,10 @@ class TcpTransport:
         _no_delay(sock)
         return sock
 
-    def _checkout(self, node: str) -> tuple[socket.socket, dict | None]:
-        """An idle connection to ``node`` that the worker has not closed, with the settings
-        it last sent; else a new connection, which has sent none."""
-        while True:
-            with self._lock:
-                idle = self._idle.get(node)
-                conn = idle.pop() if idle else None
-            if conn is None:
-                return self._connect(node), None
-            if not _closed_by_peer(conn[0]):
-                return conn
-            conn[0].close()
-
-    def _checkin(self, node: str, sock: socket.socket, sent: dict) -> None:
-        with self._lock:
-            self._idle.setdefault(node, []).append((sock, sent))
-
     def close(self) -> None:
         """Close every idle job connection; connections in use close when their job ends."""
         with self._lock:
-            idle = [sock for conns in self._idle.values() for sock, _ in conns]
+            idle = [sock for sock, _ in self._idle.values()]
             self._idle.clear()
         for sock in idle:
             sock.close()
@@ -343,13 +329,19 @@ class TcpTransport:
         """Dispatch one job to the worker at ``node``, announcing its trainers to ``engine``
         under ``(node, slot)`` and republishing its log records there; returns the fitness
         frame's (value, duration)."""
-        sock, sent = self._checkout(node)
+        with self._lock:
+            sock, sent = self._idle.pop((node, slot), (None, None))
+        if sock is not None and _closed_by_peer(sock):
+            sock.close()
+            sock = None
+        if sock is None:
+            sock, sent = self._connect(node), None
         try:
             return self._exchange(sock, sent, job, node, slot, engine)
         except _ClosedBeforeReply:
             if sent is None:  # not a reused connection
                 raise
-        # The worker closed the pooled connection as it was taken, too late for
+        # The worker closed the slot's connection as it was taken, too late for
         # the liveness check to see it (a worker older than connection reuse
         # closes after every job). No frame came back, so the worker had not
         # taken the job up: send it once more, on a new connection.
@@ -399,22 +391,25 @@ class TcpTransport:
         except BaseException:  # the stream is out of step: never reuse the connection
             sock.close()
             raise
-        self._checkin(node, sock, sent)
+        with self._lock:
+            self._idle[node, slot] = (sock, sent)
         if error is not None:
             raise error
         return result
 
-    def kill(self, node: str, pid: int) -> None:
-        """Ask the worker at ``node`` to signal trainer ``pid``. Each step waits at most
-        ``connect_timeout``; a worker that cannot be reached or does not answer is logged,
-        so the kills after it still go out."""
+    def kill(self, node: str, pid: int) -> bool:
+        """Ask the worker at ``node`` to signal trainer ``pid``; returns whether it answered
+        ``ok``. Each step waits at most ``connect_timeout``; a worker that cannot be reached
+        or does not answer is logged, so the kills after it still go out."""
         try:
             with self._connect(node) as sock:
                 sock.settimeout(self.connect_timeout)
                 send_msg(sock, {"type": "kill", "pid": pid})
-                recv_msg(sock)
+                reply = recv_msg(sock)
         except (WorkerLostError, OSError) as exc:
             logger.warning("could not deliver kill to %s pid %d: %s", node, pid, exc)
+            return False
+        return reply is not None and reply.get("type") == "ok"
 
 
 def remote_runner(transport: TcpTransport):

@@ -22,6 +22,7 @@ from pathlib import Path
 from .arch import flop_count, param_count
 from .backends import decode_from_settings
 from .bus import DURATIONS_FILE
+from .cache import write_atomic
 from .errors import ReportError
 from .evaluator import job_spec
 from .evo.individual import Individual
@@ -157,7 +158,7 @@ def retrain_best(run_dir: Path | str, retrain_settings: dict[str, str], engine, 
     if not result.ok:
         raise ReportError(f"retrain job failed: {result.error}")
     line = f"name={best.name};fit={result.value:.2f};epochs={job.epochs}\n"
-    (run_dir / RETRAIN_FILE).write_text(line, encoding="utf-8")
+    write_atomic(run_dir / RETRAIN_FILE, line)
     return best.name, result.value
 
 

@@ -67,7 +67,8 @@ from pathlib import Path
 from typing import Callable
 
 from .arch import canonical_text, parse_canonical
-from .errors import CorruptLogError, EvaluationOrderError, PersistError, RestartError
+from .cache import write_atomic
+from .errors import CorruptLogError, EvaluationOrderError, RestartError
 from .evaluator import Evaluator
 from .evo.individual import Individual, Population, birth_generation
 from .evo.strategies import SearchStrategy, StrategyConfig
@@ -120,7 +121,6 @@ class RunState:
         return state
 
     def save(self, run_dir: Path) -> None:
-        path = run_dir / RUN_STATE_FILE
         body = (
             f"is_running={self.is_running}\n"
             f"algorithm={self.algorithm}\n"
@@ -129,12 +129,7 @@ class RunState:
             f"lag={self.lag}\n"
             f"max_gen={self.max_gen}\n"
         ) + "".join(f"{key}={value}\n" for key, value in self.search.items())
-        tmp = path.with_suffix(".tmp")
-        try:
-            tmp.write_text(body, encoding="utf-8")
-            tmp.rename(path)
-        except OSError as exc:
-            raise PersistError(f"cannot persist run state: {exc}") from exc
+        write_atomic(run_dir / RUN_STATE_FILE, body)
 
 
 def format_record(member: Individual) -> str:
@@ -164,13 +159,7 @@ def save_population(run_dir: Path, t: int, pop: Population) -> None:
     path = log_path(run_dir, t)
     if path.exists():
         return  # logs are append-created, never rewritten
-    body = "".join(format_record(m) + "\n" for m in pop.members)
-    tmp = path.with_suffix(".tmp")
-    try:
-        tmp.write_text(body, encoding="utf-8")
-        tmp.rename(path)
-    except OSError as exc:
-        raise PersistError(f"cannot write population log {path}: {exc}") from exc
+    write_atomic(path, "".join(format_record(m) + "\n" for m in pop.members))
 
 
 def parse_record(line: str) -> Individual:

@@ -96,7 +96,8 @@ def make_job(i):
 class AnnouncingRunner:
     """Slot runner: each job announces a trainer, pid ``pids[job.name]``, to the engine.
     A job in ``hold`` then runs until a termination command reaches it; any other job
-    succeeds at once. Records each termination command instead of sending it."""
+    succeeds at once. Records each termination command instead of sending it, and
+    reports it delivered."""
 
     def __init__(self, pids, hold=()):
         self.pids = pids
@@ -116,6 +117,7 @@ class AnnouncingRunner:
     def kill(self, node, pid):
         self.killed.append((node, pid))
         self._signalled.set()
+        return True
 
 
 def cancelling_engine(tmp_path, bus, closing, runner, nodes=("local",)):
@@ -233,6 +235,7 @@ def test_cancel_racing_announcements_signals_each_trainer_exactly_once(tmp_path,
             def kill(node, pid):
                 killed.append((node, pid))
                 stops[pid].set()
+                return True
 
             runner.kill = kill
             listener = closing(Listener(bus, tmp_path / str(round_), cache=None))

@@ -12,7 +12,7 @@ import pytest
 import evonas
 import evonas.cli
 from evonas.cli import main
-from evonas.report import CSV_HEADER
+from evonas.report import CSV_HEADER, accounting
 from evonas.runner import RunState, list_generations
 
 GLOBAL_INI = """\
@@ -89,6 +89,30 @@ def test_resume_under_changed_settings_is_refused_before_writing(tmp_path, capsy
     assert code == 2
     assert "changed settings" in capsys.readouterr().err
     assert run_files(tmp_path / "runs" / "demo") == before  # settings.txt included
+
+
+@pytest.mark.parametrize("name", ["settings.txt", "cache.txt"])
+def test_a_first_write_cut_short_leaves_no_file_and_the_rerun_runs(tmp_path, capsys, monkeypatch, name):
+    """A Ctrl-C halfway through writing settings.txt or the cache.txt header leaves no
+    such file, rather than an empty or cut one that every rerun refuses."""
+    g, t = write_configs(tmp_path)
+    argv = ("run", "--global-config", g, "--train-config", t, "--run-root", tmp_path / "runs")
+    stem = Path(name).stem
+    write_text = Path.write_text
+
+    def cut_short(path, text, *args, **kwargs):
+        if path.stem == stem:  # the file itself, or a temporary file it is written through
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+        return write_text(path, text, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    assert not (tmp_path / "runs" / "demo" / name).exists()
+    assert run_cli(*argv) == 0, capsys.readouterr().err
+    assert (tmp_path / "runs" / "demo" / "begin_2.txt").exists()
 
 
 SEARCH_INI = """\
@@ -530,6 +554,28 @@ def test_retrain_and_compare_verbs(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+
+
+def test_each_retrain_is_counted_in_the_duration_ledger(tmp_path):
+    """A second retrain trains again, so it adds its own duration line and compare
+    counts the GPU time of both."""
+    runs = tmp_path / "runs"
+    g, t = write_configs(tmp_path)
+    assert run_cli("run", "--global-config", g, "--train-config", t, "--run-root", runs) == 0
+    retrain_ini = tmp_path / "retrain_train.ini"
+    retrain_ini.write_text(TRAIN_INI.format(epochs=600), encoding="utf-8")
+    durations = runs / "demo" / "durations.txt"
+    searched = durations.read_text(encoding="utf-8").splitlines()
+    for _ in range(2):
+        assert run_cli("retrain", "--run-dir", runs / "demo", "--train-config", retrain_ini) == 0
+    retrains = durations.read_text(encoding="utf-8").splitlines()[len(searched):]
+    assert len(retrains) == 2
+    assert all(line.split()[0].endswith("_retrain") for line in retrains)
+    assert len(set(retrains)) == 1  # the same job, trained and paid for twice
+    evaluations, gpu_days = accounting(runs / "demo")
+    assert evaluations == len(searched)
+    seconds = sum(float(line.split()[2]) for line in searched + retrains)
+    assert gpu_days == pytest.approx(seconds / 86400)
 
 
 def test_compare_verb_refuses_mixed_settings(tmp_path, capsys):

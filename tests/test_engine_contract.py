@@ -405,3 +405,4 @@ class KillableRunner:
 
     def kill(self, node, pid):
         self.killed.set()
+        return True

@@ -143,7 +143,8 @@ def test_unreachable_worker_raises_worker_lost():
 
 
 def test_kill_message_is_accepted(worker):
-    TcpTransport().kill(f"127.0.0.1:{worker.port}", 999_999)  # no such pid: harmless no-op
+    # no such pid: a harmless no-op, which the worker answers with an error, not ok
+    assert TcpTransport().kill(f"127.0.0.1:{worker.port}", 999_999) is False
 
 
 @pytest.fixture
@@ -159,13 +160,14 @@ def silent_node():
 def test_a_kill_to_a_silent_worker_returns_within_the_connect_timeout(silent_node):
     transport = TcpTransport(connect_timeout=0.5, io_timeout=3.0)
     started = time.monotonic()
-    transport.kill(silent_node, 4242)  # logged, not raised
+    assert transport.kill(silent_node, 4242) is False  # logged, not raised
     assert time.monotonic() - started < 2.0
 
 
 def test_cancel_signals_the_trainer_after_a_silent_worker(worker, silent_node, tmp_path, closing, monkeypatch):
     """The kill to a worker that never answers costs cancel() at most the connect timeout,
-    and the kill for the trainer after it still reaches its worker."""
+    and the kill for the trainer after it still reaches its worker; cancel() counts only
+    the kill that went out."""
     delivered = []
     monkeypatch.setattr(worker, "_kill", lambda msg: (delivered.append(msg["pid"]), {"type": "ok"})[1])
     live = f"localhost:{worker.port}"
@@ -188,7 +190,7 @@ def test_cancel_signals_the_trainer_after_a_silent_worker(worker, silent_node, t
         assert running.acquire(timeout=5.0)
     started = time.monotonic()
     try:
-        assert engine.cancel() == 2
+        assert engine.cancel() == 1
         elapsed = time.monotonic() - started
     finally:
         release.set()
@@ -205,12 +207,18 @@ def test_no_pid_that_names_a_group_or_this_process_is_signalled(worker, monkeypa
     node = f"127.0.0.1:{worker.port}"
     for kill in (local_terminator, TcpTransport().kill):
         for pid in (0, -1, os.getpid()):
-            kill(node, pid)
+            assert kill(node, pid) is False
         assert signalled == [], kill
-    TcpTransport().kill(node, 999_999)
+    assert TcpTransport().kill(node, 999_999) is False
     assert signalled == []
-    local_terminator(node, 999_999)
+    assert local_terminator(node, 999_999) is True
     assert signalled == [(999_999, signal.SIGTERM)]
+
+
+def test_a_kill_for_a_process_that_already_ended_reports_no_signal():
+    ended = subprocess.Popen([sys.executable, "-c", "pass"])
+    ended.wait()
+    assert local_terminator("local", ended.pid) is False
 
 
 def test_a_kill_for_a_process_the_worker_did_not_start_gets_an_error_and_signals_nothing(worker):
@@ -819,6 +827,75 @@ def test_a_connection_is_opened_once_per_busy_slot_not_once_per_job(worker, tmp_
     assert len(opened) == 2
 
 
+def record_slots(agent):
+    """Replace the agent's job runner with one that records, per connection, the slot of
+    every job frame it carried, in order."""
+    carried = {}
+    run_job = agent._run_job
+
+    def recording(conn, msg, bound):
+        carried.setdefault(conn, []).append(msg.get("slot"))
+        return run_job(conn, msg, bound)
+
+    agent._run_job = recording
+    return carried
+
+
+def run_batches(engine, batches, size=8):
+    for t in batches:
+        results = engine.run_jobs([job(name=f"indi_gen{t:02d}_no{i:02d}") for i in range(size)])
+        assert len(results) == size and all(r.ok for r in results.values())
+
+
+@pytest.fixture
+def slot_1_slower(monkeypatch):
+    """Slot 1's jobs take 20 ms longer, so its connection is the last one to go idle in
+    a batch: a pool that hands out the last connection put back gives it to slot 0 next."""
+    evaluate = SurrogateBackend.evaluate
+
+    def slower(self, the_job, emit_log=None, slot_id=0):
+        time.sleep(0.02 * slot_id)
+        return evaluate(self, the_job, emit_log, slot_id)
+
+    monkeypatch.setattr(SurrogateBackend, "evaluate", slower)
+
+
+def test_each_slot_keeps_a_connection_of_its_own(worker, tmp_path, slot_1_slower):
+    """Three batches of eight jobs on two slots of one worker: the worker sees two
+    connections, and each carries the jobs of one slot only."""
+    carried = record_slots(worker)
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path, slots=2)
+    try:
+        run_batches(engine, range(3))
+    finally:
+        engine.close()
+        engine.listener.close()
+    assert sorted(sorted(set(slots)) for slots in carried.values()) == [[0], [1]]
+    assert sum(map(len, carried.values())) == 24
+
+
+def test_a_slot_whose_connection_the_worker_closed_reconnects_alone(worker, tmp_path, slot_1_slower):
+    """The worker closes slot 0's idle connection after the first of three batches: slot
+    0's next job goes on a new connection with no retry, and slot 1 keeps its own."""
+    carried = record_slots(worker)
+    engine = remote_engine(f"127.0.0.1:{worker.port}", tmp_path, slots=2)
+    try:
+        run_batches(engine, [0])
+        (slot0,) = [conn for conn, slots in carried.items() if slots[0] == 0]
+        (slot1,) = [conn for conn, slots in carried.items() if slots[0] == 1]
+        slot1_jobs = len(carried[slot1])
+        slot0.shutdown(socket.SHUT_RDWR)  # the handler reads EOF and closes it
+        run_batches(engine, [1, 2])
+    finally:
+        engine.close()
+        engine.listener.close()
+    assert engine.stats.attempts == 24
+    assert engine.stats.failures == 0
+    assert len(carried) == 3  # slot 0's new connection
+    assert len(carried[slot1]) > slot1_jobs  # slot 1 went on over its own connection
+    assert all(len(set(slots)) == 1 for slots in carried.values())
+
+
 def test_no_live_process_record_after_any_job(worker, tmp_path, closing):
     """Whether its job succeeds, its trainer fails or the worker rejects it, an attempt's
     trainer entry goes with the attempt: after the jobs, cancel() signals no trainer."""
@@ -985,3 +1062,30 @@ def test_a_worker_that_reads_settings_from_every_frame_refuses_null_settings():
         thread.join(5.0)
     assert first == SurrogateBackend().evaluate(job())
     assert agent.evaluated == [job().settings]
+
+
+class ByteSink:
+    """Stands in for a socket: keeps every byte sent."""
+
+    def __init__(self):
+        self.sent = b""
+
+    def sendall(self, data):
+        self.sent += data
+
+
+def test_send_msg_writes_the_json_dumps_bytes_of_every_frame_type():
+    frames = [
+        {**job().to_message(), "slot": 1},
+        {**job().to_message(), "settings": None, "slot": 0},
+        {"type": "fitness", "value": 61.25, "duration_s": 1.5},
+        {"type": "error", "message": "trainer exited with status 3", "log_tail": "époque 2\n"},
+        {"type": "log", "line": "epoch 1 acc 10.0 — ok"},
+        {"type": "kill", "pid": 4242},
+        {"type": "process_start", "pid": 4242},
+    ]
+    for frame in frames:
+        sink = ByteSink()
+        send_msg(sink, frame)
+        body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+        assert sink.sent == len(body).to_bytes(4, "big") + body, frame["type"]
